@@ -9,14 +9,14 @@ reference), ``funnel`` (gain cascade, observer, control laws), ``sim``
 from .bif import (BifCoords, internal_rhs, internal_rhs_oracle, phi_forward,
                   phi_inverse)
 from .errors import ConfigError, DomainError, FunnelViolation, IntegrationError
-from .funnel import (CascadeOutput, FunnelSpec, ObserverState, cascade,
-                     controller_hg, controller_lin, gain, observer_rhs, phi_eval)
+from .funnel import (CascadeOutput, FunnelSpec, cascade, control_law, gain,
+                     observer_rhs, phi_eval)
 from .linid import LinData, eigensplit, linearize, psi, ynew_derivatives
-from .model import (ManipulatorParams, PlantState, gamma, generalized_forces,
-                    in_domain, mass_matrix, mass_matrix_inverse,
-                    mechanical_energy, output, plant_rhs)
+from .model import (ManipulatorParams, PlantState, accelerations, gamma,
+                    generalized_forces, in_domain, mass_matrix,
+                    mass_matrix_inverse, mechanical_energy, output, plant_rhs)
 from .reference import (BoundedReference, NewRefConfig, TransitionRef,
-                        new_ref_eval, new_ref_ic, sylvester_ic, yref_eval)
+                        new_ref_ic, sylvester_ic, yref_eval)
 from .sim import (DisturbanceSpec, IntegratorConfig, ScenarioConfig,
                   Trajectory, disturbance, integrate, run_case_study,
                   run_sweep, case_study_config, summarize)
@@ -27,12 +27,12 @@ __all__ = [
     "BifCoords", "BoundedReference", "CascadeOutput", "ConfigError",
     "DisturbanceSpec", "DomainError", "FunnelSpec", "FunnelViolation",
     "IntegratorConfig", "IntegrationError", "LinData", "ManipulatorParams",
-    "NewRefConfig", "ObserverState", "PlantState", "ScenarioConfig",
-    "Trajectory", "TransitionRef", "cascade", "controller_hg",
-    "controller_lin", "disturbance", "eigensplit", "gain",
+    "NewRefConfig", "PlantState", "ScenarioConfig", "Trajectory",
+    "TransitionRef", "accelerations", "cascade", "control_law",
+    "disturbance", "eigensplit", "gain",
     "gamma", "generalized_forces", "in_domain", "integrate", "internal_rhs",
     "internal_rhs_oracle", "linearize", "mass_matrix", "mass_matrix_inverse",
-    "mechanical_energy", "new_ref_eval", "new_ref_ic", "observer_rhs",
+    "mechanical_energy", "new_ref_ic", "observer_rhs",
     "output", "phi_eval", "phi_forward", "phi_inverse", "plant_rhs", "psi",
     "run_case_study", "run_sweep", "case_study_config", "summarize",
     "sylvester_ic", "ynew_derivatives", "yref_eval",

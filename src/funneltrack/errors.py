@@ -3,10 +3,21 @@
 The simulator maps these onto process exit codes: config 1, funnel 2,
 domain 3, integrator 4.
 """
+import dataclasses
+import math
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
+
+
+def require_finite(cfg) -> None:
+    """Raise ConfigError if a number in a field (or tuple field) of ``cfg`` is not finite."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, (int, float)) and not math.isfinite(v):
+                raise ConfigError(f"{type(cfg).__name__}.{f.name} must be finite, got {value!r}")
 
 
 class DomainError(ValueError):

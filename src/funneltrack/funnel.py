@@ -6,16 +6,16 @@ k = 1/(1 - phi^2 e^2) blowing up as the error approaches its funnel
 boundary 1/phi.  The positive feedback sign matches the negative
 effective input gain of the auxiliary output on the admissible region.
 
-Two variants supply the surrogate derivatives of the auxiliary output:
-``controller_lin`` uses the modal derivative ladder, ``controller_hg`` a
-high-gain observer whose three states estimate the output and its first
-two time derivatives.
+Two variants supply the surrogate derivatives of the auxiliary output to
+``control_law``: the modal derivative ladder (``lin``), or a high-gain
+observer whose three states estimate the output and its first two time
+derivatives (``hg``).
 """
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, FunnelViolation
+from .errors import ConfigError, FunnelViolation, require_finite
 from .linid import LinData, psi, ynew_derivatives
 from .model import ManipulatorParams
 from .reference import BoundedReference
@@ -30,6 +30,7 @@ class FunnelSpec:
     eps: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.a < 0 or self.b <= 0 or self.eps <= 0:
             raise ConfigError(f"funnel needs a >= 0, b > 0, eps > 0, got {self}")
 
@@ -39,14 +40,6 @@ def phi_eval(f: FunnelSpec, t: float) -> tuple[float, float]:
     decay = f.a * math.exp(-f.b * t)
     phi = 1.0 / (decay + f.eps)
     return phi, f.b * decay * phi * phi
-
-
-class ObserverState(NamedTuple):
-    """Estimates of the auxiliary output and its first two derivatives."""
-
-    zeta1: float
-    zeta2: float
-    zeta3: float
 
 
 class CascadeOutput(NamedTuple):
@@ -94,34 +87,7 @@ def cascade(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,
     e1_1 = e0_2 + k0 * e0_1 + k0_1 * e0
     e2 = e1_1 + k1 * e1
     k2 = gain(phi2, e2, t=t, level=2)
-    return CascadeOutput(e0=e0, e1=e1, e2=e2, k0=k0, k1=k1, k2=k2, u=k2 * e2,
-                         e0_1=e0_1, e0_2=e0_2, k0_1=k0_1, e1_1=e1_1)
-
-
-def cascade_margins(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,
-                    y_bar_ref: float, y_bar_ref_dot: float, y_bar_ref_ddot: float
-                    ) -> tuple[float, float, float]:
-    """Funnel margins phi_i |e_i| without raising; diagnostic use only.
-
-    Levels below a violated one are undefined and reported as inf.
-    """
-    phi0, phi0_dot = phi_eval(specs[0], t)
-    e0 = y_new - y_bar_ref
-    m0 = phi0 * abs(e0)
-    if m0 >= 1.0:
-        return m0, math.inf, math.inf
-    e0_1 = y_new_1 - y_bar_ref_dot
-    k0 = 1.0 / (1.0 - (phi0 * e0) ** 2)
-    e1 = e0_1 + k0 * e0
-    phi1, _ = phi_eval(specs[1], t)
-    m1 = phi1 * abs(e1)
-    if m1 >= 1.0:
-        return m0, m1, math.inf
-    k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
-    k1 = 1.0 / (1.0 - (phi1 * e1) ** 2)
-    e2 = (y_new_2 - y_bar_ref_ddot) + k0 * e0_1 + k0_1 * e0 + k1 * e1
-    phi2, _ = phi_eval(specs[2], t)
-    return m0, m1, phi2 * abs(e2)
+    return CascadeOutput(e0, e1, e2, k0, k1, k2, k2 * e2, e0_1, e0_2, k0_1, e1_1)
 
 
 def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
@@ -131,28 +97,17 @@ def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
     return l1 * err + zeta[1], l2 * err + zeta[2], l3 * err
 
 
-def controller_lin(p: ManipulatorParams, lin: LinData, specs,
-                   new_ref: BoundedReference, t: float, x) -> CascadeOutput:
-    """Feedback law with ladder-based surrogate derivatives."""
-    y_new, y1, y2 = ynew_derivatives(p, lin, x)
-    br, br_dot, br_ddot = new_ref.eval(t)
-    return cascade(specs, t, y_new, y1, y2, br, br_dot, br_ddot)
+def control_law(p: ManipulatorParams, lin: LinData, specs, new_ref: BoundedReference,
+                t: float, x, zeta=None,
+                cos_beta: float | None = None) -> tuple[CascadeOutput, float]:
+    """Feedback law at (t, x); returns the cascade output and y_new = psi(x).
 
-
-def controller_hg(p: ManipulatorParams, lin: LinData, specs,
-                  new_ref: BoundedReference, gains, t: float, x,
-                  zeta) -> tuple[CascadeOutput, tuple[float, float, float]]:
-    """Feedback law with observer-based derivative estimates.
-
-    Returns the cascade output and the observer state derivative for
-    co-integration with the plant.
+    The surrogate derivatives of y_new are the observer estimates
+    ``zeta[1:]`` when ``zeta`` is given (``hg``), else the modal ladder
+    (``lin``).  ``cos_beta`` is cos(x[1]) when the caller has computed it.
     """
-    y_new = psi(p, lin, x)
-    br, br_dot, br_ddot = new_ref.eval(t)
-    out = cascade(specs, t, y_new, zeta[1], zeta[2], br, br_dot, br_ddot)
-    return out, observer_rhs(gains, zeta, y_new)
-
-
-def default_observer_init(p: ManipulatorParams, lin: LinData, x0) -> ObserverState:
-    """Observer start (psi(x0), 0, 0): no peaking in the first state."""
-    return ObserverState(psi(p, lin, x0), 0.0, 0.0)
+    if zeta is None:
+        y_new, y1, y2 = ynew_derivatives(p, lin, x, cos_beta)
+    else:
+        y_new, y1, y2 = psi(p, lin, x, cos_beta), zeta[1], zeta[2]
+    return cascade(specs, t, y_new, y1, y2, *new_ref.eval(t)), y_new

@@ -10,6 +10,7 @@ has relative degree 3 with effective input gain lam2 * p2 * Gamma, and the
 surrogate derivative ladder built from the scalar unstable mode replaces
 the true time derivatives in the feedback law.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,11 @@ class LinData:
     p2: float  # > 0 by the sign convention below
     D: float  # det V
 
+    @functools.cached_property
+    def unstable_row(self) -> tuple[float, float]:
+        """Second row of V^{-1}: the unstable modal coordinate's weights."""
+        return tuple(self.Vinv[1].tolist())
+
 
 def eigensplit(p: ManipulatorParams) -> LinData:
     """Diagonalize Q and split the ydot coupling into modal components.
@@ -70,21 +76,22 @@ def eigensplit(p: ManipulatorParams) -> LinData:
                    D=float(np.linalg.det(V)))
 
 
-def psi(p: ManipulatorParams, lin: LinData, x) -> float:
-    """Auxiliary output y_new expressed in plant coordinates."""
-    _, _, eta1, eta2 = phi_forward(p, x)
-    w = lin.Vinv[1]
-    return float(w[0] * eta1 + w[1] * eta2 - lin.p2 * (x[0] + 0.5 * x[1]))
+def psi(p: ManipulatorParams, lin: LinData, x, cos_beta: float | None = None) -> float:
+    """Auxiliary output y_new expressed in plant coordinates; ``cos_beta`` = cos(x[1]) if known."""
+    y, _, eta1, eta2 = phi_forward(p, x, cos_beta)
+    w0, w1 = lin.unstable_row
+    return float(w0 * eta1 + w1 * eta2 - lin.p2 * y)
 
 
-def ynew_derivatives(p: ManipulatorParams, lin: LinData, x) -> tuple[float, float, float]:
+def ynew_derivatives(p: ManipulatorParams, lin: LinData, x,
+                     cos_beta: float | None = None) -> tuple[float, float, float]:
     """Auxiliary output and its surrogate derivative ladder.
 
     The ladder propagates the scalar unstable mode, so these are not the
     time derivatives of psi along the true flow; they satisfy
     y2 = lam2 * y1 + lam2 * p2 * ydot identically.
     """
-    y_new = psi(p, lin, x)
+    y_new = psi(p, lin, x, cos_beta)
     lam2, p2 = lin.lambda2, lin.p2
     yq = x[0] + 0.5 * x[1]
     yq_dot = x[2] + 0.5 * x[3]

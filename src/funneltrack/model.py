@@ -11,12 +11,13 @@ beta_dot)``.  All functions are pure; the admissible region
 ``cos(beta) > 2/3`` (where the high-frequency gain keeps a fixed sign) is
 checked by callers, not here.
 """
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 # cos(beta) must exceed this for the input-output structure to be valid
 DOMAIN_COS_LIMIT = 2.0 / 3.0
@@ -36,6 +37,7 @@ class ManipulatorParams:
     s: float = 1.0  # tracking-point offset on the passive link, m
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.m > 0 and self.l > 0):
             raise ConfigError(f"mass and length must be positive, got m={self.m}, l={self.l}")
         if self.c < 0 or self.d < 0:
@@ -48,7 +50,7 @@ class ManipulatorParams:
         """Link inertia l^2 m / 12 (homogeneous mass distribution)."""
         return self.l**2 * self.m / 12.0
 
-    @property
+    @functools.cached_property
     def l2m(self) -> float:
         return self.l**2 * self.m
 
@@ -66,6 +68,9 @@ class PlantState:
     beta: float = 0.0
     alpha_dot: float = 0.0
     beta_dot: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.alpha_dot, self.beta_dot])
@@ -99,28 +104,34 @@ def mass_matrix_inverse(p: ManipulatorParams, beta: float) -> np.ndarray:
                          [-1.0 / 3.0 - 0.5 * cb, 5.0 / 3.0 + cb]])
 
 
-def generalized_forces(p: ManipulatorParams, x) -> tuple[float, float]:
-    """Coriolis/centrifugal, spring and damping torques (f1, f2)."""
-    _, x2, x3, x4 = x[0], x[1], x[2], x[3]
-    sb = math.sin(x2)
+def _forces(p: ManipulatorParams, sb: float, x2: float, x3: float, x4: float) -> tuple:
     f1 = 0.5 * p.l2m * x4 * (2.0 * x3 + x4) * sb
     f2 = -p.c * x2 - p.d * x4 - 0.5 * p.l2m * x3 * x3 * sb
     return f1, f2
 
 
-def plant_rhs(p: ManipulatorParams, x, u_d: float) -> np.ndarray:
-    """First-order dynamics xdot = f(x) + g(x) u_d.
+def generalized_forces(p: ManipulatorParams, x) -> tuple[float, float]:
+    """Coriolis/centrifugal, spring and damping torques (f1, f2)."""
+    return _forces(p, math.sin(x[1]), x[1], x[2], x[3])
+
+
+def accelerations(p: ManipulatorParams, cb: float, sb: float, x2: float, x3: float,
+                  x4: float, u_d: float) -> tuple[float, float]:
+    """(alpha_ddot, beta_ddot) at beta = x2 with cb = cos(x2), sb = sin(x2).
 
     ``u_d`` is the torque on the first link including any disturbance.
     """
-    x3, x4 = x[2], x[3]
-    f1, f2 = generalized_forces(p, x)
-    cb = math.cos(x[1])
+    f1, f2 = _forces(p, sb, x2, x3, x4)
     k = 36.0 / (p.l2m * (16.0 - 9.0 * cb * cb))
     a12 = -1.0 / 3.0 - 0.5 * cb
     t1 = f1 + u_d
-    acc1 = k * (t1 / 3.0 + a12 * f2)
-    acc2 = k * (a12 * t1 + (5.0 / 3.0 + cb) * f2)
+    return k * (t1 / 3.0 + a12 * f2), k * (a12 * t1 + (5.0 / 3.0 + cb) * f2)
+
+
+def plant_rhs(p: ManipulatorParams, x, u_d: float) -> np.ndarray:
+    """First-order dynamics xdot = f(x) + g(x) u_d."""
+    x2, x3, x4 = x[1], x[2], x[3]
+    acc1, acc2 = accelerations(p, math.cos(x2), math.sin(x2), x2, x3, x4, u_d)
     return np.array([x3, x4, acc1, acc2])
 
 

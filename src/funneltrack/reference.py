@@ -11,7 +11,6 @@ integration amplifies roundoff by exp(lam2 t) and is provided as a
 cross-check only.  ``BoundedReference`` memoizes the bounded solution on a
 uniform grid for cheap in-loop evaluation.
 """
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +18,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
-# ascending coefficients of the transition polynomial in tau**5 .. tau**9
+# ascending coefficients of the transition polynomial in tau**5 .. tau**9,
+# and of its derivative divided by tau**4
 _TRANSITION_COEFFS = (126.0, -420.0, 540.0, -315.0, 70.0)
+_SLOPE_COEFFS = tuple((k + 5) * c for k, c in enumerate(_TRANSITION_COEFFS))
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,7 @@ class TransitionRef:
     tf: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.tf < self.t0:
             raise ConfigError(f"transition needs tf >= t0, got [{self.t0}, {self.tf}]")
 
@@ -46,15 +48,26 @@ class NewRefConfig:
     lambda2: float
     p2: float
     quadrature_abs_tol: float = 1e-10
-    extension_mode: str = "hold-final-value"
 
     def __post_init__(self):
+        require_finite(self)
         if self.lambda2 <= 0:
             raise ConfigError(f"lambda2 must be positive, got {self.lambda2}")
         if self.quadrature_abs_tol <= 0:
             raise ConfigError("quadrature_abs_tol must be positive")
-        if self.extension_mode != "hold-final-value":
-            raise ConfigError(f"unsupported extension mode {self.extension_mode!r}")
+
+
+def _horner(tau, coeffs):
+    """sum(coeffs[k] tau**k) for a float or an array ``tau``."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * tau + c
+    return acc
+
+
+def _rise(r: TransitionRef, tau, t5):
+    """Transition value at tau in (0, 1), with t5 = tau**5 (float or array)."""
+    return r.y0 + t5 * _horner(tau, _TRANSITION_COEFFS) * (r.yf - r.y0)
 
 
 def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
@@ -67,16 +80,19 @@ def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
         return r.yf, 0.0
     T = r.tf - r.t0
     tau = (t - r.t0) / T
-    val = 0.0
-    dval = 0.0
-    # Horner over tau**5 * (c0 + c1 tau + ...) and its derivative
-    for k in reversed(range(5)):
-        ck = _TRANSITION_COEFFS[k]
-        val = val * tau + ck
-        dval = dval * tau + (k + 5) * ck
     t5 = tau**5
-    dy = r.yf - r.y0
-    return r.y0 + t5 * val * dy, t5 / tau * dval * dy / T
+    return _rise(r, tau, t5), t5 / tau * _horner(tau, _SLOPE_COEFFS) * (r.yf - r.y0) / T
+
+
+def _yref_values(r: TransitionRef, s: np.ndarray) -> np.ndarray:
+    """``yref_eval(r, t)[0]`` for every t in ``s``, with the same arithmetic."""
+    out = np.where(s < r.t0 if r.tf == r.t0 else s <= r.t0, r.y0, r.yf).astype(float)
+    inside = (s > r.t0) & (s < r.tf)
+    tau = (s[inside] - r.t0) / (r.tf - r.t0)
+    # scalar pow: numpy's vectorised power may round differently
+    t5 = np.fromiter((v**5 for v in tau.tolist()), float, tau.size)
+    out[inside] = _rise(r, tau, t5)
+    return out
 
 
 def new_ref_ic(cfg: NewRefConfig, r: TransitionRef) -> float:
@@ -118,20 +134,25 @@ class BoundedReference:
             n = max(1, int(round((ref.tf - self.t_lo) / grid_step)))
             ts = np.linspace(self.t_lo, ref.tf, n + 1)
             self._h = ts[1] - ts[0]
+            # a few hundred panels per array pass keep the temporaries small
+            panels = np.concatenate([self._panels(ts[j:j + 257]) for j in range(0, n, 256)])
+            panels = panels.tolist()
+            decay = math.exp(-self.lam2 * self._h)
             vals = np.empty(n + 1)
             vals[-1] = self.final_value
-            gx, gw = np.polynomial.legendre.leggauss(10)
-            lam2p2 = self.lam2 * self.p2
             for i in range(n - 1, -1, -1):
-                mid = 0.5 * (ts[i] + ts[i + 1])
-                half = 0.5 * self._h
-                sg = mid + half * gx
-                yr = np.array([yref_eval(ref, s)[0] for s in sg])
-                panel = -lam2p2 * half * float(np.sum(gw * np.exp(self.lam2 * (ts[i] - sg)) * yr))
-                vals[i] = panel + math.exp(-self.lam2 * self._h) * vals[i + 1]
-            self._knots = ts
+                vals[i] = panels[i] + decay * vals[i + 1]
+            self._knots = ts.tolist()
             self._vals = vals
-            self._coeffs = CubicSpline(ts, vals).c  # (4, n)
+            self._coeffs = np.ascontiguousarray(CubicSpline(ts, vals).c.T)  # (n, 4)
+
+    def _panels(self, ts: np.ndarray) -> np.ndarray:
+        """Convolution integral over each interval of ``ts`` (10-point Gauss-Legendre)."""
+        gx, gw = np.polynomial.legendre.leggauss(10)
+        half = 0.5 * self._h
+        sg = (0.5 * (ts[:-1] + ts[1:]))[:, None] + half * gx  # one row of nodes per interval
+        weighted = gw * np.exp(self.lam2 * (ts[:-1, None] - sg)) * _yref_values(self.ref, sg)
+        return -self.lam2 * self.p2 * half * np.sum(weighted, axis=1)
 
     def value(self, t: float) -> float:
         """Bounded solution at time t."""
@@ -145,8 +166,8 @@ class BoundedReference:
             return -self.p2 * ref.y0 * (1.0 - decay) + decay * self._vals[0]
         i = min(len(self._knots) - 2, int((t - self.t_lo) / self._h))
         dt = t - self._knots[i]
-        c = self._coeffs
-        return float(((c[0, i] * dt + c[1, i]) * dt + c[2, i]) * dt + c[3, i])
+        c3, c2, c1, c0 = self._coeffs[i].tolist()
+        return float(((c3 * dt + c2) * dt + c1) * dt + c0)
 
     def eval(self, t: float) -> tuple[float, float, float]:
         """Value and first two derivatives of the auxiliary reference."""
@@ -158,16 +179,6 @@ class BoundedReference:
         vd = self.lam2 * v + lam2p2 * yr
         vdd = self.lam2 * vd + lam2p2 * yr_dot
         return v, vd, vdd
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_reference(cfg: NewRefConfig, r: TransitionRef) -> BoundedReference:
-    return BoundedReference(cfg, r)
-
-
-def new_ref_eval(cfg: NewRefConfig, r: TransitionRef, t: float) -> tuple[float, float, float]:
-    """Bounded auxiliary reference (value, dot, ddot) at time t."""
-    return _cached_reference(cfg, r).eval(t)
 
 
 def sylvester_ic(cfg: NewRefConfig, A_e: np.ndarray, C_e: np.ndarray, w0: np.ndarray) -> float:

@@ -20,12 +20,11 @@ import numpy as np
 
 from . import rk45
 from .errors import (ConfigError, DomainError, FunnelViolation,
-                     IntegrationError)
-from .funnel import (FunnelSpec, cascade_margins, controller_hg,
-                     controller_lin, observer_rhs, phi_eval)
-from .linid import LinData, eigensplit, psi, ynew_derivatives
-from .model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState, output,
-                    plant_rhs)
+                     IntegrationError, require_finite)
+from .funnel import CascadeOutput, FunnelSpec, control_law, observer_rhs, phi_eval
+from .linid import LinData, eigensplit, psi
+from .model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
+                    accelerations, output)
 from .reference import BoundedReference, NewRefConfig, TransitionRef, yref_eval
 
 SAMPLE_STEP = 1e-3
@@ -33,6 +32,8 @@ SAMPLE_STEP = 1e-3
 BASE_COLUMNS = ("t", "alpha", "beta", "alpha_dot", "beta_dot", "y", "y_ref",
                 "y_bar_ref", "y_new", "e0", "e1", "e2", "k0", "k1", "k2", "u")
 OBSERVER_COLUMNS = ("zeta1", "zeta2", "zeta3")
+# rk45.SolveResult step statistics kept on a Trajectory and in its summary
+SOLVER_STATS = ("nfev", "naccept", "nreject", "nguard")
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class DisturbanceSpec:
     freq1: float = 0.0
     amp2: float = 0.0
     freq2: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 def disturbance(spec: DisturbanceSpec, t: float) -> float:
@@ -57,10 +61,11 @@ class IntegratorConfig:
     min_step: float = 1e-12
 
     def __post_init__(self):
+        require_finite(self)
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ConfigError("integrator tolerances must be positive")
-        if self.max_step <= 0 or self.min_step < 0:
-            raise ConfigError("integrator steps must be positive")
+        if not 0 < self.min_step < self.max_step:  # > 0 also ends guard bisection
+            raise ConfigError(f"need 0 < min_step < max_step, got {self.min_step}, {self.max_step}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,7 @@ class ScenarioConfig:
     integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):
+        require_finite(self)
         if self.mode not in ("lin", "hg"):
             raise ConfigError(f"mode must be 'lin' or 'hg', got {self.mode!r}")
         if self.t_end <= 0:
@@ -131,7 +137,9 @@ class ScenarioConfig:
             if unknown:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
             return cls(**kwargs)
-        except TypeError as exc:
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -166,6 +174,7 @@ class Trajectory:
 
     columns: tuple
     data: np.ndarray  # shape (n_samples, n_columns)
+    solver: dict  # SOLVER_STATS of the solve
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
@@ -198,76 +207,65 @@ class ClosedLoop:
         self.lin: LinData = eigensplit(cfg.params)
         self.new_ref = BoundedReference(
             NewRefConfig(lambda2=self.lin.lambda2, p2=self.lin.p2), cfg.ref)
-        self.columns = BASE_COLUMNS + (OBSERVER_COLUMNS if cfg.mode == "hg" else ())
-        self.dim = 7 if cfg.mode == "hg" else 4
+        self.observer = cfg.mode == "hg"
+        self.columns = BASE_COLUMNS + (OBSERVER_COLUMNS if self.observer else ())
+        self.specs = cfg.funnels
+        self.gains = cfg.observer_gains
+        self.dist = cfg.disturbance
 
     def initial_state(self) -> np.ndarray:
         x0 = self.cfg.x0.as_array()
-        if self.cfg.mode == "hg":
+        if self.observer:
             return np.concatenate([x0, [psi(self.params, self.lin, x0), 0.0, 0.0]])
         return x0
 
-    def _check_domain(self, t, state):
-        if math.cos(state[1]) <= DOMAIN_COS_LIMIT:
-            raise DomainError(
-                f"beta = {state[1]:.6f} left the admissible region at t = {t:.6f}",
-                t=t, state=np.asarray(state).copy())
+    def evaluate(self, t: float, state: np.ndarray) -> tuple[list, CascadeOutput, float]:
+        """State derivative, cascade output and y_new at (t, state), in one pass.
 
-    def control(self, t: float, state):
-        """Cascade output at (t, state); raises on funnel/domain violation."""
-        self._check_domain(t, state)
-        if self.cfg.mode == "hg":
-            out, _ = controller_hg(self.params, self.lin, self.cfg.funnels,
-                                   self.new_ref, self.cfg.observer_gains,
-                                   t, state[:4], state[4:])
-            return out
-        return controller_lin(self.params, self.lin, self.cfg.funnels,
-                              self.new_ref, t, state)
+        Raises DomainError outside cos(beta) > 2/3 and FunnelViolation
+        once an error reaches its funnel boundary.
+        """
+        # Python floats: the same values, but numpy scalars are several times slower
+        t = float(t)
+        xs = state.tolist()
+        x2, x3, x4 = xs[1], xs[2], xs[3]
+        cb = math.cos(x2)
+        if cb <= DOMAIN_COS_LIMIT:
+            raise DomainError(
+                f"beta = {x2:.6f} left the admissible region at t = {t:.6f}",
+                t=t, state=state.copy())
+        zeta = xs[4:] if self.observer else None
+        out, y_new = control_law(self.params, self.lin, self.specs, self.new_ref,
+                                 t, xs, zeta, cb)
+        u_d = out.u + disturbance(self.dist, t)
+        deriv = [x3, x4, *accelerations(self.params, cb, math.sin(x2), x2, x3, x4, u_d)]
+        if zeta is not None:
+            deriv.extend(observer_rhs(self.gains, zeta, y_new))
+        return deriv, out, y_new
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
-        out = self.control(t, state)
-        u_d = out.u + disturbance(self.cfg.disturbance, t)
-        xdot = plant_rhs(self.params, state[:4], u_d)
-        if self.cfg.mode == "hg":
-            y_new = psi(self.params, self.lin, state[:4])
-            zdot = observer_rhs(self.cfg.observer_gains, state[4:], y_new)
-            return np.concatenate([xdot, zdot])
-        return xdot
+        return np.array(self.evaluate(t, state)[0])
 
-    def margins(self, t: float, state) -> tuple[float, float, float]:
-        """Funnel margins at (t, state) without raising (diagnostics)."""
-        self._check_domain(t, state)
-        if self.cfg.mode == "hg":
-            y_new = psi(self.params, self.lin, state[:4])
-            y1, y2 = state[5], state[6]
-        else:
-            y_new, y1, y2 = ynew_derivatives(self.params, self.lin, state)
-        br, brd, brdd = self.new_ref.eval(t)
-        return cascade_margins(self.cfg.funnels, t, y_new, y1, y2, br, brd, brdd)
+    def margins(self, t: float, state: np.ndarray) -> tuple[float, float, float]:
+        """Funnel margins phi_i |e_i| at (t, state); raises like ``rhs``."""
+        out = self.evaluate(t, state)[1]
+        return tuple(phi_eval(spec, t)[0] * abs(e)
+                     for spec, e in zip(self.specs, (out.e0, out.e1, out.e2)))
 
-    def row(self, t: float, state) -> list:
-        """One output sample (re-evaluates the controller at the state)."""
-        out = self.control(t, state)
-        y, _ = output(self.params, state[:4])
-        y_new = psi(self.params, self.lin, state[:4])
-        values = [t, state[0], state[1], state[2], state[3], y,
-                  yref_eval(self.cfg.ref, t)[0], self.new_ref.value(t), y_new,
-                  out.e0, out.e1, out.e2, out.k0, out.k1, out.k2, out.u]
-        if self.cfg.mode == "hg":
-            values.extend(state[4:7])
-        return values
-
-
-def closed_loop_rhs(cfg: ScenarioConfig, t: float, state) -> np.ndarray:
-    """One-off right-hand-side evaluation (builds the loop each call)."""
-    return ClosedLoop(cfg).rhs(t, np.asarray(state, dtype=float))
+    def row(self, t: float, state: np.ndarray) -> list:
+        """One output sample (re-evaluates the closed loop at the state)."""
+        _, out, y_new = self.evaluate(t, state)
+        xs = state.tolist()
+        y, _ = output(self.params, xs)
+        return [t, *xs[:4], y, yref_eval(self.cfg.ref, t)[0], self.new_ref.value(t), y_new,
+                out.e0, out.e1, out.e2, out.k0, out.k1, out.k2, out.u, *xs[4:]]
 
 
 def integrate(cfg: ScenarioConfig) -> Trajectory:
     """Run one scenario and sample it on the uniform output grid."""
     loop = ClosedLoop(cfg)
     y0 = loop.initial_state()
-    loop.control(0.0, y0)  # initial funnel feasibility / domain check
+    loop.evaluate(0.0, y0)  # initial funnel feasibility / domain check
     intg = cfg.integrator
     try:
         result = rk45.solve(loop.rhs, (0.0, cfg.t_end), y0,
@@ -291,7 +289,8 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     data = np.array(rows)
     if not np.all(np.isfinite(data)):
         raise FunnelViolation("non-finite values in sampled trajectory", t=float(result.t[-1]))
-    return Trajectory(columns=loop.columns, data=data)
+    return Trajectory(columns=loop.columns, data=data,
+                      solver={k: getattr(result, k) for k in SOLVER_STATS})
 
 
 def summarize(cfg: ScenarioConfig, traj: Trajectory) -> dict:
@@ -307,6 +306,7 @@ def summarize(cfg: ScenarioConfig, traj: Trajectory) -> dict:
         "max_funnel_margin_e0": float(np.max(margins[:, 0])),
         "max_funnel_margins": [float(np.max(margins[:, j])) for j in range(3)],
         "funnel_invariant": bool(np.all(margins < 1.0)),
+        "solver": dict(traj.solver),
     }
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 import json
+import math
 
 import pytest
 
@@ -43,6 +44,36 @@ def test_invalid_json_is_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["simulate", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("path, value", [
+    ("t_end", math.nan),
+    ("t_end", math.inf),
+    ("t_end", "soon"),
+    ("funnels.0.a", math.nan),
+    ("funnels.2.eps", math.inf),
+    ("params.c", math.nan),
+    ("x0.beta", math.nan),
+    ("ref.yf", math.inf),
+    ("disturbance.amp1", math.nan),
+    ("observer_gains.1", math.inf),
+    ("integrator.rel_tol", math.nan),
+    ("integrator.min_step", 0.0),
+    ("integrator.min_step", 0.1),  # not below max_step
+    ("integrator.max_step", math.inf),
+])
+def test_invalid_field_is_exit_1(tmp_path, path, value):
+    data = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=1.0).to_dict()
+    *parents, leaf = path.split(".")
+    node = data
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(leaf) if isinstance(node, list) else leaf] = value
+    cfg = tmp_path / "invalid.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_usage_error_is_exit_1():

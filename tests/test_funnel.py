@@ -6,12 +6,12 @@ import pytest
 
 from funneltrack import rk45
 from funneltrack.errors import ConfigError, FunnelViolation
-from funneltrack.funnel import (FunnelSpec, cascade, controller_hg,
-                                controller_lin, default_observer_init, gain,
+from funneltrack.funnel import (FunnelSpec, cascade, control_law, gain,
                                 observer_rhs, phi_eval)
-from funneltrack.linid import eigensplit, ynew_derivatives
+from funneltrack.linid import eigensplit, psi, ynew_derivatives
 from funneltrack.model import ManipulatorParams
 from funneltrack.reference import BoundedReference, NewRefConfig, TransitionRef
+from funneltrack.sim import ClosedLoop, ScenarioConfig, case_study_config
 
 from test_model import random_domain_states
 
@@ -178,11 +178,11 @@ class TestControllers:
             NewRefConfig(LIN.lambda2, LIN.p2), TransitionRef(0.0, math.pi / 4, 0.0, 3.0))
 
     def test_equilibrium_zero_reference(self):
-        out = controller_lin(P, LIN, SPECS, self.zero_ref, 0.0, np.zeros(4))
-        assert out.u == 0.0
+        out, y_new = control_law(P, LIN, SPECS, self.zero_ref, 0.0, np.zeros(4))
+        assert out.u == 0.0 and y_new == 0.0
 
     def test_initial_feasibility_of_case_study(self):
-        out = controller_lin(P, LIN, SPECS, self.case_ref, 0.0, np.zeros(4))
+        out, _ = control_law(P, LIN, SPECS, self.case_ref, 0.0, np.zeros(4))
         assert out.e0 == pytest.approx(-self.case_ref.value(0.0), abs=1e-15)
         phi0, _ = phi_eval(SPECS[0], 0.0)
         assert phi0 * abs(out.e0) < 1.0
@@ -190,25 +190,24 @@ class TestControllers:
     def test_hg_with_exact_derivatives_matches_lin(self):
         for x in random_domain_states(200, 79, vel_scale=0.5, beta_margin=0.2):
             t = 1.0
-            y_new, y1, y2 = ynew_derivatives(P, LIN, x)
+            zeta = ynew_derivatives(P, LIN, x)
             try:
-                want = controller_lin(P, LIN, SPECS, self.case_ref, t, x)
+                want, _ = control_law(P, LIN, SPECS, self.case_ref, t, x)
             except FunnelViolation:
                 continue  # random state outside the funnels; not the point here
-            got, zdot = controller_hg(P, LIN, SPECS, self.case_ref, GAINS, t, x,
-                                      (y_new, y1, y2))
-            assert got.u == pytest.approx(want.u, abs=1e-10)
-            assert np.allclose(zdot, observer_rhs(GAINS, (y_new, y1, y2), y_new))
+            got, y_new = control_law(P, LIN, SPECS, self.case_ref, t, x, zeta)
+            assert got == want
+            assert y_new == zeta[0]
 
     def test_hg_persistent_rest(self):
-        zeta = default_observer_init(P, LIN, np.zeros(4))
-        out, zdot = controller_hg(P, LIN, SPECS, self.zero_ref, GAINS, 0.0,
-                                  np.zeros(4), zeta)
+        zeta = (psi(P, LIN, np.zeros(4)), 0.0, 0.0)
+        out, y_new = control_law(P, LIN, SPECS, self.zero_ref, 0.0, np.zeros(4), zeta)
         assert out.u == 0.0
-        assert zdot == (0.0, 0.0, 0.0)
+        assert observer_rhs(GAINS, zeta, y_new) == (0.0, 0.0, 0.0)
 
     def test_hg_zero_gain_observer_is_decoupled(self):
-        zeta = default_observer_init(P, LIN, np.zeros(4))
-        _, zdot = controller_hg(P, LIN, SPECS, self.case_ref, (0.0, 0.0, 0.0), 0.0,
-                                np.zeros(4), zeta)
-        assert zdot == (0.0, 0.0, 0.0)
+        cfg = case_study_config("hg")
+        loop = ClosedLoop(ScenarioConfig(ref=cfg.ref, mode="hg", observer_gains=(0.0, 0.0, 0.0),
+                                         disturbance=cfg.disturbance))
+        state = loop.initial_state()
+        assert np.array_equal(loop.rhs(0.0, state)[4:], np.zeros(3))

@@ -10,7 +10,7 @@ from funneltrack.errors import ConfigError
 from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams
 from funneltrack.reference import (BoundedReference, NewRefConfig,
-                                   TransitionRef, new_ref_eval, new_ref_ic,
+                                   TransitionRef, new_ref_ic,
                                    sylvester_ic, yref_eval)
 
 LIN = eigensplit(ManipulatorParams())
@@ -104,7 +104,7 @@ class TestInitialCondition:
         with pytest.raises(ConfigError):
             NewRefConfig(lambda2=-1.0, p2=1.0)
         with pytest.raises(ConfigError):
-            NewRefConfig(lambda2=1.0, p2=1.0, extension_mode="wrap")
+            NewRefConfig(lambda2=1.0, p2=math.nan)
 
 
 class TestBoundedReference:
@@ -157,11 +157,25 @@ class TestBoundedReference:
         worst = max(abs(y[0] - self.bref.value(t)) for t, y in zip(res.t, res.y))
         assert worst <= 1e-4  # forward mode amplifies errors by exp(lam2 t)
 
-    def test_module_level_eval_is_cached(self):
-        a = new_ref_eval(CFG, REF, 1.0)
-        b = new_ref_eval(CFG, REF, 1.0)
-        assert a == b
-        assert a == pytest.approx(self.bref.eval(1.0), abs=1e-12)
+    @pytest.mark.parametrize("ref", [REF, TransitionRef(0.3, 0.7, 1.0, 2.0),
+                                     TransitionRef(-1, 2, -0.5, 1.7),
+                                     TransitionRef(0.1, 0.5, 0.5, 0.5)])
+    def test_grid_equals_scalar_recurrence(self, ref):
+        # the build's oracle: one scalar yref_eval per Gauss node, panel by panel
+        b = BoundedReference(CFG, ref)
+        lam2, p2 = CFG.lambda2, CFG.p2
+        ts = np.linspace(b.t_lo, ref.tf, len(b._vals))
+        h = ts[1] - ts[0]
+        gx, gw = np.polynomial.legendre.leggauss(10)
+        vals = np.empty(len(ts))
+        vals[-1] = -p2 * ref.yf
+        for i in range(len(ts) - 2, -1, -1):
+            mid, half = 0.5 * (ts[i] + ts[i + 1]), 0.5 * h
+            sg = mid + half * gx
+            yr = np.array([yref_eval(ref, s)[0] for s in sg])
+            panel = -lam2 * p2 * half * float(np.sum(gw * np.exp(lam2 * (ts[i] - sg)) * yr))
+            vals[i] = panel + math.exp(-lam2 * h) * vals[i + 1]
+        assert np.array_equal(b._vals, vals)
 
     def test_early_start_before_window(self):
         ref = TransitionRef(y0=0.3, yf=0.7, t0=1.0, tf=2.0)

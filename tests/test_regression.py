@@ -13,6 +13,7 @@ import pytest
 from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams
 from funneltrack.reference import NewRefConfig, TransitionRef, new_ref_ic
+from funneltrack.sim import summarize
 
 LIN = eigensplit(ManipulatorParams())
 
@@ -37,6 +38,13 @@ class TestCaseStudyRegression:
     def test_final_outputs(self, case_lin, case_hg):
         assert float(case_lin.traj["y"][-1]) == pytest.approx(0.8114754640, abs=1e-4)
         assert float(case_hg.traj["y"][-1]) == pytest.approx(0.7893495481, abs=1e-4)
+
+    def test_solver_statistics(self, case_lin, case_hg):
+        for run, nfev, naccept in ((case_lin, 2732, 455), (case_hg, 24872, 4145)):
+            stats = summarize(run.cfg, run.traj)["solver"]
+            assert stats["nfev"] == pytest.approx(nfev, rel=0.01)
+            assert stats["naccept"] == pytest.approx(naccept, rel=0.01)
+            assert stats["nguard"] == 0
 
     def test_peak_quantities(self, case_lin, case_hg):
         assert float(np.max(np.abs(case_lin.traj["u"]))) == pytest.approx(1.5281, abs=1e-2)

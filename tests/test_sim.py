@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from funneltrack.errors import ConfigError, DomainError, FunnelViolation
-from funneltrack.funnel import FunnelSpec
-from funneltrack.model import ManipulatorParams, PlantState
-from funneltrack.reference import TransitionRef
-from funneltrack.sim import (ClosedLoop, DisturbanceSpec, IntegratorConfig,
-                             ScenarioConfig, case_study_config,
-                             closed_loop_rhs, disturbance, integrate,
-                             run_sweep, summarize)
+from funneltrack.funnel import FunnelSpec, cascade, observer_rhs
+from funneltrack.linid import psi, ynew_derivatives
+from funneltrack.model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
+                               output, plant_rhs)
+from funneltrack.reference import TransitionRef, yref_eval
+from funneltrack.sim import (OBSERVER_COLUMNS, ClosedLoop, DisturbanceSpec,
+                             IntegratorConfig, ScenarioConfig, case_study_config,
+                             disturbance, integrate, run_sweep, summarize)
 
 
 class TestDisturbance:
@@ -71,22 +72,53 @@ class TestConfig:
         assert cfg.observer_gains == (1e2, 1e5, 1e6)
 
 
+def composed(loop, t, state):
+    """(rhs, row) of ``loop`` at (t, state), composed from the public layer
+    functions on numpy scalars; the oracle for ``ClosedLoop.evaluate``."""
+    cfg, lin = loop.cfg, loop.lin
+    x = state[:4]
+    if math.cos(x[1]) <= DOMAIN_COS_LIMIT:
+        raise DomainError("outside", t=t, state=state.copy())
+    if cfg.mode == "hg":
+        y_new, y1, y2 = psi(cfg.params, lin, x), state[5], state[6]
+    else:
+        y_new, y1, y2 = ynew_derivatives(cfg.params, lin, x)
+    out = cascade(cfg.funnels, t, y_new, y1, y2, *loop.new_ref.eval(t))
+    deriv = plant_rhs(cfg.params, x, out.u + disturbance(cfg.disturbance, t))
+    row = [t, *x, output(cfg.params, x)[0], yref_eval(cfg.ref, t)[0],
+           loop.new_ref.value(t), y_new, *out[:7]]
+    if cfg.mode == "hg":
+        deriv = np.concatenate([deriv, observer_rhs(cfg.observer_gains, state[4:], y_new)])
+        row.extend(state[4:])
+    return deriv, row
+
+
+def states_of(traj):
+    """The sampled closed-loop states (plant, then observer) of a trajectory."""
+    names = ("alpha", "beta", "alpha_dot", "beta_dot") + OBSERVER_COLUMNS
+    return traj.data[:, [traj.columns.index(c) for c in names if c in traj.columns]]
+
+
+def raised(fn, *args):
+    with pytest.raises((DomainError, FunnelViolation)) as exc:
+        fn(*args)
+    return exc.value
+
+
 class TestClosedLoopRhs:
     def test_equilibrium_zero_scenario(self):
-        cfg = ScenarioConfig()
-        assert np.array_equal(closed_loop_rhs(cfg, 0.0, np.zeros(4)), np.zeros(4))
+        loop = ClosedLoop(ScenarioConfig())
+        assert np.array_equal(loop.rhs(0.0, np.zeros(4)), np.zeros(4))
 
     def test_case_study_start_is_finite_and_moderate(self):
         cfg = case_study_config("lin")
         loop = ClosedLoop(cfg)
-        out = loop.control(0.0, loop.initial_state())
+        _, out, _ = loop.evaluate(0.0, loop.initial_state())
         assert abs(out.u) < 100.0
         deriv = loop.rhs(0.0, loop.initial_state())
         assert np.all(np.isfinite(deriv))
 
     def test_lin_and_hg_agree_with_exact_observer(self):
-        from funneltrack.linid import ynew_derivatives
-
         cfg_lin = case_study_config("lin")
         cfg_hg = case_study_config("hg")
         loop_lin, loop_hg = ClosedLoop(cfg_lin), ClosedLoop(cfg_hg)
@@ -97,11 +129,47 @@ class TestClosedLoopRhs:
             t = rng.uniform(0.0, 2.0)
             zeta = ynew_derivatives(cfg_hg.params, loop_hg.lin, x)
             try:
-                u_lin = loop_lin.control(t, x).u
+                u_lin = loop_lin.evaluate(t, x)[1].u
             except FunnelViolation:
                 continue
-            u_hg = loop_hg.control(t, np.concatenate([x, zeta])).u
+            u_hg = loop_hg.evaluate(t, np.concatenate([x, zeta]))[1].u
             assert u_hg == pytest.approx(u_lin, abs=1e-10)
+
+    def test_matches_layer_composition_bit_for_bit(self, case_lin, case_hg):
+        for run in (case_lin, case_hg):
+            loop = ClosedLoop(run.cfg)
+            states = states_of(run.traj)
+            for i in range(0, len(run.traj.t), 37):
+                t, state = run.traj.t[i], states[i]
+                want_rhs, want_row = composed(loop, t, state)
+                assert np.array_equal(loop.rhs(t, state), want_rhs)
+                assert np.array_equal(loop.row(t, state), want_row)
+                assert np.array_equal(loop.row(t, state), run.traj.data[i])
+
+    @pytest.mark.parametrize("mode, column, shift, level", [
+        ("lin", 1, 1.5, None),    # cos(beta) < 2/3
+        ("hg", 1, 1.5, None),
+        ("lin", 0, 3.0, 0),       # y_new far from its reference
+        ("hg", 0, 3.0, 0),
+        ("hg", 5, 60.0, 1),       # observer's first derivative estimate
+        ("hg", 6, 1e4, 2),        # observer's second derivative estimate
+    ])
+    def test_violations_match_layer_composition(self, case_lin, case_hg, mode, column,
+                                                shift, level):
+        run = case_lin if mode == "lin" else case_hg
+        loop = ClosedLoop(run.cfg)
+        i = 1500
+        t = run.traj.t[i]
+        state = states_of(run.traj)[i]
+        state[column] += shift
+        want = raised(composed, loop, t, state)
+        for method in (loop.rhs, loop.row, loop.margins):
+            got = raised(method, t, state)
+            assert type(got) is type(want)
+            assert got.t == want.t == t
+            assert getattr(got, "level", None) == getattr(want, "level", None) == level
+            assert (got.state is None and want.state is None
+                    or np.array_equal(got.state, want.state))
 
 
 class TestZeroScenario:
@@ -224,6 +292,7 @@ class TestSweep:
         assert [r["value"] for r in rows] == [0.0, 0.1, 0.2]
         assert all(r["status"] == "ok" for r in rows)
         assert all(r["funnel_invariant"] for r in rows)
+        assert all(r["solver"]["naccept"] > 0 for r in rows)
 
     def test_parallel_matches_serial(self):
         cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=0.5)
