@@ -24,6 +24,8 @@ from .errors import ConfigError, require_finite
 # and of its derivative divided by tau**4
 _TRANSITION_COEFFS = (126.0, -420.0, 540.0, -315.0, 70.0)
 _SLOPE_COEFFS = tuple((k + 5) * c for k, c in enumerate(_TRANSITION_COEFFS))
+# knot spacing of the memoized bounded reference
+_GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -43,18 +45,15 @@ class TransitionRef:
 
 @dataclass(frozen=True)
 class NewRefConfig:
-    """Parameters of the auxiliary-reference ODE and its quadrature."""
+    """Parameters of the auxiliary-reference ODE."""
 
     lambda2: float
     p2: float
-    quadrature_abs_tol: float = 1e-10
 
     def __post_init__(self):
         require_finite(self)
         if self.lambda2 <= 0:
             raise ConfigError(f"lambda2 must be positive, got {self.lambda2}")
-        if self.quadrature_abs_tol <= 0:
-            raise ConfigError("quadrature_abs_tol must be positive")
 
 
 def _horner(tau, coeffs):
@@ -107,7 +106,7 @@ def new_ref_ic(cfg: NewRefConfig, r: TransitionRef) -> float:
     if hi > 0.0:
         pts = [r.t0] if 0.0 < r.t0 < hi else None
         body, _ = quad(lambda s: math.exp(-lam2 * s) * lam2 * p2 * yref_eval(r, s)[0],
-                       0.0, hi, epsabs=cfg.quadrature_abs_tol, epsrel=1e-12,
+                       0.0, hi, epsabs=1e-10, epsrel=1e-12,
                        limit=200, points=pts)
     tail = p2 * r.yf * math.exp(-lam2 * hi)
     return -(body + tail)
@@ -122,7 +121,7 @@ class BoundedReference:
     relations, so the first-derivative residual vanishes by construction.
     """
 
-    def __init__(self, cfg: NewRefConfig, ref: TransitionRef, grid_step: float = 1e-3):
+    def __init__(self, cfg: NewRefConfig, ref: TransitionRef):
         self.cfg = cfg
         self.ref = ref
         self.lam2 = cfg.lambda2
@@ -131,7 +130,7 @@ class BoundedReference:
         self.t_lo = min(0.0, ref.t0)
         self._coeffs = None
         if ref.tf > self.t_lo:
-            n = max(1, int(round((ref.tf - self.t_lo) / grid_step)))
+            n = max(1, int(round((ref.tf - self.t_lo) / _GRID_STEP)))
             ts = np.linspace(self.t_lo, ref.tf, n + 1)
             self._h = ts[1] - ts[0]
             # a few hundred panels per array pass keep the temporaries small

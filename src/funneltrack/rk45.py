@@ -10,7 +10,7 @@ step underflows ``min_step`` the guard exception propagates, so the caller
 learns the first offending time and state.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,11 @@ class SolveResult:
 
     t: np.ndarray
     y: np.ndarray  # shape (len(t), dim)
-    t_final: float = 0.0
     y_final: np.ndarray = None
     naccept: int = 0
     nreject: int = 0
     nguard: int = 0
     nfev: int = 0
-    step_sizes: list = field(default_factory=list)
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
@@ -94,11 +92,14 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     ``sample_step`` > 0 emits interpolated states on the uniform grid
     t0 + k * sample_step (the endpoint is always included); ``None``
     records accepted steps only.  ``guards`` is a tuple of exception
-    types treated as state-constraint violations (see module docstring).
+    types treated as state-constraint violations (see module docstring);
+    their bisection stops below ``min_step``, which must be finite and > 0.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end <= t0:
         raise ValueError(f"need t_end > t0, got {t_span}")
+    if not (min_step > 0 and math.isfinite(min_step)):
+        raise ValueError(f"need a finite min_step > 0, got {min_step}")
     guards = tuple(guards)
     y = np.asarray(y0, dtype=float).copy()
     dim = y.size
@@ -165,7 +166,6 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         y = y_new
         f_curr = K[6]  # FSAL
         result.naccept += 1
-        result.step_sizes.append(h)
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -178,6 +178,5 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         sample_ys.append(y.copy())
     result.t = np.array(sample_ts)
     result.y = np.array(sample_ys)
-    result.t_final = t
     result.y_final = y.copy()
     return result

@@ -1,35 +1,31 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion.  Criteria 3 (mode-agreement clause) and 4 compare the
-two controller variants across separately evolving closed loops; see
-test_regression.py for this build's frozen values of those quantities.
+line per criterion.  Criteria 5-9 and 11 run the named checks of
+``funneltrack.checks``, the one home of the oracles.  Criteria 3
+(mode-agreement clause) and 4 compare the two controller variants across
+separately evolving closed loops; see test_regression.py for this build's
+frozen values of those quantities.
 """
 import math
 
 import numpy as np
-from funneltrack import rk45
-from funneltrack.bif import (grad_phi1, grad_phi2, internal_rhs,
-                             internal_rhs_oracle, phi_forward, phi_inverse)
-from funneltrack.funnel import observer_rhs
-from funneltrack.linid import eigensplit, linearize
-from funneltrack.model import (BETA_MAX, ManipulatorParams, drift, gamma,
-                               input_field, output)
-from funneltrack.reference import (BoundedReference, NewRefConfig,
-                                   TransitionRef, new_ref_ic, yref_eval)
-from funneltrack.sim import ScenarioConfig, integrate
+from funneltrack.checks import ALL_CHECKS
+from funneltrack.model import BETA_MAX
 
-from test_model import random_domain_states
-
-P = ManipulatorParams()
-LIN = eigensplit(P)
-REF = TransitionRef(0.0, math.pi / 4, 0.0, 3.0)
-NEWREF_CFG = NewRefConfig(lambda2=LIN.lambda2, p2=LIN.p2)
+CHECKS = dict(ALL_CHECKS)
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
     print(f"criterion {criterion:2d} [{'PASS' if ok else 'FAIL'}]: {detail}")
     return ok
+
+
+def run_checks(*names):
+    """(ok, detail) of the named checks, combined."""
+    results = [(name, *CHECKS[name]()) for name in names]
+    return (all(ok for _, ok, _ in results),
+            "; ".join(f"{name}: {detail}" for name, _, detail in results))
 
 
 def margins_of(run):
@@ -81,133 +77,28 @@ class TestCriterion4ControllerAgreement:
 
 class TestCriterion5LinearizationOracle:
     def test_linearization(self):
-        Q, Pv = linearize(P)
-        step = 1e-6
-        worst = 0.0
-        for j in range(2):
-            eta = np.zeros(2)
-            eta[j] = step
-            col = (np.array(internal_rhs(P, eta, 0.0))
-                   - np.array(internal_rhs(P, -eta, 0.0))) / (2 * step)
-            worst = max(worst, float(np.max(np.abs(col - Q[:, j]))))
-        dyd = (np.array(internal_rhs(P, (0.0, 0.0), step))
-               - np.array(internal_rhs(P, (0.0, 0.0), -step))) / (2 * step)
-        worst = max(worst, float(np.max(np.abs(dyd - Pv))))
-
-        lam_err = max(abs(LIN.lambda1 - (1.5 - 2 * math.sqrt(3.5625))),
-                      abs(LIN.lambda2 - (1.5 + 2 * math.sqrt(3.5625))))
-        prod_err = abs(LIN.lambda1 * LIN.lambda2 + 12 * P.c / P.l2m)
-        ok = worst <= 1e-6 and lam_err <= 1e-9 and prod_err <= 1e-10
-        assert report(5, ok, f"FD(Q,P) error {worst:.2e} (<= 1e-6), "
-                             f"eigenvalue error {lam_err:.2e} (<= 1e-9), "
-                             f"product identity {prod_err:.2e} (<= 1e-10)")
+        assert report(5, *run_checks("linearization-fd", "eigensplit"))
 
 
 class TestCriterion6TransformSuite:
     def test_transform_suite(self):
-        worst_rt = worst_dec = worst_int = 0.0
-        rng = np.random.default_rng(97)
-        for x in random_domain_states(1000, 101):
-            z = phi_forward(P, x)
-            worst_rt = max(worst_rt, float(np.max(np.abs(phi_inverse(P, z) - x))))
-            g = input_field(P, x)
-            worst_dec = max(worst_dec, abs(grad_phi1(x) @ g), abs(grad_phi2(x) @ g))
-            got = internal_rhs(P, (z.eta1, z.eta2), z.y_dot)
-            want = internal_rhs_oracle(P, x, u_d=rng.uniform(-10, 10))
-            worst_int = max(worst_int, abs(got[0] - want[0]), abs(got[1] - want[1]))
-        ok = worst_rt <= 1e-10 and worst_dec <= 1e-12 and worst_int <= 1e-9
-        assert report(6, ok, f"round-trip {worst_rt:.2e} (<= 1e-10), "
-                             f"decoupling {worst_dec:.2e} (<= 1e-12), "
-                             f"internal dynamics {worst_int:.2e} (<= 1e-9)")
+        assert report(6, *run_checks("transform-roundtrip", "input-decoupling",
+                                     "internal-dynamics-oracle"))
 
 
 class TestCriterion7RelativeDegree:
     def test_relative_degree_checks(self):
-        w = P.output_weight
-        worst_a = worst_fd = 0.0
-        step = 1e-6
-        for x in random_domain_states(300, 103):
-            g = input_field(P, x)
-            worst_a = max(worst_a, abs(np.array([1.0, w, 0, 0]) @ g),
-                          abs(np.array([0, 0, 1.0, w]) @ g - gamma(P, x[1])))
-            fd_h = np.empty(4)
-            fd_lfh = np.empty(4)
-            for i in range(4):
-                e = np.zeros(4)
-                e[i] = step
-                fd_h[i] = (output(P, x + e)[0] - output(P, x - e)[0]) / (2 * step)
-                fd_lfh[i] = (float(np.array([1.0, w, 0, 0]) @ drift(P, x + e))
-                             - float(np.array([1.0, w, 0, 0]) @ drift(P, x - e))) / (2 * step)
-            worst_fd = max(worst_fd, abs(fd_h @ g), abs(fd_lfh @ g - gamma(P, x[1])))
-
-        g0 = abs(gamma(P, 0.0) + 3 / 7)
-        flip_ok = True
-        for beta in np.linspace(-math.pi, math.pi, 2001, endpoint=False):
-            if abs(math.cos(beta) - 2 / 3) < 1e-6:
-                continue
-            flip_ok &= (gamma(P, beta) < 0) == (math.cos(beta) > 2 / 3)
-        boundary = abs(gamma(P, math.acos(2 / 3)))
-        ok = (worst_a <= 1e-10 and worst_fd <= 1e-6 and g0 <= 1e-12
-              and flip_ok and boundary <= 1e-14)
-        assert report(7, ok, f"Lie derivatives analytic {worst_a:.2e} (<= 1e-10), "
-                             f"FD {worst_fd:.2e} (<= 1e-6), Gamma(0)+3/7 = {g0:.2e}, "
-                             f"sign flip at cos(beta) = 2/3: {flip_ok}")
+        assert report(7, *run_checks("relative-degree"))
 
 
 class TestCriterion8ReferenceGenerator:
     def test_reference_generator(self):
-        got = new_ref_ic(NEWREF_CFG, REF)
-
-        def integrand(s):
-            return (math.exp(-LIN.lambda2 * s) * LIN.lambda2 * LIN.p2
-                    * yref_eval(REF, s)[0])
-
-        def simpson(n):
-            ts = np.linspace(0.0, REF.tf, n + 1)
-            vals = np.array([integrand(t) for t in ts])
-            h = ts[1] - ts[0]
-            return h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
-                            + 2 * vals[2:-1:2].sum())
-
-        fine, finer = simpson(4096), simpson(8192)
-        richardson = finer + (finer - fine) / 15.0
-        want = -(richardson + LIN.p2 * REF.yf * math.exp(-LIN.lambda2 * REF.tf))
-        ic_err = abs(got - want)
-
-        bref = BoundedReference(NEWREF_CFG, REF)
-        steady = max(abs(bref.eval(t)[0] + LIN.p2 * REF.yf) for t in (3.0, 4.0, 10.0))
-
-        res = rk45.solve(
-            lambda t, x: np.array([LIN.lambda2 * x[0]
-                                   + LIN.lambda2 * LIN.p2 * yref_eval(REF, t)[0]]),
-            (0.0, 3.0), np.array([got]), rel_tol=1e-13, abs_tol=1e-15,
-            max_step=0.01, sample_step=0.01)
-        fwd_err = max(abs(y[0] - bref.value(t)) for t, y in zip(res.t, res.y))
-
-        sup = max(abs(bref.value(t)) for t in np.linspace(0, 10, 2001))
-        bound = 10.0 * abs(LIN.p2) * abs(REF.yf)
-        ok = ic_err <= 1e-9 and steady == 0.0 and fwd_err <= 1e-4 and sup <= bound
-        assert report(8, ok, f"IC vs Richardson {ic_err:.2e} (<= 1e-9), "
-                             f"steady state exact: {steady == 0.0}, "
-                             f"forward agreement {fwd_err:.2e} (<= 1e-4), "
-                             f"sup |y_bar_ref| = {sup:.3f} (<= {bound:.3f})")
+        assert report(8, *run_checks("reference-ic-quadrature", "reference-consistency"))
 
 
 class TestCriterion9Observer:
     def test_observer_convergence(self):
-        gains = (1e2, 1e5, 1e6)
-
-        def rhs(t, z):
-            return np.array(observer_rhs(gains, z, math.sin(t)))
-
-        res = rk45.solve(rhs, (0.0, 3.0), np.zeros(3), rel_tol=1e-9, abs_tol=1e-12,
-                         max_step=0.01, sample_step=1e-2)
-        mask = res.t >= 0.5
-        err1 = max(abs(z[1] - math.cos(t)) for t, z in zip(res.t[mask], res.y[mask]))
-        err2 = max(abs(z[2] + math.sin(t)) for t, z in zip(res.t[mask], res.y[mask]))
-        ok = err1 <= 1e-2 and err2 <= 0.5
-        assert report(9, ok, f"after 0.5 s: |zeta2 - cos t| <= {err1:.2e} (<= 1e-2), "
-                             f"|zeta3 + sin t| <= {err2:.2e} (<= 0.5)")
+        assert report(9, *run_checks("observer-convergence"))
 
 
 class TestCriterion10Robustness:
@@ -232,10 +123,4 @@ class TestCriterion10Robustness:
 
 class TestCriterion11DegenerateScenario:
     def test_zero_config(self):
-        traj = integrate(ScenarioConfig())
-        state_max = float(np.max(np.abs(traj.data[:, 1:5])))
-        u_max = float(np.max(np.abs(traj["u"])))
-        gain_dev = max(float(np.max(np.abs(traj[k] - 1.0))) for k in ("k0", "k1", "k2"))
-        ok = state_max <= 1e-10 and u_max <= 1e-10 and gain_dev <= 1e-10
-        assert report(11, ok, f"max |state| = {state_max:.1e} (<= 1e-10), "
-                              f"max |u| = {u_max:.1e}, max |k - 1| = {gain_dev:.1e}")
+        assert report(11, *run_checks("zero-scenario"))

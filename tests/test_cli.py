@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,5 +139,33 @@ def test_sweep_bad_spec_is_exit_1(short_config):
     assert main(["sweep", "--config", str(short_config), "--vary", "oops"]) == 1
 
 
-def test_check_command_passes():
-    assert main(["check"]) == 0
+def _passing():
+    return True, "fine"
+
+
+def _failing():
+    return False, "off by one"
+
+
+def _raising():
+    raise ZeroDivisionError("boom")
+
+
+@pytest.mark.parametrize("stubs, code, line", [
+    ((("a", _passing), ("b", _passing)), 0, "[PASS] b: fine"),
+    ((("a", _passing), ("b", _failing)), 1, "[FAIL] b: off by one"),
+    ((("a", _raising), ("b", _passing)), 1, "[FAIL] a: raised ZeroDivisionError: boom"),
+], ids=["pass", "fail", "raise"])
+def test_check_command_exit_code(monkeypatch, capsys, stubs, code, line):
+    from funneltrack import checks
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", stubs)
+    assert main(["check"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(stubs) and line in lines
+
+
+def test_checks_load_lazily():
+    code = "import sys, funneltrack.cli; sys.exit('funneltrack.checks' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from funneltrack import rk45
+from funneltrack.checks import random_domain_states
 from funneltrack.errors import ConfigError, FunnelViolation
 from funneltrack.funnel import (FunnelSpec, cascade, control_law, gain,
                                 observer_rhs, phi_eval)
@@ -12,8 +12,6 @@ from funneltrack.linid import eigensplit, psi, ynew_derivatives
 from funneltrack.model import ManipulatorParams
 from funneltrack.reference import BoundedReference, NewRefConfig, TransitionRef
 from funneltrack.sim import ClosedLoop, ScenarioConfig, case_study_config
-
-from test_model import random_domain_states
 
 P = ManipulatorParams()
 LIN = eigensplit(P)
@@ -100,28 +98,6 @@ class TestCascade:
             fd = (k0_of(t + h) - k0_of(t - h)) / (2 * h)
             assert out.k0_1 == pytest.approx(fd, abs=1e-5)
 
-    def test_randomized_reconstruction(self):
-        rng = np.random.default_rng(71)
-        for _ in range(300):
-            t = rng.uniform(0.0, 3.0)
-            # small enough to stay inside the tightest funnel on [0, 3]
-            args = rng.uniform(-0.02, 0.02, 6)
-            out = cascade(SPECS, t, *args)
-            phi0, dphi0 = phi_eval(SPECS[0], t)
-            phi1, _ = phi_eval(SPECS[1], t)
-            phi2, _ = phi_eval(SPECS[2], t)
-            e0 = args[0] - args[3]
-            e0_1 = args[1] - args[4]
-            e0_2 = args[2] - args[5]
-            k0 = 1 / (1 - phi0**2 * e0**2)
-            k0_1 = 2 * phi0 * e0 / (1 - phi0**2 * e0**2) ** 2 * (dphi0 * e0 + phi0 * e0_1)
-            e1 = e0_1 + k0 * e0
-            k1 = 1 / (1 - phi1**2 * e1**2)
-            e2 = e0_2 + k0 * e0_1 + k0_1 * e0 + k1 * e1
-            k2 = 1 / (1 - phi2**2 * e2**2)
-            assert out.u == pytest.approx(k2 * e2, abs=1e-12)
-            assert out.e2 == pytest.approx(e2, abs=1e-12)
-
     def test_positive_feedback_direction(self):
         # du/de2 > 0 wherever the cascade is defined
         for e2 in (-0.9, -0.1, 0.1, 0.9):
@@ -141,30 +117,6 @@ class TestObserver:
 
     def test_exact_tracking_fixed_point(self):
         assert observer_rhs(GAINS, (0.7, 0.0, 0.0), 0.7) == (0.0, 0.0, 0.0)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(73)
-        for _ in range(100):
-            za, zb = rng.normal(size=3), rng.normal(size=3)
-            ya, yb = rng.normal(), rng.normal()
-            a1, b1 = rng.normal(), rng.normal()
-            lhs = np.array(observer_rhs(GAINS, a1 * za + b1 * zb, a1 * ya + b1 * yb))
-            rhs = (a1 * np.array(observer_rhs(GAINS, za, ya))
-                   + b1 * np.array(observer_rhs(GAINS, zb, yb)))
-            assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(lhs)))
-
-    def test_derivative_estimation_of_sinusoid(self):
-        # driven by y_new(t) = sin t, the estimates settle onto cos/-sin
-        def rhs(t, z):
-            return np.array(observer_rhs(GAINS, z, math.sin(t)))
-
-        res = rk45.solve(rhs, (0.0, 3.0), np.zeros(3), rel_tol=1e-9, abs_tol=1e-12,
-                         max_step=0.01, sample_step=1e-2)
-        for t, z in zip(res.t, res.y):
-            if t < 0.5:
-                continue
-            assert abs(z[1] - math.cos(t)) <= 1e-2
-            assert abs(z[2] + math.sin(t)) <= 0.5
 
     def test_zero_gains_keep_stale_estimates(self):
         assert observer_rhs((0.0, 0.0, 0.0), (0.4, 0.0, 0.0), 1.3) == (0.0, 0.0, 0.0)

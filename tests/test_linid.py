@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from funneltrack.bif import internal_rhs, phi_forward
+from funneltrack import checks
+from funneltrack.bif import phi_forward
+from funneltrack.checks import fd_gradient, random_domain_states
 from funneltrack.linid import eigensplit, linearize, psi, ynew_derivatives
 from funneltrack.model import ManipulatorParams, gamma, plant_rhs
-
-from test_model import random_domain_states
 
 P = ManipulatorParams()  # l = m = c = 1, d = 0.25
 LIN = eigensplit(P)
@@ -20,19 +20,6 @@ class TestLinearize:
         Q, Pv = linearize(P)
         assert_allclose(Q, [[0.0, -12.0], [-1.0, 3.0]], atol=0.0)
         assert_allclose(Pv, [10.0, -2.5], atol=0.0)
-
-    def test_matches_fd_of_nonlinear_internal_dynamics(self):
-        step = 1e-6
-        Q, Pv = linearize(P)
-        for j in range(2):
-            eta = np.zeros(2)
-            eta[j] = step
-            col = (np.array(internal_rhs(P, eta, 0.0))
-                   - np.array(internal_rhs(P, -eta, 0.0))) / (2 * step)
-            assert np.max(np.abs(col - Q[:, j])) < 1e-6
-        dyd = (np.array(internal_rhs(P, (0.0, 0.0), step))
-               - np.array(internal_rhs(P, (0.0, 0.0), -step))) / (2 * step)
-        assert np.max(np.abs(dyd - Pv)) < 1e-6
 
     def test_springless_limit_loses_hyperbolicity(self):
         Q, _ = linearize(ManipulatorParams(c=0.0))
@@ -54,16 +41,16 @@ class TestEigensplit:
         assert w[1] == pytest.approx(LIN.lambda2, abs=1e-10)
 
     def test_diagonalization(self):
-        got = LIN.Vinv @ LIN.Q @ LIN.V
-        assert_allclose(got, np.diag([LIN.lambda1, LIN.lambda2]), atol=1e-10)
+        ok, detail = checks.eigen_diagonalization()
+        assert ok, detail
 
     def test_coupling_split(self):
-        assert_allclose(LIN.V @ np.array([LIN.p1, LIN.p2]), LIN.P, atol=1e-10)
-        assert LIN.D == pytest.approx(np.linalg.det(LIN.V), abs=1e-12)
+        ok, detail = checks.eigen_coupling_split()
+        assert ok, detail
 
     def test_eigenvalue_identities(self):
-        assert LIN.lambda1 * LIN.lambda2 + 12 * P.c / P.l2m == pytest.approx(0.0, abs=1e-10)
-        assert LIN.lambda1 + LIN.lambda2 - 12 * P.d / P.l2m == pytest.approx(0.0, abs=1e-10)
+        ok, detail = checks.eigen_identities()
+        assert ok, detail
 
     def test_hyperbolic_split_random_params(self):
         rng = np.random.default_rng(53)
@@ -118,16 +105,8 @@ class TestDerivativeLadder:
 
     def test_relative_degree_three_structure(self):
         # d/du of the ladder's second derivative along the flow is lam2*p2*Gamma
-        step = 1e-6
         for x in random_domain_states(100, 67, vel_scale=1.0):
-            def y2_of(z):
-                return ynew_derivatives(P, LIN, z)[2]
-
-            grad = np.empty(4)
-            for i in range(4):
-                e = np.zeros(4)
-                e[i] = step
-                grad[i] = (y2_of(x + e) - y2_of(x - e)) / (2 * step)
+            grad = fd_gradient(lambda z: ynew_derivatives(P, LIN, z)[2], x)
             du = (grad @ plant_rhs(P, x, 1.0) - grad @ plant_rhs(P, x, -1.0)) / 2.0
             want = LIN.lambda2 * LIN.p2 * gamma(P, x[1])
             assert du == pytest.approx(want, rel=1e-6, abs=1e-6)

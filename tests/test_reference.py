@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from funneltrack import rk45
+from funneltrack import checks
 from funneltrack.errors import ConfigError
 from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams
@@ -82,24 +82,6 @@ class TestInitialCondition:
         ref = TransitionRef(y0=0.2, yf=0.2, t0=0.0, tf=0.0)
         assert new_ref_ic(CFG, ref) == pytest.approx(-CFG.p2 * 0.2, abs=1e-12)
 
-    def test_against_richardson_simpson(self):
-        got = new_ref_ic(CFG, REF)
-
-        def integrand(s):
-            return math.exp(-CFG.lambda2 * s) * CFG.lambda2 * CFG.p2 * yref_eval(REF, s)[0]
-
-        def simpson(n):
-            ts = np.linspace(0.0, REF.tf, n + 1)
-            vals = np.array([integrand(t) for t in ts])
-            h = ts[1] - ts[0]
-            return h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
-                            + 2 * vals[2:-1:2].sum())
-
-        fine, finer = simpson(4096), simpson(8192)
-        refined = finer + (finer - fine) / 15.0
-        want = -(refined + CFG.p2 * REF.yf * math.exp(-CFG.lambda2 * REF.tf))
-        assert got == pytest.approx(want, abs=1e-9)
-
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             NewRefConfig(lambda2=-1.0, p2=1.0)
@@ -131,9 +113,8 @@ class TestBoundedReference:
             assert vdd == CFG.lambda2 * vd + CFG.lambda2 * CFG.p2 * yr_dot
 
     def test_first_derivative_matches_fd(self):
-        for t in np.linspace(0.01, 2.95, 59):
-            fd = (self.bref.value(t + 1e-4) - self.bref.value(t - 1e-4)) / 2e-4
-            assert self.bref.eval(t)[1] == pytest.approx(fd, abs=1e-5)
+        ok, detail = checks.reference_derivative_fd()
+        assert ok, detail
 
     def test_continuity_at_transition_end(self):
         eps = 1e-9
@@ -143,19 +124,12 @@ class TestBoundedReference:
             assert abs(a - b) < 1e-6  # C^1 junction, derivative scale lam2
 
     def test_boundedness(self):
-        bound = 10.0 * abs(CFG.p2) * abs(REF.yf)
-        sup = max(abs(self.bref.value(t)) for t in np.linspace(0.0, 10.0, 2001))
-        assert sup <= bound
+        ok, detail = checks.reference_sup_bound()
+        assert ok, detail
 
     def test_forward_integration_agreement(self):
-        ic = new_ref_ic(CFG, REF)
-        res = rk45.solve(
-            lambda t, x: np.array([CFG.lambda2 * x[0]
-                                   + CFG.lambda2 * CFG.p2 * yref_eval(REF, t)[0]]),
-            (0.0, 3.0), np.array([ic]),
-            rel_tol=1e-13, abs_tol=1e-15, max_step=0.01, sample_step=0.01)
-        worst = max(abs(y[0] - self.bref.value(t)) for t, y in zip(res.t, res.y))
-        assert worst <= 1e-4  # forward mode amplifies errors by exp(lam2 t)
+        ok, detail = checks.reference_forward_agreement()
+        assert ok, detail
 
     @pytest.mark.parametrize("ref", [REF, TransitionRef(0.3, 0.7, 1.0, 2.0),
                                      TransitionRef(-1, 2, -0.5, 1.7),

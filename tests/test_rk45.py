@@ -70,6 +70,20 @@ def test_determinism():
     assert np.array_equal(a.y, b.y) and np.array_equal(a.t, b.t)
 
 
+@pytest.mark.parametrize("min_step", [0.0, -1.0, math.nan, math.inf])
+def test_min_step_must_be_finite_and_positive(min_step):
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        raise FunnelViolation("wall", t=t)
+
+    with pytest.raises(ValueError):
+        rk45.solve(f, (0.0, 1.0), np.array([0.0]), min_step=min_step,
+                   guards=(FunnelViolation,))
+    assert calls == []
+
+
 class TestGuards:
     def test_guard_bisects_to_the_boundary(self):
         def f(t, y):

@@ -172,15 +172,6 @@ class TestClosedLoopRhs:
                     or np.array_equal(got.state, want.state))
 
 
-class TestZeroScenario:
-    def test_identically_zero(self):
-        traj = integrate(ScenarioConfig())
-        assert np.max(np.abs(traj.data[:, 1:5])) <= 1e-10
-        assert np.max(np.abs(traj["u"])) <= 1e-10
-        for k in ("k0", "k1", "k2"):
-            assert np.max(np.abs(traj[k] - 1.0)) <= 1e-10
-
-
 class TestCaseStudyRuns:
     def test_lin_run(self, case_lin):
         s = summarize(case_lin.cfg, case_lin.traj)
