@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 config error, 2 funnel violation, 3 domain exit,
 4 integrator failure.
 """
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -61,20 +62,14 @@ def _parse_vary(spec: str):
         raise ConfigError(f"--vary expects FIELD=START:STOP:N, got {spec!r}") from exc
 
 
-def _overridden(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    data = cfg.to_dict()
-    if getattr(args, "mode", None):
-        data["mode"] = args.mode
-    if getattr(args, "t_end", None) is not None:
-        data["t_end"] = args.t_end
-    return ScenarioConfig.from_dict(data)
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "simulate":
-            cfg = _overridden(ScenarioConfig.from_json_file(args.config), args)
+            cfg = ScenarioConfig.from_json_file(args.config)
+            overrides = {"mode": args.mode, "t_end": args.t_end}
+            cfg = dataclasses.replace(
+                cfg, **{k: v for k, v in overrides.items() if v is not None})
             traj = integrate(cfg)
             traj.write_csv(args.out)
             print(json.dumps(summarize(cfg, traj), indent=2))

@@ -49,11 +49,10 @@ _BETA = 0.4 / 5.0
 
 @dataclass
 class SolveResult:
-    """Dense samples plus final state and step statistics."""
+    """Dense samples and step statistics."""
 
     t: np.ndarray
     y: np.ndarray  # shape (len(t), dim)
-    y_final: np.ndarray = None
     naccept: int = 0
     nreject: int = 0
     nguard: int = 0
@@ -94,12 +93,15 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     records accepted steps only.  ``guards`` is a tuple of exception
     types treated as state-constraint violations (see module docstring);
     their bisection stops below ``min_step``, which must be finite and > 0.
+    ``max_step`` must be > 0 (``inf`` means no limit).
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end <= t0:
         raise ValueError(f"need t_end > t0, got {t_span}")
     if not (min_step > 0 and math.isfinite(min_step)):
         raise ValueError(f"need a finite min_step > 0, got {min_step}")
+    if not max_step > 0:
+        raise ValueError(f"need max_step > 0, got {max_step}")
     guards = tuple(guards)
     y = np.asarray(y0, dtype=float).copy()
     dim = y.size
@@ -178,5 +180,4 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         sample_ys.append(y.copy())
     result.t = np.array(sample_ts)
     result.y = np.array(sample_ys)
-    result.y_final = y.copy()
     return result

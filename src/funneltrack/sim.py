@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -70,16 +71,20 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one closed-loop run."""
+    """Complete description of one closed-loop run.
+
+    The field annotations are the JSON schema: ``from_dict`` builds each
+    field from its annotated type.
+    """
 
     params: ManipulatorParams = ManipulatorParams()
     x0: PlantState = PlantState()
     ref: TransitionRef = TransitionRef()
-    funnels: tuple = (FunnelSpec(1.5, 0.8, 0.001),
-                      FunnelSpec(1.5, 0.8, 0.001),
-                      FunnelSpec(60.0, 0.2, 0.001))
+    funnels: tuple[FunnelSpec, ...] = (FunnelSpec(1.5, 0.8, 0.001),
+                                       FunnelSpec(1.5, 0.8, 0.001),
+                                       FunnelSpec(60.0, 0.2, 0.001))
     mode: str = "lin"
-    observer_gains: tuple = (1e2, 1e5, 1e6)
+    observer_gains: tuple[float, ...] = (1e2, 1e5, 1e6)
     disturbance: DisturbanceSpec = DisturbanceSpec()
     t_end: float = 3.0
     integrator: IntegratorConfig = IntegratorConfig()
@@ -98,45 +103,18 @@ class ScenarioConfig:
             raise ConfigError("the feedback laws assume end-effector tracking (s = l)")
 
     def to_dict(self) -> dict:
-        return {
-            "params": dataclasses.asdict(self.params),
-            "x0": dataclasses.asdict(self.x0),
-            "ref": dataclasses.asdict(self.ref),
-            "funnels": [dataclasses.asdict(f) for f in self.funnels],
-            "mode": self.mode,
-            "observer_gains": list(self.observer_gains),
-            "disturbance": dataclasses.asdict(self.disturbance),
-            "t_end": self.t_end,
-            "integrator": dataclasses.asdict(self.integrator),
-        }
+        """JSON form: nested dicts in field order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in dataclasses.asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
-            kwargs = {}
-            if "params" in data:
-                kwargs["params"] = ManipulatorParams(**data["params"])
-            if "x0" in data:
-                kwargs["x0"] = PlantState(**data["x0"])
-            if "ref" in data:
-                kwargs["ref"] = TransitionRef(**data["ref"])
-            if "funnels" in data:
-                kwargs["funnels"] = tuple(FunnelSpec(**f) for f in data["funnels"])
-            if "mode" in data:
-                kwargs["mode"] = data["mode"]
-            if "observer_gains" in data:
-                kwargs["observer_gains"] = tuple(float(g) for g in data["observer_gains"])
-            if "disturbance" in data:
-                kwargs["disturbance"] = DisturbanceSpec(**data["disturbance"])
-            if "t_end" in data:
-                kwargs["t_end"] = float(data["t_end"])
-            if "integrator" in data:
-                kwargs["integrator"] = IntegratorConfig(**data["integrator"])
-            unknown = set(data) - {"params", "x0", "ref", "funnels", "mode",
-                                   "observer_gains", "disturbance", "t_end", "integrator"}
-            if unknown:
-                raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-            return cls(**kwargs)
+            return cls(**{k: _from_json(types[k], v) for k, v in data.items()})
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
@@ -159,6 +137,15 @@ class ScenarioConfig:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
+
+
+def _from_json(tp, value):
+    """A value of field type ``tp`` built from its ``to_dict`` form."""
+    if dataclasses.is_dataclass(tp):
+        return tp(**value)
+    if typing.get_origin(tp) is tuple:
+        return tuple(_from_json(typing.get_args(tp)[0], v) for v in value)
+    return tp(value)
 
 
 def case_study_config(mode: str = "lin", disturbed: bool = True) -> ScenarioConfig:
@@ -340,24 +327,23 @@ def run_case_study(out_dir=".", disturbed: bool = True) -> tuple[Trajectory, Tra
 
 
 def _replace_field(cfg: ScenarioConfig, dotted: str, value: float) -> ScenarioConfig:
-    """Return a config with one (possibly nested) numeric field replaced."""
-    data = cfg.to_dict()
-    node = data
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if part not in node:
-            raise ConfigError(f"unknown sweep field {dotted!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown sweep field {dotted!r}")
-    node[leaf] = value
+    """Return a validated config with the ``to_dict`` leaf at ``dotted`` replaced.
+
+    Each part of the path is a dict key or a list index, e.g. ``funnels.2.eps``.
+    """
+    data = node = cfg.to_dict()
+    try:
+        for part in dotted.split("."):
+            key = int(part) if isinstance(node, list) and part.isdecimal() else part
+            parent, node = node, node[key]
+    except (KeyError, IndexError, TypeError):
+        raise ConfigError(f"unknown sweep field {dotted!r}") from None
+    parent[key] = value
     return ScenarioConfig.from_dict(data)
 
 
-def _sweep_worker(args):
-    cfg_dict, dotted, value = args
-    cfg = _replace_field(ScenarioConfig.from_dict(cfg_dict), dotted, value)
+def _sweep_worker(job):
+    value, cfg = job
     try:
         traj = integrate(cfg)
         summary = summarize(cfg, traj)
@@ -369,12 +355,14 @@ def _sweep_worker(args):
 
 def run_sweep(cfg: ScenarioConfig, dotted_field: str, start: float, stop: float,
               n: int, parallel: bool = True) -> list[dict]:
-    """Run ``n`` scenarios with ``dotted_field`` varied linearly."""
+    """Run ``n`` scenarios with ``dotted_field`` varied linearly.
+
+    Every point's config is built and validated before any point runs.
+    """
     if n < 1:
         raise ConfigError("sweep needs at least one point")
-    _replace_field(cfg, dotted_field, start)  # validate the field path early
-    values = np.linspace(start, stop, n)
-    jobs = [(cfg.to_dict(), dotted_field, float(v)) for v in values]
+    jobs = [(float(v), _replace_field(cfg, dotted_field, float(v)))
+            for v in np.linspace(start, stop, n)]
     if parallel and n > 1:
         with ProcessPoolExecutor() as pool:
             return list(pool.map(_sweep_worker, jobs))

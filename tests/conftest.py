@@ -1,9 +1,9 @@
-"""Shared fixtures: the case-study runs are expensive, so run them once."""
+"""Shared fixtures: the case-study runs and the checks are expensive, so run them once."""
 import time
 
 import pytest
 
-from funneltrack import case_study_config, integrate
+from funneltrack import case_study_config, checks, integrate
 
 
 class CaseStudyRun:
@@ -32,3 +32,16 @@ def case_lin_nodist():
 @pytest.fixture(scope="session")
 def case_hg_nodist():
     return CaseStudyRun(case_study_config("hg", disturbed=False))
+
+
+class CheckResults(dict):
+    """name -> (ok, detail) of a check of ``funneltrack.checks``, run on first use."""
+
+    def __missing__(self, name):
+        self[name] = result = dict(checks.ALL_CHECKS)[name]()
+        return result
+
+
+@pytest.fixture(scope="session")
+def check_results():
+    return CheckResults()

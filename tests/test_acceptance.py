@@ -10,10 +10,7 @@ frozen values of those quantities.
 import math
 
 import numpy as np
-from funneltrack.checks import ALL_CHECKS
 from funneltrack.model import BETA_MAX
-
-CHECKS = dict(ALL_CHECKS)
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -21,9 +18,9 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def run_checks(*names):
+def run_checks(check_results, *names):
     """(ok, detail) of the named checks, combined."""
-    results = [(name, *CHECKS[name]()) for name in names]
+    results = [(name, *check_results[name]) for name in names]
     return (all(ok for _, ok, _ in results),
             "; ".join(f"{name}: {detail}" for name, _, detail in results))
 
@@ -76,29 +73,30 @@ class TestCriterion4ControllerAgreement:
 
 
 class TestCriterion5LinearizationOracle:
-    def test_linearization(self):
-        assert report(5, *run_checks("linearization-fd", "eigensplit"))
+    def test_linearization(self, check_results):
+        assert report(5, *run_checks(check_results, "linearization-fd", "eigensplit"))
 
 
 class TestCriterion6TransformSuite:
-    def test_transform_suite(self):
-        assert report(6, *run_checks("transform-roundtrip", "input-decoupling",
-                                     "internal-dynamics-oracle"))
+    def test_transform_suite(self, check_results):
+        assert report(6, *run_checks(check_results, "transform-roundtrip",
+                                     "input-decoupling", "internal-dynamics-oracle"))
 
 
 class TestCriterion7RelativeDegree:
-    def test_relative_degree_checks(self):
-        assert report(7, *run_checks("relative-degree"))
+    def test_relative_degree_checks(self, check_results):
+        assert report(7, *run_checks(check_results, "relative-degree"))
 
 
 class TestCriterion8ReferenceGenerator:
-    def test_reference_generator(self):
-        assert report(8, *run_checks("reference-ic-quadrature", "reference-consistency"))
+    def test_reference_generator(self, check_results):
+        assert report(8, *run_checks(check_results, "reference-ic-quadrature",
+                                     "reference-consistency"))
 
 
 class TestCriterion9Observer:
-    def test_observer_convergence(self):
-        assert report(9, *run_checks("observer-convergence"))
+    def test_observer_convergence(self, check_results):
+        assert report(9, *run_checks(check_results, "observer-convergence"))
 
 
 class TestCriterion10Robustness:
@@ -122,5 +120,5 @@ class TestCriterion10Robustness:
 
 
 class TestCriterion11DegenerateScenario:
-    def test_zero_config(self):
-        assert report(11, *run_checks("zero-scenario"))
+    def test_zero_config(self, check_results):
+        assert report(11, *run_checks(check_results, "zero-scenario"))

@@ -4,8 +4,7 @@ import pytest
 from funneltrack import checks
 
 
-@pytest.mark.parametrize("check", [fn for _, fn in checks.ALL_CHECKS],
-                         ids=[name for name, _ in checks.ALL_CHECKS])
-def test_check(check):
-    ok, detail = check()
+@pytest.mark.parametrize("name", [name for name, _ in checks.ALL_CHECKS])
+def test_check(check_results, name):
+    ok, detail = check_results[name]
     assert ok, detail

@@ -39,6 +39,17 @@ def test_simulate_mode_override(tmp_path, short_config):
     assert out.read_text().splitlines()[0].endswith("zeta1,zeta2,zeta3")
 
 
+def test_simulate_t_end_override(tmp_path, short_config):
+    out = tmp_path / "short.csv"
+    assert main(["simulate", "--config", str(short_config), "--t-end", "0.5",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 501
+    never = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(short_config), "--t-end", "nan",
+                 "--out", str(never)]) == 1
+    assert not never.exists()
+
+
 def test_missing_config_is_exit_1(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -137,6 +148,20 @@ def test_sweep_command(tmp_path, short_config):
 
 def test_sweep_bad_spec_is_exit_1(short_config):
     assert main(["sweep", "--config", str(short_config), "--vary", "oops"]) == 1
+
+
+@pytest.mark.parametrize("vary", ["funnels.3.a=0:1:2", "funnels.x.a=0:1:2",
+                                  "params.bogus=0:1:2", "t_end=1:-1:3"])
+def test_sweep_invalid_point_is_exit_1_before_any_run(tmp_path, short_config,
+                                                      monkeypatch, vary):
+    from funneltrack import sim
+
+    calls = []
+    monkeypatch.setattr(sim, "integrate", calls.append)
+    out = tmp_path / "never.json"
+    assert main(["sweep", "--config", str(short_config), "--vary", vary,
+                 "--out", str(out), "--serial"]) == 1
+    assert calls == [] and not out.exists()
 
 
 def _passing():

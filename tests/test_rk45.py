@@ -12,7 +12,7 @@ from funneltrack.errors import FunnelViolation, IntegrationError
 def test_exact_on_smooth_scalar():
     res = rk45.solve(lambda t, y: np.array([math.cos(t)]), (0.0, 6.0),
                      np.array([0.0]), rel_tol=1e-10, abs_tol=1e-12)
-    assert res.y_final[0] == pytest.approx(math.sin(6.0), abs=1e-9)
+    assert res.y[-1][0] == pytest.approx(math.sin(6.0), abs=1e-9)
 
 
 def test_dense_output_accuracy():
@@ -39,7 +39,7 @@ def test_matches_scipy_on_nonlinear_system():
     y0 = np.array([2.0, 0.0])
     mine = rk45.solve(f, (0.0, 10.0), y0, rel_tol=1e-10, abs_tol=1e-12)
     ref = solve_ivp(f, (0.0, 10.0), y0, method="RK45", rtol=1e-10, atol=1e-12)
-    assert np.max(np.abs(mine.y_final - ref.y[:, -1])) < 1e-7
+    assert np.max(np.abs(mine.y[-1] - ref.y[:, -1])) < 1e-7
 
 
 def test_zero_vector_field_stays_zero():
@@ -56,7 +56,7 @@ def test_tolerance_convergence():
     y0 = np.array([1.0, 0.0])
     coarse = rk45.solve(f, (0.0, 5.0), y0, rel_tol=1e-9, abs_tol=1e-12)
     fine = rk45.solve(f, (0.0, 5.0), y0, rel_tol=5e-10, abs_tol=1e-12)
-    assert np.max(np.abs(coarse.y_final - fine.y_final)) <= 10 * 5e-10 * 5
+    assert np.max(np.abs(coarse.y[-1] - fine.y[-1])) <= 10 * 5e-10 * 5
 
 
 def test_determinism():
@@ -70,8 +70,11 @@ def test_determinism():
     assert np.array_equal(a.y, b.y) and np.array_equal(a.t, b.t)
 
 
-@pytest.mark.parametrize("min_step", [0.0, -1.0, math.nan, math.inf])
-def test_min_step_must_be_finite_and_positive(min_step):
+@pytest.mark.parametrize("limit, value", [
+    *(pytest.param("min_step", v, id=str(v)) for v in (0.0, -1.0, math.nan, math.inf)),
+    *(pytest.param("max_step", v, id=f"max_step={v}") for v in (0.0, -0.1, math.nan)),
+])
+def test_min_step_must_be_finite_and_positive(limit, value):
     calls = []
 
     def f(t, y):
@@ -79,7 +82,7 @@ def test_min_step_must_be_finite_and_positive(min_step):
         raise FunnelViolation("wall", t=t)
 
     with pytest.raises(ValueError):
-        rk45.solve(f, (0.0, 1.0), np.array([0.0]), min_step=min_step,
+        rk45.solve(f, (0.0, 1.0), np.array([0.0]), **{limit: value},
                    guards=(FunnelViolation,))
     assert calls == []
 

@@ -1,4 +1,5 @@
 """Closed-loop harness: configs, integration, CSV, guards, sweep."""
+import dataclasses
 import json
 import math
 
@@ -294,3 +295,23 @@ class TestSweep:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(ScenarioConfig(), "params.bogus", 0.0, 1.0, 2)
+
+    def test_list_indexed_fields(self):
+        cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), mode="hg", t_end=0.3)
+        eps = run_sweep(cfg, "funnels.0.eps", 1e-3, 2e-3, 2, parallel=False)
+        gains = run_sweep(cfg, "observer_gains.1", 1e5, 2e5, 2, parallel=False)
+        for rows in (eps, gains):
+            assert [r["status"] for r in rows] == ["ok", "ok"]
+            assert rows[0]["y_final"] != rows[1]["y_final"]
+        by_hand = (dataclasses.replace(cfg, funnels=(FunnelSpec(1.5, 0.8, 2e-3),
+                                                     *cfg.funnels[1:])),
+                   dataclasses.replace(cfg, observer_gains=(1e2, 2e5, 1e6)))
+        for rows, point in zip((eps, gains), by_hand):
+            expected = summarize(point, integrate(point))
+            assert {k: rows[1][k] for k in expected} == expected
+
+    @pytest.mark.parametrize("field", ["funnels.-1.a", "funnels.0", "observer_gains.3",
+                                       "t_end.x", "mode"])
+    def test_bad_path_rejected(self, field):
+        with pytest.raises(ConfigError):
+            run_sweep(ScenarioConfig(), field, 0.0, 1.0, 2, parallel=False)
