@@ -9,14 +9,14 @@ unstable ODE
 whose only bounded solution is the backward convolution integral; forward
 integration amplifies roundoff by exp(lam2 t) and is provided as a
 cross-check only.  ``BoundedReference`` memoizes the bounded solution on a
-uniform grid for cheap in-loop evaluation.
+uniform grid for cheap in-loop evaluation, through a not-a-knot cubic spline
+whose tridiagonal solve is done here (``_not_a_knot``), so a simulation never
+imports scipy; only ``new_ref_ic``'s quadrature does.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, require_finite
 
@@ -94,12 +94,57 @@ def _yref_values(r: TransitionRef, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-interval coefficients (c3, c2, c1, c0) of the not-a-knot cubic
+    spline through (x, y), as an (len(x) - 1, 4) array; needs len(x) >= 4.
+
+    Bit for bit ``scipy.interpolate.CubicSpline(x, y).c.T`` (scipy 1.17): the
+    same expressions in the same order, with the tridiagonal system for the
+    knot slopes solved as LAPACK ``dgtsv`` does when it swaps no rows.  On an
+    increasing grid of near-equal steps h it never swaps: the first row
+    compares d = h with the sub-diagonal h, the eliminated diagonal then
+    settles near (2 + sqrt 3) h against a sub-diagonal h, and the last row
+    compares about 3.7 h with 2 h.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # the three diagonals and the right-hand side, rows 1 .. n-2
+    d, du, dl, b = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot end rows
+    w = x[2] - x[0]
+    d[0], du[0] = dx[1], w
+    b[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / w
+    w = x[-1] - x[-3]
+    d[-1], dl[-1] = dx[-2], w
+    b[-1] = (dx[-1]**2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
+    # dgtsv without interchanges: forward elimination, then back substitution
+    d, du, dl, s = d.tolist(), du.tolist(), dl.tolist(), b.tolist()
+    for i in range(n - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        s[i + 1] -= fact * s[i]
+    s[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1]) / d[i]
+    s = np.array(s)
+    # Hermite form on each interval
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.column_stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 def new_ref_ic(cfg: NewRefConfig, r: TransitionRef) -> float:
     """Initial value making the auxiliary-reference ODE solution bounded.
 
     Adaptive quadrature over the transition plus the analytic exponential
     tail -p2 * yf * exp(-lam2 * tf).
     """
+    from scipy.integrate import quad  # lazy: the simulation path never needs scipy
+
     lam2, p2 = cfg.lambda2, cfg.p2
     hi = max(r.tf, 0.0)
     body = 0.0
@@ -117,7 +162,8 @@ class BoundedReference:
 
     Grid values are produced by a backward one-interval recurrence (all
     exponentials decay in that direction) with Gauss-Legendre panels, then
-    wrapped in a cubic spline.  Derivatives are recovered through the ODE
+    wrapped in a not-a-knot cubic spline (``_not_a_knot``, at least 4 knots,
+    solved here without scipy).  Derivatives are recovered through the ODE
     relations, so the first-derivative residual vanishes by construction.
     """
 
@@ -130,11 +176,14 @@ class BoundedReference:
         self.t_lo = min(0.0, ref.t0)
         self._coeffs = None
         if ref.tf > self.t_lo:
-            n = max(1, int(round((ref.tf - self.t_lo) / _GRID_STEP)))
+            # at least 4 knots, as _not_a_knot needs
+            n = max(3, int(round((ref.tf - self.t_lo) / _GRID_STEP)))
             ts = np.linspace(self.t_lo, ref.tf, n + 1)
             self._h = ts[1] - ts[0]
+            gauss = np.polynomial.legendre.leggauss(10)  # 0.4 ms a call, so once per build
             # a few hundred panels per array pass keep the temporaries small
-            panels = np.concatenate([self._panels(ts[j:j + 257]) for j in range(0, n, 256)])
+            panels = np.concatenate([self._panels(ts[j:j + 257], *gauss)
+                                     for j in range(0, n, 256)])
             panels = panels.tolist()
             decay = math.exp(-self.lam2 * self._h)
             vals = np.empty(n + 1)
@@ -143,11 +192,11 @@ class BoundedReference:
                 vals[i] = panels[i] + decay * vals[i + 1]
             self._knots = ts.tolist()
             self._vals = vals
-            self._coeffs = np.ascontiguousarray(CubicSpline(ts, vals).c.T)  # (n, 4)
+            self._coeffs = _not_a_knot(ts, vals)  # (n, 4)
 
-    def _panels(self, ts: np.ndarray) -> np.ndarray:
-        """Convolution integral over each interval of ``ts`` (10-point Gauss-Legendre)."""
-        gx, gw = np.polynomial.legendre.leggauss(10)
+    def _panels(self, ts: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
+        """Convolution integral over each interval of ``ts`` by Gauss-Legendre
+        quadrature with nodes ``gx`` and weights ``gw`` on [-1, 1]."""
         half = 0.5 * self._h
         sg = (0.5 * (ts[:-1] + ts[1:]))[:, None] + half * gx  # one row of nodes per interval
         weighted = gw * np.exp(self.lam2 * (ts[:-1, None] - sg)) * _yref_values(self.ref, sg)

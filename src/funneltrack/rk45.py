@@ -90,10 +90,10 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
 
     ``sample_step`` > 0 emits interpolated states on the uniform grid
     t0 + k * sample_step (the endpoint is always included); ``None``
-    records accepted steps only.  ``guards`` is a tuple of exception
-    types treated as state-constraint violations (see module docstring);
-    their bisection stops below ``min_step``, which must be finite and > 0.
-    ``max_step`` must be > 0 (``inf`` means no limit).
+    records t0 and the end of every accepted step.  ``guards`` is a tuple
+    of exception types treated as state-constraint violations (see module
+    docstring); their bisection stops below ``min_step``, which must be
+    finite and > 0.  ``max_step`` must be > 0 (``inf`` means no limit).
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end <= t0:
@@ -168,6 +168,9 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         y = y_new
         f_curr = K[6]  # FSAL
         result.naccept += 1
+        if sample_step is None:
+            sample_ts.append(t)
+            sample_ys.append(y)
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -175,7 +178,7 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         err_prev = max(err, 1e-4)
         h *= factor
 
-    if sample_step is None or sample_ts[-1] < t_end - 1e-14:
+    if sample_ts[-1] < t_end - 1e-14:
         sample_ts.append(t_end)
         sample_ys.append(y.copy())
     result.t = np.array(sample_ts)

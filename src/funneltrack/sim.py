@@ -179,10 +179,10 @@ class Trajectory:
         return out
 
     def write_csv(self, path):
+        fmt = ",".join(["%.17g"] * len(self.columns)) + "\n"
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.writelines(fmt % tuple(row) for row in self.data.tolist())
 
 
 class ClosedLoop:

@@ -194,3 +194,19 @@ def test_checks_load_lazily():
     code = "import sys, funneltrack.cli; sys.exit('funneltrack.checks' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_run_path_never_loads_scipy(tmp_path, short_config):
+    # scipy is needed only by new_ref_ic's quadrature, the checks and the tests
+    args = ["simulate", "--config", str(short_config), "--t-end", "0.3",
+            "--out", str(tmp_path / "run.csv")]
+    code = "\n".join([
+        "import sys, funneltrack",
+        "assert 'scipy' not in sys.modules, 'import funneltrack loaded scipy'",
+        "from funneltrack.cli import main",
+        f"assert main({args!r}) == 0",
+        "assert 'scipy' not in sys.modules, 'simulate loaded scipy'",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

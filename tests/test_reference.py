@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from funneltrack import checks
 from funneltrack.errors import ConfigError
@@ -16,6 +17,19 @@ from funneltrack.reference import (BoundedReference, NewRefConfig,
 LIN = eigensplit(ManipulatorParams())
 CFG = NewRefConfig(lambda2=LIN.lambda2, p2=LIN.p2)
 REF = TransitionRef(y0=0.0, yf=math.pi / 4, t0=0.0, tf=3.0)
+REFS = [REF, TransitionRef(0.3, 0.7, 1.0, 2.0), TransitionRef(-1, 2, -0.5, 1.7),
+        TransitionRef(0.1, 0.5, 0.5, 0.5)]
+
+
+def random_refs(n, seed):
+    """Transitions with spans from 5 ms to 6 s and windows starting before or after 0."""
+    rng = np.random.default_rng(seed)
+    refs = []
+    for _ in range(n):
+        t0 = rng.uniform(-1.0, 2.0)
+        refs.append(TransitionRef(rng.uniform(-1, 1), rng.uniform(-1, 1), t0,
+                                  t0 + 10 ** rng.uniform(math.log10(5e-3), math.log10(6.0))))
+    return refs
 
 
 def naive_transition(r, t):
@@ -131,9 +145,7 @@ class TestBoundedReference:
         ok, detail = checks.reference_forward_agreement()
         assert ok, detail
 
-    @pytest.mark.parametrize("ref", [REF, TransitionRef(0.3, 0.7, 1.0, 2.0),
-                                     TransitionRef(-1, 2, -0.5, 1.7),
-                                     TransitionRef(0.1, 0.5, 0.5, 0.5)])
+    @pytest.mark.parametrize("ref", REFS)
     def test_grid_equals_scalar_recurrence(self, ref):
         # the build's oracle: one scalar yref_eval per Gauss node, panel by panel
         b = BoundedReference(CFG, ref)
@@ -150,6 +162,20 @@ class TestBoundedReference:
             panel = -lam2 * p2 * half * float(np.sum(gw * np.exp(lam2 * (ts[i] - sg)) * yr))
             vals[i] = panel + math.exp(-lam2 * h) * vals[i + 1]
         assert np.array_equal(b._vals, vals)
+
+    @pytest.mark.parametrize("ref", REFS + random_refs(30, seed=97))
+    def test_spline_equals_scipy(self, ref):
+        # the own not-a-knot solve reproduces scipy's spline bit for bit
+        b = BoundedReference(CFG, ref)
+        assert np.array_equal(b._coeffs, CubicSpline(b._knots, b._vals).c.T)
+
+    def test_short_transition_keeps_four_knots(self):
+        ref = TransitionRef(0.0, 0.5, 0.0, 0.002)
+        b = BoundedReference(CFG, ref)
+        assert len(b._knots) >= 4
+        want = CubicSpline(b._knots, b._vals).c.T
+        np.testing.assert_allclose(b._coeffs, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
     def test_early_start_before_window(self):
         ref = TransitionRef(y0=0.3, yf=0.7, t0=1.0, tf=2.0)

@@ -124,3 +124,12 @@ class TestGuards:
             rk45.solve(f, (0.0, 1.0), np.array([0.0]), rel_tol=1e-9,
                        abs_tol=1e-12, min_step=1e-10)
         assert exc.value.t is not None
+
+
+def test_no_sample_step_records_every_accepted_step():
+    res = rk45.solve(lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
+                     np.array([1.0, 0.0]), rel_tol=1e-12, abs_tol=1e-14)
+    assert len(res.t) == len(res.y) == res.naccept + 1
+    assert res.t[0] == 0.0 and res.t[-1] == 10.0
+    assert np.all(np.diff(res.t) > 0)
+    assert np.max(np.abs(res.y[:, 0] - np.cos(res.t))) < 1e-9
