@@ -13,10 +13,9 @@ from .funnel import (CascadeOutput, FunnelSpec, cascade, control_law, gain,
                      observer_rhs, phi_eval)
 from .linid import LinData, eigensplit, linearize, psi, ynew_derivatives
 from .model import (ManipulatorParams, PlantState, accelerations, gamma,
-                    generalized_forces, in_domain, mass_matrix,
-                    mass_matrix_inverse, mechanical_energy, output, plant_rhs)
-from .reference import (BoundedReference, NewRefConfig, TransitionRef,
-                        new_ref_ic, sylvester_ic, yref_eval)
+                    generalized_forces, mass_matrix, mass_matrix_inverse,
+                    mechanical_energy, output, plant_rhs)
+from .reference import BoundedReference, NewRefConfig, TransitionRef, yref_eval
 from .sim import (DisturbanceSpec, IntegratorConfig, ScenarioConfig,
                   Trajectory, disturbance, integrate, run_case_study,
                   run_sweep, case_study_config, summarize)
@@ -30,10 +29,10 @@ __all__ = [
     "NewRefConfig", "PlantState", "ScenarioConfig", "Trajectory",
     "TransitionRef", "accelerations", "cascade", "control_law",
     "disturbance", "eigensplit", "gain",
-    "gamma", "generalized_forces", "in_domain", "integrate", "internal_rhs",
+    "gamma", "generalized_forces", "integrate", "internal_rhs",
     "internal_rhs_oracle", "linearize", "mass_matrix", "mass_matrix_inverse",
-    "mechanical_energy", "new_ref_ic", "observer_rhs",
+    "mechanical_energy", "observer_rhs",
     "output", "phi_eval", "phi_forward", "phi_inverse", "plant_rhs", "psi",
     "run_case_study", "run_sweep", "case_study_config", "summarize",
-    "sylvester_ic", "ynew_derivatives", "yref_eval",
+    "ynew_derivatives", "yref_eval",
 ]

@@ -40,7 +40,6 @@ class LinData:
     Vinv: np.ndarray
     p1: float
     p2: float  # > 0 by the sign convention below
-    D: float  # det V
 
     @functools.cached_property
     def unstable_row(self) -> tuple[float, float]:
@@ -72,8 +71,7 @@ def eigensplit(p: ManipulatorParams) -> LinData:
         V = V * np.array([1.0, -1.0])
         p2 = -p2
     return LinData(Q=Q, P=P, lambda1=lambda1, lambda2=lambda2, V=V,
-                   Vinv=np.linalg.inv(V), p1=float(p1), p2=float(p2),
-                   D=float(np.linalg.det(V)))
+                   Vinv=np.linalg.inv(V), p1=float(p1), p2=float(p2))
 
 
 def psi(p: ManipulatorParams, lin: LinData, x, cos_beta: float | None = None) -> float:

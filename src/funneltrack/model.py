@@ -9,7 +9,7 @@ sits at offset ``s`` on the passive link, giving the output
 The state vector used throughout is ``x = (alpha, beta, alpha_dot,
 beta_dot)``.  All functions are pure; the admissible region
 ``cos(beta) > 2/3`` (where the high-frequency gain keeps a fixed sign) is
-checked by callers, not here.
+checked by callers (``bif``, ``sim.ClosedLoop.evaluate``), not here.
 """
 import functools
 import math
@@ -45,11 +45,6 @@ class ManipulatorParams:
         if not 0 <= self.s <= self.l:
             raise ConfigError(f"tracking offset must satisfy 0 <= s <= l, got s={self.s}")
 
-    @property
-    def inertia(self) -> float:
-        """Link inertia l^2 m / 12 (homogeneous mass distribution)."""
-        return self.l**2 * self.m / 12.0
-
     @functools.cached_property
     def l2m(self) -> float:
         return self.l**2 * self.m
@@ -74,15 +69,6 @@ class PlantState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.alpha_dot, self.beta_dot])
-
-    @classmethod
-    def from_array(cls, x) -> "PlantState":
-        return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
-
-
-def in_domain(x) -> bool:
-    """True iff cos(beta) > 2/3 (strict)."""
-    return math.cos(x[1]) > DOMAIN_COS_LIMIT
 
 
 def mass_matrix(p: ManipulatorParams, beta: float) -> np.ndarray:

@@ -7,11 +7,12 @@ unstable ODE
     xdot = lam2 * x + lam2 * p2 * y_ref(t),
 
 whose only bounded solution is the backward convolution integral; forward
-integration amplifies roundoff by exp(lam2 t) and is provided as a
-cross-check only.  ``BoundedReference`` memoizes the bounded solution on a
-uniform grid for cheap in-loop evaluation, through a not-a-knot cubic spline
-whose tridiagonal solve is done here (``_not_a_knot``), so a simulation never
-imports scipy; only ``new_ref_ic``'s quadrature does.
+integration amplifies roundoff by exp(lam2 t), so ``checks`` uses it as a
+cross-check only.  ``BoundedReference`` is the one route to that solution:
+it memoizes it on a uniform grid for cheap in-loop evaluation, through a
+not-a-knot cubic spline whose tridiagonal solve is done here
+(``_not_a_knot``), and its value at 0 is the bounded initial value.  The
+package needs numpy only.
 """
 import math
 from dataclasses import dataclass
@@ -26,6 +27,17 @@ _TRANSITION_COEFFS = (126.0, -420.0, 540.0, -315.0, 70.0)
 _SLOPE_COEFFS = tuple((k + 5) * c for k, c in enumerate(_TRANSITION_COEFFS))
 # knot spacing of the memoized bounded reference
 _GRID_STEP = 1e-3
+# 10-point Gauss-Legendre nodes and weights on [-1, 1]: the floats of
+# numpy.polynomial.legendre.leggauss(10), written out so that a build does not
+# import numpy.polynomial (about 5 ms per process)
+_GAUSS_NODES = (-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+                -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+                0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+                0.9739065285171717)
+_GAUSS_WEIGHTS = (0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+                  0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+                  0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+                  0.06667134430868814)
 
 
 @dataclass(frozen=True)
@@ -94,17 +106,18 @@ def _yref_values(r: TransitionRef, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float, float, float]]:
     """Per-interval coefficients (c3, c2, c1, c0) of the not-a-knot cubic
-    spline through (x, y), as an (len(x) - 1, 4) array; needs len(x) >= 4.
+    spline through (x, y), one tuple of floats per interval; needs len(x) >= 4.
 
-    Bit for bit ``scipy.interpolate.CubicSpline(x, y).c.T`` (scipy 1.17): the
-    same expressions in the same order, with the tridiagonal system for the
-    knot slopes solved as LAPACK ``dgtsv`` does when it swaps no rows.  On an
-    increasing grid of near-equal steps h it never swaps: the first row
-    compares d = h with the sub-diagonal h, the eliminated diagonal then
-    settles near (2 + sqrt 3) h against a sub-diagonal h, and the last row
-    compares about 3.7 h with 2 h.
+    Bit for bit the rows of ``scipy.interpolate.CubicSpline(x, y).c.T``
+    (scipy 1.17): the same expressions in the same order, with the
+    tridiagonal system for the knot slopes solved as LAPACK ``dgtsv`` does
+    when it swaps no rows.  On an increasing grid of near-equal steps h it
+    never swaps: the first row compares d = h with the sub-diagonal h, the
+    eliminated diagonal then settles near (2 + sqrt 3) h against a
+    sub-diagonal h, and the last row compares about 3.7 h with 2 h.  The
+    rows are tuples, so an evaluation indexes no array.
     """
     n = len(x)
     dx = np.diff(x)
@@ -134,27 +147,8 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     s = np.array(s)
     # Hermite form on each interval
     t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.column_stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-
-
-def new_ref_ic(cfg: NewRefConfig, r: TransitionRef) -> float:
-    """Initial value making the auxiliary-reference ODE solution bounded.
-
-    Adaptive quadrature over the transition plus the analytic exponential
-    tail -p2 * yf * exp(-lam2 * tf).
-    """
-    from scipy.integrate import quad  # lazy: the simulation path never needs scipy
-
-    lam2, p2 = cfg.lambda2, cfg.p2
-    hi = max(r.tf, 0.0)
-    body = 0.0
-    if hi > 0.0:
-        pts = [r.t0] if 0.0 < r.t0 < hi else None
-        body, _ = quad(lambda s: math.exp(-lam2 * s) * lam2 * p2 * yref_eval(r, s)[0],
-                       0.0, hi, epsabs=1e-10, epsrel=1e-12,
-                       limit=200, points=pts)
-    tail = p2 * r.yf * math.exp(-lam2 * hi)
-    return -(body + tail)
+    cols = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+    return list(zip(*(c.tolist() for c in cols)))
 
 
 class BoundedReference:
@@ -180,7 +174,7 @@ class BoundedReference:
             n = max(3, int(round((ref.tf - self.t_lo) / _GRID_STEP)))
             ts = np.linspace(self.t_lo, ref.tf, n + 1)
             self._h = ts[1] - ts[0]
-            gauss = np.polynomial.legendre.leggauss(10)  # 0.4 ms a call, so once per build
+            gauss = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
             # a few hundred panels per array pass keep the temporaries small
             panels = np.concatenate([self._panels(ts[j:j + 257], *gauss)
                                      for j in range(0, n, 256)])
@@ -192,7 +186,7 @@ class BoundedReference:
                 vals[i] = panels[i] + decay * vals[i + 1]
             self._knots = ts.tolist()
             self._vals = vals
-            self._coeffs = _not_a_knot(ts, vals)  # (n, 4)
+            self._coeffs = _not_a_knot(ts, vals)
 
     def _panels(self, ts: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
         """Convolution integral over each interval of ``ts`` by Gauss-Legendre
@@ -214,8 +208,8 @@ class BoundedReference:
             return -self.p2 * ref.y0 * (1.0 - decay) + decay * self._vals[0]
         i = min(len(self._knots) - 2, int((t - self.t_lo) / self._h))
         dt = t - self._knots[i]
-        c3, c2, c1, c0 = self._coeffs[i].tolist()
-        return float(((c3 * dt + c2) * dt + c1) * dt + c0)
+        c3, c2, c1, c0 = self._coeffs[i]
+        return ((c3 * dt + c2) * dt + c1) * dt + c0
 
     def eval(self, t: float) -> tuple[float, float, float]:
         """Value and first two derivatives of the auxiliary reference."""
@@ -227,21 +221,3 @@ class BoundedReference:
         vd = self.lam2 * v + lam2p2 * yr
         vdd = self.lam2 * vd + lam2p2 * yr_dot
         return v, vd, vdd
-
-
-def sylvester_ic(cfg: NewRefConfig, A_e: np.ndarray, C_e: np.ndarray, w0: np.ndarray) -> float:
-    """Bounded initial value when y_ref is generated by an exosystem.
-
-    For wdot = A_e w, y_ref = C_e w with the spectrum of A_e in the closed
-    left half plane, the improper integral collapses to -X w0 where X
-    solves the (here 1 x k) Sylvester equation lam2 X - X A_e = lam2 p2 C_e.
-    Cross-validates the quadrature route for constants and sinusoids.
-    """
-    A_e = np.atleast_2d(np.asarray(A_e, dtype=float))
-    C_e = np.atleast_2d(np.asarray(C_e, dtype=float))
-    w0 = np.asarray(w0, dtype=float).reshape(-1)
-    k = A_e.shape[0]
-    if np.any(np.real(np.linalg.eigvals(A_e)) > 1e-12):
-        raise ConfigError("exosystem must have its spectrum in the closed left half plane")
-    X = np.linalg.solve((cfg.lambda2 * np.eye(k) - A_e).T, (cfg.lambda2 * cfg.p2 * C_e).T).T
-    return -float(X.reshape(-1) @ w0)

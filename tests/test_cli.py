@@ -197,15 +197,17 @@ def test_checks_load_lazily():
 
 
 def test_run_path_never_loads_scipy(tmp_path, short_config):
-    # scipy is needed only by new_ref_ic's quadrature, the checks and the tests
+    # the package needs numpy only; scipy serves the tests alone
     args = ["simulate", "--config", str(short_config), "--t-end", "0.3",
             "--out", str(tmp_path / "run.csv")]
     code = "\n".join([
-        "import sys, funneltrack",
-        "assert 'scipy' not in sys.modules, 'import funneltrack loaded scipy'",
+        "import sys",
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError",
+        "import funneltrack",
         "from funneltrack.cli import main",
         f"assert main({args!r}) == 0",
-        "assert 'scipy' not in sys.modules, 'simulate loaded scipy'",
+        "assert sys.modules['scipy'] is None, 'scipy was loaded'",
+        "assert 'numpy.polynomial' not in sys.modules, 'simulate loaded numpy.polynomial'",
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -6,27 +6,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from funneltrack import checks
-from funneltrack.errors import ConfigError
-from funneltrack.model import (ManipulatorParams, PlantState,
-                               generalized_forces, in_domain, mass_matrix,
-                               mass_matrix_inverse, output, plant_rhs)
+from funneltrack.errors import ConfigError, DomainError
+from funneltrack.model import (ManipulatorParams, generalized_forces,
+                               mass_matrix, mass_matrix_inverse, output,
+                               plant_rhs)
+from funneltrack.sim import ClosedLoop, ScenarioConfig
 
 P = ManipulatorParams()  # l = m = c = 1, d = 0.25, s = l
 
 
 class TestParams:
-    def test_derived_inertia(self):
-        assert ManipulatorParams(m=3.0, l=2.0).inertia == pytest.approx(4.0 * 3.0 / 12.0)
-
     @pytest.mark.parametrize("bad", [dict(m=0.0), dict(l=-1.0), dict(d=-0.1),
                                      dict(s=1.5), dict(s=-0.1), dict(c=-1.0)])
     def test_invalid_params_rejected(self, bad):
         with pytest.raises(ConfigError):
             ManipulatorParams(**bad)
-
-    def test_state_array_roundtrip(self):
-        x = PlantState(0.1, -0.2, 0.3, -0.4)
-        assert PlantState.from_array(x.as_array()) == x
 
 
 class TestMassMatrix:
@@ -121,12 +115,17 @@ class TestGamma:
 
 
 class TestDomain:
+    # the closed loop is where the admissible region cos(beta) > 2/3 is enforced
+    loop = ClosedLoop(ScenarioConfig())
+
     def test_origin_inside(self):
-        assert in_domain(np.zeros(4))
+        self.loop.evaluate(0.0, np.zeros(4))
 
     def test_half_pi_outside(self):
-        assert not in_domain([0.0, math.pi / 2, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            self.loop.evaluate(0.0, np.array([0.0, math.pi / 2, 0.0, 0.0]))
 
     def test_boundary_is_excluded(self):
         for sign in (1.0, -1.0):
-            assert not in_domain([0.0, sign * math.acos(2 / 3), 0.0, 0.0])
+            with pytest.raises(DomainError):
+                self.loop.evaluate(0.0, np.array([0.0, sign * math.acos(2 / 3), 0.0, 0.0]))
