@@ -15,7 +15,7 @@ from .linid import LinData, eigensplit, linearize, psi, ynew_derivatives
 from .model import (ManipulatorParams, PlantState, accelerations, gamma,
                     generalized_forces, mass_matrix, mass_matrix_inverse,
                     mechanical_energy, output, plant_rhs)
-from .reference import BoundedReference, NewRefConfig, TransitionRef, yref_eval
+from .reference import BoundedReference, TransitionRef, yref_eval
 from .sim import (DisturbanceSpec, IntegratorConfig, ScenarioConfig,
                   Trajectory, disturbance, integrate, run_case_study,
                   run_sweep, case_study_config, summarize)
@@ -26,7 +26,7 @@ __all__ = [
     "BifCoords", "BoundedReference", "CascadeOutput", "ConfigError",
     "DisturbanceSpec", "DomainError", "FunnelSpec", "FunnelViolation",
     "IntegratorConfig", "IntegrationError", "LinData", "ManipulatorParams",
-    "NewRefConfig", "PlantState", "ScenarioConfig", "Trajectory",
+    "PlantState", "ScenarioConfig", "Trajectory",
     "TransitionRef", "accelerations", "cascade", "control_law",
     "disturbance", "eigensplit", "gain",
     "gamma", "generalized_forces", "integrate", "internal_rhs",

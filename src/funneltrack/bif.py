@@ -27,15 +27,15 @@ class BifCoords(NamedTuple):
     eta2: float
 
 
-def _require_domain(cos_beta: float, label: str, value: float):
-    if cos_beta <= DOMAIN_COS_LIMIT:
-        raise DomainError(f"cos({label}) = {cos_beta:.6f} <= 2/3 at {label} = {value:.6f}")
+def _require_domain(cb: float, label: str, value: float):
+    if cb <= DOMAIN_COS_LIMIT:
+        raise DomainError(f"cos({label}) = {cb:.6f} <= 2/3 at {label} = {value:.6f}")
 
 
-def phi_forward(p: ManipulatorParams, x, cos_beta: float | None = None) -> BifCoords:
-    """Transform plant coordinates to (y, ydot, eta1, eta2); ``cos_beta`` = cos(x[1]) if known."""
+def phi_forward(p: ManipulatorParams, x) -> BifCoords:
+    """Transform plant coordinates to (y, ydot, eta1, eta2)."""
     x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
-    cb = math.cos(x2) if cos_beta is None else cos_beta
+    cb = math.cos(x2)
     _require_domain(cb, "beta", x2)
     w2 = 1.0 / 3.0 + 0.5 * cb
     return BifCoords(x1 + 0.5 * x2, x3 + 0.5 * x4, x2, w2 * x3 + x4 / 3.0)

@@ -234,8 +234,7 @@ def check_eigensplit():
 def _bounded_reference():
     """The eigensplit and the bounded reference of ``_REF``."""
     lin = linid.eigensplit(_P)
-    cfg = reference.NewRefConfig(lambda2=lin.lambda2, p2=lin.p2)
-    return lin, reference.BoundedReference(cfg, _REF)
+    return lin, reference.BoundedReference(lin, _REF)
 
 
 def check_reference_ic():

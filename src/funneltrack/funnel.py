@@ -98,16 +98,15 @@ def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
 
 
 def control_law(p: ManipulatorParams, lin: LinData, specs, new_ref: BoundedReference,
-                t: float, x, zeta=None,
-                cos_beta: float | None = None) -> tuple[CascadeOutput, float]:
+                t: float, x, zeta=None) -> tuple[CascadeOutput, float]:
     """Feedback law at (t, x); returns the cascade output and y_new = psi(x).
 
     The surrogate derivatives of y_new are the observer estimates
     ``zeta[1:]`` when ``zeta`` is given (``hg``), else the modal ladder
-    (``lin``).  ``cos_beta`` is cos(x[1]) when the caller has computed it.
+    (``lin``).
     """
     if zeta is None:
-        y_new, y1, y2 = ynew_derivatives(p, lin, x, cos_beta)
+        y_new, y1, y2 = ynew_derivatives(p, lin, x)
     else:
-        y_new, y1, y2 = psi(p, lin, x, cos_beta), zeta[1], zeta[2]
+        y_new, y1, y2 = psi(p, lin, x), zeta[1], zeta[2]
     return cascade(specs, t, y_new, y1, y2, *new_ref.eval(t)), y_new

@@ -51,11 +51,12 @@ def eigensplit(p: ManipulatorParams) -> LinData:
     """Diagonalize Q and split the ydot coupling into modal components.
 
     Eigenvalues come from the closed-form characteristic roots.  The
-    eigenvector of Q for lambda is (-12/lambda, 1); the unstable column's
-    sign is flipped so that the modal input coupling p2 is positive, which
-    makes the effective gain lam2 * p2 * Gamma of the auxiliary output
-    negative on the admissible region and matches the positive feedback
-    sign u = +k2 e2 of the cascade.
+    eigenvector of Q for lambda is (-12/lambda, 1); the unstable column is
+    taken as (12/lam2, -1).  Then det V = 12 (lam2 - lam1) / (lam1 lam2) < 0
+    and the modal input coupling p2 = (120 d / (lam1 l^2 m) - 10) / det V is
+    positive for every c > 0, d >= 0, which makes the effective gain
+    lam2 * p2 * Gamma of the auxiliary output negative on the admissible
+    region and matches the positive feedback sign u = +k2 e2 of the cascade.
     """
     if p.c <= 0:
         raise ValueError(f"hyperbolic split requires c > 0, got c = {p.c}")
@@ -67,29 +68,25 @@ def eigensplit(p: ManipulatorParams) -> LinData:
     Q, P = linearize(p)
     V = np.array([[-12.0 / lambda1, 12.0 / lambda2], [1.0, -1.0]])
     p1, p2 = np.linalg.solve(V, P)
-    if p2 <= 0:  # cannot happen for c > 0, d >= 0; kept as a guard
-        V = V * np.array([1.0, -1.0])
-        p2 = -p2
     return LinData(Q=Q, P=P, lambda1=lambda1, lambda2=lambda2, V=V,
                    Vinv=np.linalg.inv(V), p1=float(p1), p2=float(p2))
 
 
-def psi(p: ManipulatorParams, lin: LinData, x, cos_beta: float | None = None) -> float:
-    """Auxiliary output y_new expressed in plant coordinates; ``cos_beta`` = cos(x[1]) if known."""
-    y, _, eta1, eta2 = phi_forward(p, x, cos_beta)
+def psi(p: ManipulatorParams, lin: LinData, x) -> float:
+    """Auxiliary output y_new expressed in plant coordinates."""
+    y, _, eta1, eta2 = phi_forward(p, x)
     w0, w1 = lin.unstable_row
     return float(w0 * eta1 + w1 * eta2 - lin.p2 * y)
 
 
-def ynew_derivatives(p: ManipulatorParams, lin: LinData, x,
-                     cos_beta: float | None = None) -> tuple[float, float, float]:
+def ynew_derivatives(p: ManipulatorParams, lin: LinData, x) -> tuple[float, float, float]:
     """Auxiliary output and its surrogate derivative ladder.
 
     The ladder propagates the scalar unstable mode, so these are not the
     time derivatives of psi along the true flow; they satisfy
     y2 = lam2 * y1 + lam2 * p2 * ydot identically.
     """
-    y_new = psi(p, lin, x, cos_beta)
+    y_new = psi(p, lin, x)
     lam2, p2 = lin.lambda2, lin.p2
     yq = x[0] + 0.5 * x[1]
     yq_dot = x[2] + 0.5 * x[3]

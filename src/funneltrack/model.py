@@ -7,7 +7,10 @@ sits at offset ``s`` on the passive link, giving the output
 ``y = alpha + s/(s+l) * beta``.
 
 The state vector used throughout is ``x = (alpha, beta, alpha_dot,
-beta_dot)``.  All functions are pure; the admissible region
+beta_dot)``; the state functions take it whole, as an array or a list, and
+read only its first four entries, so the closed-loop state with observer
+entries appended can be passed as it is.  Each computes the ``cos(beta)``
+and ``sin(beta)`` it needs.  All functions are pure; the admissible region
 ``cos(beta) > 2/3`` (where the high-frequency gain keeps a fixed sign) is
 checked by callers (``bif``, ``sim.ClosedLoop.evaluate``), not here.
 """
@@ -90,24 +93,22 @@ def mass_matrix_inverse(p: ManipulatorParams, beta: float) -> np.ndarray:
                          [-1.0 / 3.0 - 0.5 * cb, 5.0 / 3.0 + cb]])
 
 
-def _forces(p: ManipulatorParams, sb: float, x2: float, x3: float, x4: float) -> tuple:
+def generalized_forces(p: ManipulatorParams, x) -> tuple[float, float]:
+    """Coriolis/centrifugal, spring and damping torques (f1, f2)."""
+    x2, x3, x4 = x[1], x[2], x[3]
+    sb = math.sin(x2)
     f1 = 0.5 * p.l2m * x4 * (2.0 * x3 + x4) * sb
     f2 = -p.c * x2 - p.d * x4 - 0.5 * p.l2m * x3 * x3 * sb
     return f1, f2
 
 
-def generalized_forces(p: ManipulatorParams, x) -> tuple[float, float]:
-    """Coriolis/centrifugal, spring and damping torques (f1, f2)."""
-    return _forces(p, math.sin(x[1]), x[1], x[2], x[3])
-
-
-def accelerations(p: ManipulatorParams, cb: float, sb: float, x2: float, x3: float,
-                  x4: float, u_d: float) -> tuple[float, float]:
-    """(alpha_ddot, beta_ddot) at beta = x2 with cb = cos(x2), sb = sin(x2).
+def accelerations(p: ManipulatorParams, x, u_d: float) -> tuple[float, float]:
+    """(alpha_ddot, beta_ddot) at the state ``x``; entries past the fourth are ignored.
 
     ``u_d`` is the torque on the first link including any disturbance.
     """
-    f1, f2 = _forces(p, sb, x2, x3, x4)
+    f1, f2 = generalized_forces(p, x)
+    cb = math.cos(x[1])
     k = 36.0 / (p.l2m * (16.0 - 9.0 * cb * cb))
     a12 = -1.0 / 3.0 - 0.5 * cb
     t1 = f1 + u_d
@@ -116,9 +117,7 @@ def accelerations(p: ManipulatorParams, cb: float, sb: float, x2: float, x3: flo
 
 def plant_rhs(p: ManipulatorParams, x, u_d: float) -> np.ndarray:
     """First-order dynamics xdot = f(x) + g(x) u_d."""
-    x2, x3, x4 = x[1], x[2], x[3]
-    acc1, acc2 = accelerations(p, math.cos(x2), math.sin(x2), x2, x3, x4, u_d)
-    return np.array([x3, x4, acc1, acc2])
+    return np.array([x[2], x[3], *accelerations(p, x, u_d)])
 
 
 def drift(p: ManipulatorParams, x) -> np.ndarray:

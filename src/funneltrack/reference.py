@@ -6,13 +6,14 @@ unstable ODE
 
     xdot = lam2 * x + lam2 * p2 * y_ref(t),
 
-whose only bounded solution is the backward convolution integral; forward
-integration amplifies roundoff by exp(lam2 t), so ``checks`` uses it as a
-cross-check only.  ``BoundedReference`` is the one route to that solution:
-it memoizes it on a uniform grid for cheap in-loop evaluation, through a
-not-a-knot cubic spline whose tridiagonal solve is done here
-(``_not_a_knot``), and its value at 0 is the bounded initial value.  The
-package needs numpy only.
+where lam2 and p2 are the unstable eigenvalue and its modal coupling, read
+from a ``linid.LinData``.  Its only bounded solution is the backward
+convolution integral; forward integration amplifies roundoff by
+exp(lam2 t), so ``checks`` uses it as a cross-check only.
+``BoundedReference`` is the one route to that solution: it memoizes it on
+a uniform grid for cheap in-loop evaluation, through a not-a-knot cubic
+spline whose tridiagonal solve is done here (``_not_a_knot``), and its
+value at 0 is the bounded initial value.  The package needs numpy only.
 """
 import math
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_finite
+from .linid import LinData
 
 # ascending coefficients of the transition polynomial in tau**5 .. tau**9,
 # and of its derivative divided by tau**4
@@ -53,19 +55,6 @@ class TransitionRef:
         require_finite(self)
         if self.tf < self.t0:
             raise ConfigError(f"transition needs tf >= t0, got [{self.t0}, {self.tf}]")
-
-
-@dataclass(frozen=True)
-class NewRefConfig:
-    """Parameters of the auxiliary-reference ODE."""
-
-    lambda2: float
-    p2: float
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.lambda2 <= 0:
-            raise ConfigError(f"lambda2 must be positive, got {self.lambda2}")
 
 
 def _horner(tau, coeffs):
@@ -161,12 +150,11 @@ class BoundedReference:
     relations, so the first-derivative residual vanishes by construction.
     """
 
-    def __init__(self, cfg: NewRefConfig, ref: TransitionRef):
-        self.cfg = cfg
+    def __init__(self, lin: LinData, ref: TransitionRef):
         self.ref = ref
-        self.lam2 = cfg.lambda2
-        self.p2 = cfg.p2
-        self.final_value = -cfg.p2 * ref.yf
+        self.lam2 = lin.lambda2
+        self.p2 = lin.p2
+        self.final_value = -lin.p2 * ref.yf
         self.t_lo = min(0.0, ref.t0)
         self._coeffs = None
         if ref.tf > self.t_lo:

@@ -26,7 +26,7 @@ from .funnel import CascadeOutput, FunnelSpec, control_law, observer_rhs, phi_ev
 from .linid import LinData, eigensplit, psi
 from .model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
                     accelerations, output)
-from .reference import BoundedReference, NewRefConfig, TransitionRef, yref_eval
+from .reference import BoundedReference, TransitionRef, yref_eval
 
 SAMPLE_STEP = 1e-3
 
@@ -192,8 +192,7 @@ class ClosedLoop:
         self.cfg = cfg
         self.params = cfg.params
         self.lin: LinData = eigensplit(cfg.params)
-        self.new_ref = BoundedReference(
-            NewRefConfig(lambda2=self.lin.lambda2, p2=self.lin.p2), cfg.ref)
+        self.new_ref = BoundedReference(self.lin, cfg.ref)
         self.observer = cfg.mode == "hg"
         self.columns = BASE_COLUMNS + (OBSERVER_COLUMNS if self.observer else ())
         self.specs = cfg.funnels
@@ -209,23 +208,22 @@ class ClosedLoop:
     def evaluate(self, t: float, state: np.ndarray) -> tuple[list, CascadeOutput, float]:
         """State derivative, cascade output and y_new at (t, state), in one pass.
 
-        Raises DomainError outside cos(beta) > 2/3 and FunnelViolation
-        once an error reaches its funnel boundary.
+        The control law and the plant take the state list whole.  Raises
+        DomainError, with t and the state, outside cos(beta) > 2/3, and
+        FunnelViolation once an error reaches its funnel boundary.
         """
         # Python floats: the same values, but numpy scalars are several times slower
         t = float(t)
         xs = state.tolist()
-        x2, x3, x4 = xs[1], xs[2], xs[3]
-        cb = math.cos(x2)
-        if cb <= DOMAIN_COS_LIMIT:
+        if math.cos(xs[1]) <= DOMAIN_COS_LIMIT:
             raise DomainError(
-                f"beta = {x2:.6f} left the admissible region at t = {t:.6f}",
+                f"beta = {xs[1]:.6f} left the admissible region at t = {t:.6f}",
                 t=t, state=state.copy())
         zeta = xs[4:] if self.observer else None
         out, y_new = control_law(self.params, self.lin, self.specs, self.new_ref,
-                                 t, xs, zeta, cb)
+                                 t, xs, zeta)
         u_d = out.u + disturbance(self.dist, t)
-        deriv = [x3, x4, *accelerations(self.params, cb, math.sin(x2), x2, x3, x4, u_d)]
+        deriv = [xs[2], xs[3], *accelerations(self.params, xs, u_d)]
         if zeta is not None:
             deriv.extend(observer_rhs(self.gains, zeta, y_new))
         return deriv, out, y_new

@@ -60,6 +60,14 @@ def test_invalid_json_is_exit_1(tmp_path):
     assert main(["simulate", "--config", str(bad)]) == 1
 
 
+def test_non_object_json_is_exit_1(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path, value", [
     ("t_end", math.nan),
     ("t_end", math.inf),
@@ -75,6 +83,8 @@ def test_invalid_json_is_exit_1(tmp_path):
     ("integrator.min_step", 0.0),
     ("integrator.min_step", 0.1),  # not below max_step
     ("integrator.max_step", math.inf),
+    ("funnels", [{"a": 1.5, "b": 0.8, "eps": 0.001}] * 2),
+    ("observer_gains", [1e2, 1e5]),
 ])
 def test_invalid_field_is_exit_1(tmp_path, path, value):
     data = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=1.0).to_dict()

@@ -10,7 +10,7 @@ from funneltrack.funnel import (FunnelSpec, cascade, control_law, gain,
                                 observer_rhs, phi_eval)
 from funneltrack.linid import eigensplit, psi, ynew_derivatives
 from funneltrack.model import ManipulatorParams
-from funneltrack.reference import BoundedReference, NewRefConfig, TransitionRef
+from funneltrack.reference import BoundedReference, TransitionRef
 from funneltrack.sim import ClosedLoop, ScenarioConfig, case_study_config
 
 P = ManipulatorParams()
@@ -124,10 +124,8 @@ class TestObserver:
 
 class TestControllers:
     def setup_method(self):
-        self.zero_ref = BoundedReference(
-            NewRefConfig(LIN.lambda2, LIN.p2), TransitionRef(0.0, 0.0, 0.0, 0.0))
-        self.case_ref = BoundedReference(
-            NewRefConfig(LIN.lambda2, LIN.p2), TransitionRef(0.0, math.pi / 4, 0.0, 3.0))
+        self.zero_ref = BoundedReference(LIN, TransitionRef(0.0, 0.0, 0.0, 0.0))
+        self.case_ref = BoundedReference(LIN, TransitionRef(0.0, math.pi / 4, 0.0, 3.0))
 
     def test_equilibrium_zero_reference(self):
         out, y_new = control_law(P, LIN, SPECS, self.zero_ref, 0.0, np.zeros(4))

@@ -61,7 +61,7 @@ class TestEigensplit:
                                   s=length)
             lin = eigensplit(p)
             assert lin.lambda1 < 0 < lin.lambda2
-            assert lin.p2 > 0  # sign convention of the unstable column
+            assert lin.p2 > 0  # det V < 0 and lambda1 < 0 make p2 positive
             assert_allclose(lin.Vinv @ lin.Q @ lin.V,
                             np.diag([lin.lambda1, lin.lambda2]), atol=1e-9)
 

@@ -10,11 +10,9 @@ from funneltrack import checks, reference
 from funneltrack.errors import ConfigError
 from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams
-from funneltrack.reference import (BoundedReference, NewRefConfig,
-                                   TransitionRef, yref_eval)
+from funneltrack.reference import BoundedReference, TransitionRef, yref_eval
 
 LIN = eigensplit(ManipulatorParams())
-CFG = NewRefConfig(lambda2=LIN.lambda2, p2=LIN.p2)
 REF = TransitionRef(y0=0.0, yf=math.pi / 4, t0=0.0, tf=3.0)
 REFS = [REF, TransitionRef(0.3, 0.7, 1.0, 2.0), TransitionRef(-1, 2, -0.5, 1.7),
         TransitionRef(0.1, 0.5, 0.5, 0.5)]
@@ -31,10 +29,10 @@ def random_refs(n, seed):
     return refs
 
 
-def quad_ic(cfg, r):
+def quad_ic(lin, r):
     """Bounded initial value by adaptive quadrature over the transition plus
     the analytic exponential tail -p2 * yf * exp(-lam2 * tf)."""
-    lam2, p2 = cfg.lambda2, cfg.p2
+    lam2, p2 = lin.lambda2, lin.p2
     hi = max(r.tf, 0.0)
     body = 0.0
     if hi > 0.0:
@@ -102,46 +100,40 @@ class TestTransition:
 
 class TestInitialCondition:
     def test_zero_reference(self):
-        assert BoundedReference(CFG, TransitionRef(0.0, 0.0, 0.0, 3.0)).value(0.0) == 0.0
+        assert BoundedReference(LIN, TransitionRef(0.0, 0.0, 0.0, 3.0)).value(0.0) == 0.0
 
     def test_pure_hold(self):
         ref = TransitionRef(y0=0.2, yf=0.2, t0=0.0, tf=0.0)
-        assert BoundedReference(CFG, ref).value(0.0) == pytest.approx(-CFG.p2 * 0.2, abs=1e-12)
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigError):
-            NewRefConfig(lambda2=-1.0, p2=1.0)
-        with pytest.raises(ConfigError):
-            NewRefConfig(lambda2=1.0, p2=math.nan)
+        assert BoundedReference(LIN, ref).value(0.0) == pytest.approx(-LIN.p2 * 0.2, abs=1e-12)
 
 
 class TestBoundedReference:
     def setup_method(self):
-        self.bref = BoundedReference(CFG, REF)
+        self.bref = BoundedReference(LIN, REF)
 
     def test_zero_reference_stays_zero(self):
-        b = BoundedReference(CFG, TransitionRef(0.0, 0.0, 0.0, 3.0))
+        b = BoundedReference(LIN, TransitionRef(0.0, 0.0, 0.0, 3.0))
         for t in (0.0, 1.0, 5.0):
             assert b.eval(t) == (0.0, 0.0, 0.0)
 
     def test_steady_state_after_transition(self):
         for t in (3.0, 3.5, 100.0):
-            assert self.bref.eval(t) == (-CFG.p2 * REF.yf, 0.0, 0.0)
+            assert self.bref.eval(t) == (-LIN.p2 * REF.yf, 0.0, 0.0)
 
     def test_value_at_zero_matches_ic(self):
         # windows starting before 0 put 0 between knots, so the spline's
         # interpolation error shows there; 5 ms transitions are included
         for ref in REFS + random_refs(30, seed=97):
-            scale = CFG.p2 * max(abs(ref.y0), abs(ref.yf))
-            got = BoundedReference(CFG, ref).value(0.0)
-            assert got == pytest.approx(quad_ic(CFG, ref), abs=1e-10 * scale), ref
+            scale = LIN.p2 * max(abs(ref.y0), abs(ref.yf))
+            got = BoundedReference(LIN, ref).value(0.0)
+            assert got == pytest.approx(quad_ic(LIN, ref), abs=1e-10 * scale), ref
 
     def test_ode_residual_by_construction(self):
         for t in np.linspace(0.0, 2.99, 100):
             v, vd, vdd = self.bref.eval(t)
             yr, yr_dot = yref_eval(REF, t)
-            assert vd == CFG.lambda2 * v + CFG.lambda2 * CFG.p2 * yr
-            assert vdd == CFG.lambda2 * vd + CFG.lambda2 * CFG.p2 * yr_dot
+            assert vd == LIN.lambda2 * v + LIN.lambda2 * LIN.p2 * yr
+            assert vdd == LIN.lambda2 * vd + LIN.lambda2 * LIN.p2 * yr_dot
 
     def test_first_derivative_matches_fd(self):
         ok, detail = checks.reference_derivative_fd()
@@ -165,8 +157,8 @@ class TestBoundedReference:
     @pytest.mark.parametrize("ref", REFS)
     def test_grid_equals_scalar_recurrence(self, ref):
         # the build's oracle: one scalar yref_eval per Gauss node, panel by panel
-        b = BoundedReference(CFG, ref)
-        lam2, p2 = CFG.lambda2, CFG.p2
+        b = BoundedReference(LIN, ref)
+        lam2, p2 = LIN.lambda2, LIN.p2
         ts = np.linspace(b.t_lo, ref.tf, len(b._vals))
         h = ts[1] - ts[0]
         gx, gw = np.polynomial.legendre.leggauss(10)
@@ -188,12 +180,12 @@ class TestBoundedReference:
     @pytest.mark.parametrize("ref", REFS + random_refs(30, seed=97))
     def test_spline_equals_scipy(self, ref):
         # the own not-a-knot solve reproduces scipy's spline bit for bit
-        b = BoundedReference(CFG, ref)
+        b = BoundedReference(LIN, ref)
         assert np.array_equal(b._coeffs, CubicSpline(b._knots, b._vals).c.T)
 
     def test_short_transition_keeps_four_knots(self):
         ref = TransitionRef(0.0, 0.5, 0.0, 0.002)
-        b = BoundedReference(CFG, ref)
+        b = BoundedReference(LIN, ref)
         assert len(b._knots) >= 4
         want = CubicSpline(b._knots, b._vals).c.T
         np.testing.assert_allclose(b._coeffs, want, rtol=1e-12,
@@ -201,9 +193,9 @@ class TestBoundedReference:
 
     def test_early_start_before_window(self):
         ref = TransitionRef(y0=0.3, yf=0.7, t0=1.0, tf=2.0)
-        b = BoundedReference(NewRefConfig(CFG.lambda2, CFG.p2), ref)
+        b = BoundedReference(LIN, ref)
         got = b.value(-2.0)
-        lam2, p2 = CFG.lambda2, CFG.p2
+        lam2, p2 = LIN.lambda2, LIN.p2
         want = quad(lambda s: -math.exp(lam2 * (-2.0 - s)) * lam2 * p2 * yref_eval(ref, s)[0],
                     -2.0, 2.0, epsabs=1e-12)[0] - p2 * ref.yf * math.exp(lam2 * (-2.0 - 2.0))
         assert got == pytest.approx(want, abs=1e-9)

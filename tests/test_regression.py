@@ -12,7 +12,7 @@ import pytest
 
 from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams
-from funneltrack.reference import BoundedReference, NewRefConfig, TransitionRef
+from funneltrack.reference import BoundedReference, TransitionRef
 from funneltrack.sim import summarize
 
 LIN = eigensplit(ManipulatorParams())
@@ -29,8 +29,7 @@ class TestEigensplitNumbers:
 
 
 def test_bounded_reference_initial_value():
-    ic = BoundedReference(NewRefConfig(LIN.lambda2, LIN.p2),
-                          TransitionRef(0.0, math.pi / 4, 0.0, 3.0)).value(0.0)
+    ic = BoundedReference(LIN, TransitionRef(0.0, math.pi / 4, 0.0, 3.0)).value(0.0)
     assert ic == pytest.approx(-0.009914086010189479, abs=1e-10)
 
 

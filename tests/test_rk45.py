@@ -87,6 +87,19 @@ def test_min_step_must_be_finite_and_positive(limit, value):
     assert calls == []
 
 
+@pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
+def test_empty_or_reversed_span_is_rejected(t_span):
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.array([1.0])
+
+    with pytest.raises(ValueError):
+        rk45.solve(f, t_span, np.array([0.0]))
+    assert calls == []
+
+
 class TestGuards:
     def test_guard_bisects_to_the_boundary(self):
         def f(t, y):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from funneltrack.errors import ConfigError, DomainError, FunnelViolation
+from funneltrack import sim
+from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
 from funneltrack.funnel import FunnelSpec, cascade, observer_rhs
 from funneltrack.linid import psi, ynew_derivatives
 from funneltrack.model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
@@ -263,6 +264,19 @@ class TestGuardsAndFailures:
         with pytest.raises(DomainError):
             integrate(cfg)
 
+    def test_step_underflow_at_a_funnel_wall_is_a_violation(self):
+        # the hg case study with amp1 = 12/7 rides funnel 2 until the step
+        # size underflows; integrate reads the margins there and reports it
+        base = case_study_config("hg")
+        cfg = dataclasses.replace(
+            base, disturbance=dataclasses.replace(base.disturbance, amp1=12 / 7))
+        with pytest.raises(FunnelViolation) as exc:
+            integrate(cfg)
+        assert exc.value.level == 2
+        assert 1.0 < exc.value.t < 1.2
+        assert isinstance(exc.value.__cause__, IntegrationError)
+        assert "pinned against funnel 2" in str(exc.value)
+
 
 class TestToleranceConvergence:
     def test_halving_rel_tol_converges(self):
@@ -291,6 +305,15 @@ class TestSweep:
         serial = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 2, parallel=False)
         parallel = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 2, parallel=True)
         assert json.dumps(serial) == json.dumps(parallel)
+
+    def test_failed_point_is_a_status_row(self, monkeypatch):
+        def wall(cfg):
+            raise FunnelViolation("funnel boundary reached", t=0.5, level=1)
+
+        monkeypatch.setattr(sim, "integrate", wall)
+        rows = run_sweep(ScenarioConfig(), "disturbance.amp1", 0.5, 0.5, 1, parallel=False)
+        assert rows == [{"value": 0.5, "status": "FunnelViolation",
+                         "detail": "funnel boundary reached"}]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
