@@ -1,6 +1,7 @@
 """Normal-form coordinates and internal dynamics for end-effector tracking.
 
-For s = l the output chain (y, ydot) is completed to a diffeomorphism by
+The output chain (y, ydot) of the end-effector output y = alpha + beta / 2
+is completed to a diffeomorphism by
 
     eta1 = beta,
     eta2 = (1/3 + cos(beta)/2) alpha_dot + beta_dot / 3,
@@ -9,7 +10,8 @@ whose gradients annihilate the input field, so the torque never enters the
 (eta1, eta2) subsystem.  ``internal_rhs`` carries the closed-form internal
 dynamics; ``internal_rhs_oracle`` recomputes them by the chain rule along
 the plant vector field and is the source of truth the closed forms are
-validated against.
+validated against.  The coordinate maps do not depend on the manipulator
+parameters; the internal dynamics do.
 """
 import math
 from typing import NamedTuple
@@ -32,7 +34,7 @@ def _require_domain(cb: float, label: str, value: float):
         raise DomainError(f"cos({label}) = {cb:.6f} <= 2/3 at {label} = {value:.6f}")
 
 
-def phi_forward(p: ManipulatorParams, x) -> BifCoords:
+def phi_forward(x) -> BifCoords:
     """Transform plant coordinates to (y, ydot, eta1, eta2)."""
     x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
     cb = math.cos(x2)
@@ -41,7 +43,7 @@ def phi_forward(p: ManipulatorParams, x) -> BifCoords:
     return BifCoords(x1 + 0.5 * x2, x3 + 0.5 * x4, x2, w2 * x3 + x4 / 3.0)
 
 
-def phi_inverse(p: ManipulatorParams, z) -> np.ndarray:
+def phi_inverse(z) -> np.ndarray:
     """Invert ``phi_forward``; the velocity block is a 2x2 solve."""
     y, y_dot, eta1, eta2 = z[0], z[1], z[2], z[3]
     cb = math.cos(eta1)
@@ -54,7 +56,7 @@ def phi_inverse(p: ManipulatorParams, z) -> np.ndarray:
     return np.array([x1, eta1, x3, x4])
 
 
-def grad_phi1(x) -> np.ndarray:
+def grad_phi1() -> np.ndarray:
     """Gradient of eta1 = beta."""
     return np.array([0.0, 1.0, 0.0, 0.0])
 
@@ -97,4 +99,4 @@ def internal_rhs_oracle(p: ManipulatorParams, x, u_d: float = 0.0) -> tuple[floa
     cb = math.cos(x[1])
     _require_domain(cb, "beta", x[1])
     xdot = plant_rhs(p, x, u_d)
-    return float(grad_phi1(x) @ xdot), float(grad_phi2(x) @ xdot)
+    return float(grad_phi1() @ xdot), float(grad_phi2(x) @ xdot)

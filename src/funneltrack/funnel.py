@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from .errors import ConfigError, FunnelViolation, require_finite
 from .linid import LinData, psi, ynew_derivatives
-from .model import ManipulatorParams
 from .reference import BoundedReference
 
 
@@ -97,8 +96,8 @@ def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
     return l1 * err + zeta[1], l2 * err + zeta[2], l3 * err
 
 
-def control_law(p: ManipulatorParams, lin: LinData, specs, new_ref: BoundedReference,
-                t: float, x, zeta=None) -> tuple[CascadeOutput, float]:
+def control_law(lin: LinData, specs, new_ref: BoundedReference, t: float, x,
+                zeta=None) -> tuple[CascadeOutput, float]:
     """Feedback law at (t, x); returns the cascade output and y_new = psi(x).
 
     The surrogate derivatives of y_new are the observer estimates
@@ -106,7 +105,7 @@ def control_law(p: ManipulatorParams, lin: LinData, specs, new_ref: BoundedRefer
     (``lin``).
     """
     if zeta is None:
-        y_new, y1, y2 = ynew_derivatives(p, lin, x)
+        y_new, y1, y2 = ynew_derivatives(lin, x)
     else:
-        y_new, y1, y2 = psi(p, lin, x), zeta[1], zeta[2]
+        y_new, y1, y2 = psi(lin, x), zeta[1], zeta[2]
     return cascade(specs, t, y_new, y1, y2, *new_ref.eval(t)), y_new

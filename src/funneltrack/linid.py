@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bif import phi_forward
-from .model import ManipulatorParams
+from .model import ManipulatorParams, output
 
 
 def linearize(p: ManipulatorParams) -> tuple[np.ndarray, np.ndarray]:
@@ -72,24 +72,25 @@ def eigensplit(p: ManipulatorParams) -> LinData:
                    Vinv=np.linalg.inv(V), p1=float(p1), p2=float(p2))
 
 
-def psi(p: ManipulatorParams, lin: LinData, x) -> float:
+def psi(lin: LinData, x) -> float:
     """Auxiliary output y_new expressed in plant coordinates."""
-    y, _, eta1, eta2 = phi_forward(p, x)
+    y, _, eta1, eta2 = phi_forward(x)
     w0, w1 = lin.unstable_row
     return float(w0 * eta1 + w1 * eta2 - lin.p2 * y)
 
 
-def ynew_derivatives(p: ManipulatorParams, lin: LinData, x) -> tuple[float, float, float]:
+def ladder(lam2: float, p2: float, v: float, u: float, u_dot: float) -> tuple[float, float, float]:
+    """(v, v1, v2): v and its first two derivatives along the scalar unstable
+    mode vdot = lam2 * v + lam2 * p2 * u, driven by u with derivative u_dot."""
+    v1 = lam2 * v + lam2 * p2 * u
+    return v, v1, lam2 * v1 + lam2 * p2 * u_dot
+
+
+def ynew_derivatives(lin: LinData, x) -> tuple[float, float, float]:
     """Auxiliary output and its surrogate derivative ladder.
 
     The ladder propagates the scalar unstable mode, so these are not the
     time derivatives of psi along the true flow; they satisfy
     y2 = lam2 * y1 + lam2 * p2 * ydot identically.
     """
-    y_new = psi(p, lin, x)
-    lam2, p2 = lin.lambda2, lin.p2
-    yq = x[0] + 0.5 * x[1]
-    yq_dot = x[2] + 0.5 * x[3]
-    y1 = lam2 * y_new + lam2 * p2 * yq
-    y2 = lam2 * y1 + lam2 * p2 * yq_dot
-    return y_new, y1, y2
+    return ladder(lin.lambda2, lin.p2, psi(lin, x), *output(x))

@@ -3,8 +3,7 @@
 Two equal links of mass ``m`` and length ``l`` move in a plane; the first
 link is driven by a torque, the second is attached through a passive
 spring-damper joint (stiffness ``c``, damping ``d``).  The tracked point
-sits at offset ``s`` on the passive link, giving the output
-``y = alpha + s/(s+l) * beta``.
+is the end-effector, giving the output ``y = alpha + beta / 2``.
 
 The state vector used throughout is ``x = (alpha, beta, alpha_dot,
 beta_dot)``; the state functions take it whole, as an array or a list, and
@@ -37,7 +36,6 @@ class ManipulatorParams:
     l: float = 1.0  # link length, m
     c: float = 1.0  # joint spring constant, N*m/rad
     d: float = 0.25  # joint damping, N*m*s/rad
-    s: float = 1.0  # tracking-point offset on the passive link, m
 
     def __post_init__(self):
         require_finite(self)
@@ -45,17 +43,10 @@ class ManipulatorParams:
             raise ConfigError(f"mass and length must be positive, got m={self.m}, l={self.l}")
         if self.c < 0 or self.d < 0:
             raise ConfigError(f"spring/damping must be nonnegative, got c={self.c}, d={self.d}")
-        if not 0 <= self.s <= self.l:
-            raise ConfigError(f"tracking offset must satisfy 0 <= s <= l, got s={self.s}")
 
     @functools.cached_property
     def l2m(self) -> float:
         return self.l**2 * self.m
-
-    @property
-    def output_weight(self) -> float:
-        """Coefficient s/(s+l) of beta in the output map."""
-        return self.s / (self.s + self.l)
 
 
 @dataclass(frozen=True)
@@ -131,20 +122,18 @@ def input_field(p: ManipulatorParams, x) -> np.ndarray:
     return np.array([0.0, 0.0, col[0], col[1]])
 
 
-def output(p: ManipulatorParams, x) -> tuple[float, float]:
-    """Tracked output y = alpha + s/(s+l) beta and its velocity."""
-    w = p.output_weight
-    return x[0] + w * x[1], x[2] + w * x[3]
+def output(x) -> tuple[float, float]:
+    """End-effector output y = alpha + beta / 2 and its velocity."""
+    return x[0] + 0.5 * x[1], x[2] + 0.5 * x[3]
 
 
 def gamma(p: ManipulatorParams, beta: float) -> float:
-    """High-frequency gain [1, s/(s+l)] M^{-1} e1.
+    """High-frequency gain [1, 1/2] M^{-1} e1.
 
-    Strictly negative exactly on cos(beta) > 2/3 when s = l.
+    Strictly negative exactly on cos(beta) > 2/3.
     """
     cb = math.cos(beta)
-    w = p.output_weight
-    return 36.0 / (p.l2m * (16.0 - 9.0 * cb * cb)) * (1.0 / 3.0 - w * (1.0 / 3.0 + 0.5 * cb))
+    return 36.0 / (p.l2m * (16.0 - 9.0 * cb * cb)) * (1.0 / 3.0 - 0.5 * (1.0 / 3.0 + 0.5 * cb))
 
 
 def mechanical_energy(p: ManipulatorParams, x) -> float:

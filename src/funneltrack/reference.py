@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_finite
-from .linid import LinData
+from .linid import LinData, ladder
 
 # ascending coefficients of the transition polynomial in tau**5 .. tau**9,
 # and of its derivative divided by tau**4
@@ -203,9 +203,4 @@ class BoundedReference:
         """Value and first two derivatives of the auxiliary reference."""
         if t >= self.ref.tf:
             return self.final_value, 0.0, 0.0
-        v = self.value(t)
-        yr, yr_dot = yref_eval(self.ref, t)
-        lam2p2 = self.lam2 * self.p2
-        vd = self.lam2 * v + lam2p2 * yr
-        vdd = self.lam2 * vd + lam2p2 * yr_dot
-        return v, vd, vdd
+        return ladder(self.lam2, self.p2, self.value(t), *yref_eval(self.ref, t))

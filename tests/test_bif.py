@@ -17,13 +17,13 @@ P_DAMPED = ManipulatorParams(d=0.25)
 
 class TestForward:
     def test_origin(self):
-        assert phi_forward(P, np.zeros(4)) == (0.0, 0.0, 0.0, 0.0)
+        assert phi_forward(np.zeros(4)) == (0.0, 0.0, 0.0, 0.0)
 
     def test_pure_alpha_offset(self):
-        assert phi_forward(P, [1.0, 0.0, 0.0, 0.0]) == (1.0, 0.0, 0.0, 0.0)
+        assert phi_forward([1.0, 0.0, 0.0, 0.0]) == (1.0, 0.0, 0.0, 0.0)
 
     def test_general_point(self):
-        z = phi_forward(P, [0.0, 0.5, 1.0, 2.0])
+        z = phi_forward([0.0, 0.5, 1.0, 2.0])
         assert z.y == pytest.approx(0.25)
         assert z.y_dot == pytest.approx(2.0)
         assert z.eta1 == pytest.approx(0.5)
@@ -31,31 +31,31 @@ class TestForward:
 
     def test_outside_domain_raises(self):
         with pytest.raises(DomainError):
-            phi_forward(P, [0.0, 1.0, 0.0, 0.0])  # cos(1) < 2/3
+            phi_forward([0.0, 1.0, 0.0, 0.0])  # cos(1) < 2/3
 
 
 class TestInverse:
     def test_origin(self):
-        assert_allclose(phi_inverse(P, np.zeros(4)), np.zeros(4), atol=0.0)
+        assert_allclose(phi_inverse(np.zeros(4)), np.zeros(4), atol=0.0)
 
     def test_pure_y_offset(self):
-        assert_allclose(phi_inverse(P, [1.0, 0.0, 0.0, 0.0]),
+        assert_allclose(phi_inverse([1.0, 0.0, 0.0, 0.0]),
                         [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_outside_domain_raises(self):
         with pytest.raises(DomainError):
-            phi_inverse(P, [0.0, 0.0, 1.0, 0.0])
+            phi_inverse([0.0, 0.0, 1.0, 0.0])
 
 class TestJacobianStructure:
     def test_fd_jacobian_invertible(self):
         for x in random_domain_states(200, 29):
-            J = fd_gradient(lambda z: phi_forward(P, z), x)
+            J = fd_gradient(lambda z: phi_forward(z), x)
             assert abs(np.linalg.det(J)) >= 1e-3
 
     def test_analytic_gradients_match_fd(self):
         for x in random_domain_states(100, 31):
-            J = fd_gradient(lambda z: phi_forward(P, z), x)
-            for grad, idx in ((grad_phi1(x), 2), (grad_phi2(x), 3)):
+            J = fd_gradient(lambda z: phi_forward(z), x)
+            for grad, idx in ((grad_phi1(), 2), (grad_phi2(x), 3)):
                 assert np.max(np.abs(grad - J[idx])) < 1e-6
 
 class TestInternalDynamics:

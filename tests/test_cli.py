@@ -85,6 +85,7 @@ def test_non_object_json_is_exit_1(tmp_path):
     ("integrator.max_step", math.inf),
     ("funnels", [{"a": 1.5, "b": 0.8, "eps": 0.001}] * 2),
     ("observer_gains", [1e2, 1e5]),
+    ("params.s", 1.0),  # the tracking offset is no longer a field
 ])
 def test_invalid_field_is_exit_1(tmp_path, path, value):
     data = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=1.0).to_dict()

@@ -128,11 +128,11 @@ class TestControllers:
         self.case_ref = BoundedReference(LIN, TransitionRef(0.0, math.pi / 4, 0.0, 3.0))
 
     def test_equilibrium_zero_reference(self):
-        out, y_new = control_law(P, LIN, SPECS, self.zero_ref, 0.0, np.zeros(4))
+        out, y_new = control_law(LIN, SPECS, self.zero_ref, 0.0, np.zeros(4))
         assert out.u == 0.0 and y_new == 0.0
 
     def test_initial_feasibility_of_case_study(self):
-        out, _ = control_law(P, LIN, SPECS, self.case_ref, 0.0, np.zeros(4))
+        out, _ = control_law(LIN, SPECS, self.case_ref, 0.0, np.zeros(4))
         assert out.e0 == pytest.approx(-self.case_ref.value(0.0), abs=1e-15)
         phi0, _ = phi_eval(SPECS[0], 0.0)
         assert phi0 * abs(out.e0) < 1.0
@@ -140,18 +140,18 @@ class TestControllers:
     def test_hg_with_exact_derivatives_matches_lin(self):
         for x in random_domain_states(200, 79, vel_scale=0.5, beta_margin=0.2):
             t = 1.0
-            zeta = ynew_derivatives(P, LIN, x)
+            zeta = ynew_derivatives(LIN, x)
             try:
-                want, _ = control_law(P, LIN, SPECS, self.case_ref, t, x)
+                want, _ = control_law(LIN, SPECS, self.case_ref, t, x)
             except FunnelViolation:
                 continue  # random state outside the funnels; not the point here
-            got, y_new = control_law(P, LIN, SPECS, self.case_ref, t, x, zeta)
+            got, y_new = control_law(LIN, SPECS, self.case_ref, t, x, zeta)
             assert got == want
             assert y_new == zeta[0]
 
     def test_hg_persistent_rest(self):
-        zeta = (psi(P, LIN, np.zeros(4)), 0.0, 0.0)
-        out, y_new = control_law(P, LIN, SPECS, self.zero_ref, 0.0, np.zeros(4), zeta)
+        zeta = (psi(LIN, np.zeros(4)), 0.0, 0.0)
+        out, y_new = control_law(LIN, SPECS, self.zero_ref, 0.0, np.zeros(4), zeta)
         assert out.u == 0.0
         assert observer_rhs(GAINS, zeta, y_new) == (0.0, 0.0, 0.0)
 

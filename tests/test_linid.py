@@ -57,8 +57,7 @@ class TestEigensplit:
         for _ in range(1000):
             length = rng.uniform(0.2, 3.0)
             p = ManipulatorParams(m=rng.uniform(0.2, 4.0), l=length,
-                                  c=rng.uniform(0.05, 8.0), d=rng.uniform(0.0, 2.0),
-                                  s=length)
+                                  c=rng.uniform(0.05, 8.0), d=rng.uniform(0.0, 2.0))
             lin = eigensplit(p)
             assert lin.lambda1 < 0 < lin.lambda2
             assert lin.p2 > 0  # det V < 0 and lambda1 < 0 make p2 positive
@@ -73,26 +72,26 @@ class TestEigensplit:
 
 class TestPsi:
     def test_origin(self):
-        assert psi(P, LIN, np.zeros(4)) == 0.0
+        assert psi(LIN, np.zeros(4)) == 0.0
 
     def test_definition_restated(self):
         for x in random_domain_states(1000, 59):
-            z = phi_forward(P, x)
+            z = phi_forward(x)
             eta_hat2 = LIN.Vinv[1] @ np.array([z.eta1, z.eta2])
             want = eta_hat2 - LIN.p2 * (x[0] + 0.5 * x[1])
-            assert abs(psi(P, LIN, x) - want) < 1e-12
+            assert abs(psi(LIN, x) - want) < 1e-12
 
     def test_pure_alpha_offset(self):
-        assert psi(P, LIN, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(-LIN.p2, abs=1e-14)
+        assert psi(LIN, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(-LIN.p2, abs=1e-14)
 
 
 class TestDerivativeLadder:
     def test_origin(self):
-        assert ynew_derivatives(P, LIN, np.zeros(4)) == (0.0, 0.0, 0.0)
+        assert ynew_derivatives(LIN, np.zeros(4)) == (0.0, 0.0, 0.0)
 
     def test_ladder_identity(self):
         for x in random_domain_states(500, 61):
-            y0, y1, y2 = ynew_derivatives(P, LIN, x)
+            y0, y1, y2 = ynew_derivatives(LIN, x)
             ydot = x[2] + 0.5 * x[3]
             assert y2 == pytest.approx(LIN.lambda2 * y1 + LIN.lambda2 * LIN.p2 * ydot,
                                        rel=1e-13, abs=1e-13)
@@ -100,13 +99,13 @@ class TestDerivativeLadder:
                                        rel=1e-13, abs=1e-13)
 
     def test_alpha_offset_cancels_in_first_derivative(self):
-        _, y1, _ = ynew_derivatives(P, LIN, [1.0, 0.0, 0.0, 0.0])
+        _, y1, _ = ynew_derivatives(LIN, [1.0, 0.0, 0.0, 0.0])
         assert y1 == pytest.approx(0.0, abs=1e-12)
 
     def test_relative_degree_three_structure(self):
         # d/du of the ladder's second derivative along the flow is lam2*p2*Gamma
         for x in random_domain_states(100, 67, vel_scale=1.0):
-            grad = fd_gradient(lambda z: ynew_derivatives(P, LIN, z)[2], x)
+            grad = fd_gradient(lambda z: ynew_derivatives(LIN, z)[2], x)
             du = (grad @ plant_rhs(P, x, 1.0) - grad @ plant_rhs(P, x, -1.0)) / 2.0
             want = LIN.lambda2 * LIN.p2 * gamma(P, x[1])
             assert du == pytest.approx(want, rel=1e-6, abs=1e-6)

@@ -12,12 +12,12 @@ from funneltrack.model import (ManipulatorParams, generalized_forces,
                                plant_rhs)
 from funneltrack.sim import ClosedLoop, ScenarioConfig
 
-P = ManipulatorParams()  # l = m = c = 1, d = 0.25, s = l
+P = ManipulatorParams()  # l = m = c = 1, d = 0.25
 
 
 class TestParams:
     @pytest.mark.parametrize("bad", [dict(m=0.0), dict(l=-1.0), dict(d=-0.1),
-                                     dict(s=1.5), dict(s=-0.1), dict(c=-1.0)])
+                                     dict(l=0.0), dict(m=float("nan")), dict(c=-1.0)])
     def test_invalid_params_rejected(self, bad):
         with pytest.raises(ConfigError):
             ManipulatorParams(**bad)
@@ -78,16 +78,10 @@ class TestForcesAndDynamics:
 
 class TestOutput:
     def test_zero(self):
-        assert output(P, np.zeros(4)) == (0.0, 0.0)
+        assert output(np.zeros(4)) == (0.0, 0.0)
 
     def test_end_effector_weight(self):
-        assert output(P, [1.0, 2.0, 3.0, 4.0]) == (2.0, 5.0)
-
-    def test_mid_link_weight(self):
-        p = ManipulatorParams(s=0.5)
-        y, y_dot = output(p, [1.0, 3.0, 0.0, 0.0])
-        assert y == pytest.approx(2.0, abs=1e-15)
-        assert y_dot == 0.0
+        assert output([1.0, 2.0, 3.0, 4.0]) == (2.0, 5.0)
 
 
 class TestGamma:
