@@ -60,8 +60,14 @@ class SolveResult:
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    """RMS of ``err`` over the mixed scale: ``np.mean`` without its wrapper."""
+    scale = np.abs(y0)
+    np.maximum(scale, np.abs(y1), out=scale)
+    scale *= rel_tol
+    scale += abs_tol
+    ratio = err / scale
+    ratio *= ratio
+    return math.sqrt(np.add.reduce(ratio) / ratio.size)
 
 
 def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
@@ -104,45 +110,53 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         raise ValueError(f"need max_step > 0, got {max_step}")
     guards = tuple(guards)
     y = np.asarray(y0, dtype=float).copy()
-    dim = y.size
 
-    result = SolveResult(t=None, y=None)
     sample_ts = [t0]
     sample_ys = [y.copy()]
     next_k = 1  # next sample index on the uniform grid
 
-    f_curr = f(t0, y)  # guard violation at the initial point propagates
-    result.nfev += 1
-    h = _initial_step(f, t0, y, f_curr, t_end, rel_tol, abs_tol, max_step, guards)
-    result.nfev += 1
+    K = np.empty((7, y.size))
+    K[0] = f(t0, y)  # guard violation at the initial point propagates
+    h = _initial_step(f, t0, y, K[0], t_end, rel_tol, abs_tol, max_step, guards)
+    nfev, naccept, nreject, nguard = 2, 0, 0, 0
+    # per stage: node, tableau row, the stages it combines, the stage it fills
+    stages = [(float(_C[i + 1]), a_row, K[: i + 1], K[i + 1]) for i, a_row in enumerate(_A)]
+    K6 = K[:6]
 
     t = t0
     err_prev = 1e-4
-    K = np.empty((7, dim))
     while t < t_end:
         h = min(h, max_step, t_end - t)
-        K[0] = f_curr
+        # K[0] holds f(t, y): set from the last stage of an accepted step only,
+        # so a retry after a rejection starts from the same first stage (FSAL)
         try:
-            for i, a_row in enumerate(_A):
-                K[i + 1] = f(t + _C[i + 1] * h, y + h * (a_row @ K[: i + 1]))
-            y_new = y + h * (_B @ K[:6])
+            for c, a_row, K_prev, K_next in stages:
+                v = a_row.dot(K_prev)
+                v *= h
+                v += y
+                K_next[:] = f(t + c * h, v)
+            y_new = _B.dot(K6)
+            y_new *= h
+            y_new += y
             K[6] = f(t + h, y_new)
         except guards as exc:
-            result.nfev += 1  # at least the failing evaluation
-            result.nguard += 1
+            nfev += 1  # at least the failing evaluation
+            nguard += 1
             h *= 0.5
             if h < min_step:
                 if getattr(exc, "state", None) is None and hasattr(exc, "state"):
                     exc.state = y.copy()  # last accepted state before the wall
                 raise
             continue
-        result.nfev += 6
+        nfev += 6
 
-        err = _error_norm(h * (_E @ K), y, y_new, rel_tol, abs_tol)
-        if math.isnan(err) or math.isinf(err):
+        err_est = _E.dot(K)
+        err_est *= h
+        err = _error_norm(err_est, y, y_new, rel_tol, abs_tol)
+        if not math.isfinite(err):
             err = 2.0  # treat as a rejected step
         if err > 1.0:
-            result.nreject += 1
+            nreject += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             if h < min_step:
                 raise IntegrationError(
@@ -158,16 +172,18 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
                 while t_target <= t + h + 1e-14:
                     t_emit = t_end if abs(t_target - t_end) < 1e-12 else t_target
                     theta = min(1.0, (t_emit - t) / h)
-                    pvec = np.array([theta, theta**2, theta**3, theta**4])
+                    v = Qd.dot(np.array([theta, theta**2, theta**3, theta**4]))
+                    v *= h
+                    v += y
                     sample_ts.append(t_emit)
-                    sample_ys.append(y + h * (Qd @ pvec))
+                    sample_ys.append(v)
                     next_k += 1
                     t_target = t0 + next_k * sample_step
 
         t += h
         y = y_new
-        f_curr = K[6]  # FSAL
-        result.naccept += 1
+        K[0] = K[6]
+        naccept += 1
         if sample_step is None:
             sample_ts.append(t)
             sample_ys.append(y)
@@ -181,6 +197,5 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     if sample_ts[-1] < t_end - 1e-14:
         sample_ts.append(t_end)
         sample_ys.append(y.copy())
-    result.t = np.array(sample_ts)
-    result.y = np.array(sample_ys)
-    return result
+    return SolveResult(np.array(sample_ts), np.array(sample_ys), naccept=naccept,
+                       nreject=nreject, nguard=nguard, nfev=nfev)

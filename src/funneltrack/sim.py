@@ -277,6 +277,7 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
 def summarize(cfg: ScenarioConfig, traj: Trajectory) -> dict:
     """Scalar diagnostics of a completed run."""
     margins = traj.funnel_margins(cfg.funnels)
+    worst = np.argmax(margins, axis=0)  # per funnel; a NaN counts as the worst
     y_final = float(traj["y"][-1])
     return {
         "mode": cfg.mode,
@@ -284,7 +285,8 @@ def summarize(cfg: ScenarioConfig, traj: Trajectory) -> dict:
         "final_tracking_error": abs(y_final - yref_eval(cfg.ref, traj.t[-1])[0]),
         "max_abs_u": float(np.max(np.abs(traj["u"]))),
         "max_abs_beta": float(np.max(np.abs(traj["beta"]))),
-        "max_funnel_margins": [float(np.max(margins[:, j])) for j in range(3)],
+        "max_funnel_margins": [float(margins[i, j]) for j, i in enumerate(worst)],
+        "max_funnel_margin_times": [float(traj.t[i]) for i in worst],
         "funnel_invariant": bool(np.all(margins < 1.0)),
         "solver": dict(traj.solver),
     }
@@ -342,7 +344,8 @@ def _sweep_worker(job):
         summary = summarize(cfg, traj)
         summary.update({"value": value, "status": "ok"})
     except (FunnelViolation, DomainError, IntegrationError) as exc:
-        summary = {"value": value, "status": type(exc).__name__, "detail": str(exc)}
+        summary = {"value": value, "status": type(exc).__name__, "detail": str(exc),
+                   "t": getattr(exc, "t", None), "level": getattr(exc, "level", None)}
     return summary
 
 

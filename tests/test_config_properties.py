@@ -99,10 +99,8 @@ BASE = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=1.0)
 LEAVES = [path for path, _ in numeric_leaves(BASE.to_dict())]
 
 
-# 33 leaves times 3 values: all 99 cases run
-@settings(PROPERTY, max_examples=100)
-@given(st.sampled_from(LEAVES), st.sampled_from((math.nan, math.inf, -math.inf)))
-def test_non_finite_leaf_is_exit_1_before_any_run(path, bad):
+def assert_exit_1_before_any_run(path, bad):
+    """``simulate`` and ``sweep`` exit 1 on ``path`` = ``bad`` without integrating."""
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch("funneltrack.cli.integrate") as simulate_runs, \
             mock.patch("funneltrack.sim.integrate") as sweep_runs:
@@ -120,3 +118,32 @@ def test_non_finite_leaf_is_exit_1_before_any_run(path, bad):
         assert not os.path.exists(out)
         with pytest.raises(ConfigError):
             _replace_field(BASE, path, bad)
+
+
+# 33 leaves times 3 values: all 99 cases run
+@settings(PROPERTY, max_examples=100)
+@given(st.sampled_from(LEAVES), st.sampled_from((math.nan, math.inf, -math.inf)))
+def test_non_finite_leaf_is_exit_1_before_any_run(path, bad):
+    assert_exit_1_before_any_run(path, bad)
+
+
+negative = floats(-1e6, 0.0, exclude_max=True)
+nonpositive = floats(-1e6, 0.0)
+# every finite value a leaf's range check rejects, with BASE's other leaves
+OUT_OF_RANGE = {
+    **{f"funnels.{k}.a": negative for k in range(3)},
+    **{f"funnels.{k}.{name}": nonpositive for k in range(3) for name in ("b", "eps")},
+    **dict.fromkeys(["t_end", "integrator.rel_tol", "integrator.abs_tol",
+                     "params.m", "params.l"], nonpositive),
+    **dict.fromkeys(["params.c", "params.d"], negative),
+    "integrator.min_step": floats(BASE.integrator.max_step, 1e6),
+    "integrator.max_step": floats(-1e6, BASE.integrator.min_step),
+}
+
+
+# 18 leaves, 2 values each: 36 cases
+@pytest.mark.parametrize("path", OUT_OF_RANGE)
+@settings(PROPERTY, max_examples=2)
+@given(data=st.data())
+def test_finite_out_of_range_leaf_is_exit_1_before_any_run(path, data):
+    assert_exit_1_before_any_run(path, data.draw(OUT_OF_RANGE[path]))

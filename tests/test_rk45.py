@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from funneltrack import rk45
-from funneltrack.errors import FunnelViolation, IntegrationError
+from funneltrack.errors import DomainError, FunnelViolation, IntegrationError
+from funneltrack.sim import SAMPLE_STEP, ClosedLoop, case_study_config
 
 
 def test_exact_on_smooth_scalar():
@@ -32,10 +33,12 @@ def test_sample_grid_is_uniform_and_complete():
     assert np.allclose(np.diff(res.t), 1e-3, atol=1e-12)
 
 
-def test_matches_scipy_on_nonlinear_system():
-    def f(t, y):
-        return np.array([y[1], (1 - y[0] ** 2) * y[1] - y[0]])  # van der Pol
+def van_der_pol(mu):
+    return lambda t, y: np.array([y[1], mu * (1 - y[0] ** 2) * y[1] - y[0]])
 
+
+def test_matches_scipy_on_nonlinear_system():
+    f = van_der_pol(1.0)
     y0 = np.array([2.0, 0.0])
     mine = rk45.solve(f, (0.0, 10.0), y0, rel_tol=1e-10, abs_tol=1e-12)
     ref = solve_ivp(f, (0.0, 10.0), y0, method="RK45", rtol=1e-10, atol=1e-12)
@@ -146,3 +149,169 @@ def test_no_sample_step_records_every_accepted_step():
     assert res.t[0] == 0.0 and res.t[-1] == 10.0
     assert np.all(np.diff(res.t) > 0)
     assert np.max(np.abs(res.y[:, 0] - np.cos(res.t))) < 1e-9
+
+
+def test_retry_after_rejection_starts_from_f_at_the_step_start():
+    # stiff enough to reject 6 of 422 trial steps; a retry that started from f
+    # at the rejected endpoint (first-same-as-last taken from the wrong step)
+    # left an error of 1.4e-4 at t = 20
+    f = van_der_pol(8.0)
+    y0 = np.array([2.0, 0.0])
+    mine = rk45.solve(f, (0.0, 20.0), y0, rel_tol=1e-6, abs_tol=1e-9)
+    ref = solve_ivp(f, (0.0, 20.0), y0, method="DOP853", rtol=1e-12, atol=1e-12)
+    assert mine.nreject > 0
+    assert np.max(np.abs(mine.y[-1] - ref.y[:, -1])) < 1e-5
+
+
+def reference_error_norm(err, y0, y1, rel_tol, abs_tol):
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
+    return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+
+def reference_solve(f, t_span, y0, *, rel_tol, abs_tol, max_step=math.inf,
+                    min_step=1e-12, sample_step=None, guards=()):
+    """``rk45.solve`` as whole-array numpy expressions: the bitwise reference."""
+    t0, t_end = t_span
+    y = np.asarray(y0, dtype=float).copy()
+    ts, ys = [t0], [y.copy()]
+    next_k = 1
+    f_curr = f(t0, y)
+    h = rk45._initial_step(f, t0, y, f_curr, t_end, rel_tol, abs_tol, max_step, guards)
+    stats = {"nfev": 2, "naccept": 0, "nreject": 0, "nguard": 0}
+    t, err_prev = t0, 1e-4
+    K = np.empty((7, y.size))
+    while t < t_end:
+        h = min(h, max_step, t_end - t)
+        K[0] = f_curr
+        try:
+            for i, a_row in enumerate(rk45._A):
+                K[i + 1] = f(t + rk45._C[i + 1] * h, y + h * (a_row @ K[: i + 1]))
+            y_new = y + h * (rk45._B @ K[:6])
+            K[6] = f(t + h, y_new)
+        except guards as exc:
+            stats["nfev"] += 1
+            stats["nguard"] += 1
+            h *= 0.5
+            if h < min_step:
+                if getattr(exc, "state", None) is None and hasattr(exc, "state"):
+                    exc.state = y.copy()
+                raise
+            continue
+        stats["nfev"] += 6
+        err = reference_error_norm(h * (rk45._E @ K), y, y_new, rel_tol, abs_tol)
+        if math.isnan(err) or math.isinf(err):
+            err = 2.0
+        if err > 1.0:
+            stats["nreject"] += 1
+            h *= max(rk45._MIN_FACTOR, rk45._SAFETY * err ** -0.2)
+            if h < min_step:
+                raise IntegrationError("step size underflow", t=t, state=y.copy())
+            continue
+        if sample_step is not None:
+            t_target = t0 + next_k * sample_step
+            Qd = K.T @ rk45._P
+            while t_target <= t + h + 1e-14:
+                t_emit = t_end if abs(t_target - t_end) < 1e-12 else t_target
+                theta = min(1.0, (t_emit - t) / h)
+                ts.append(t_emit)
+                ys.append(y + h * (Qd @ np.array([theta, theta**2, theta**3, theta**4])))
+                next_k += 1
+                t_target = t0 + next_k * sample_step
+        t += h
+        y = y_new
+        f_curr = K[6].copy()  # f(t, y) of the accepted step only
+        stats["naccept"] += 1
+        if sample_step is None:
+            ts.append(t)
+            ys.append(y)
+        if err == 0.0:
+            factor = rk45._MAX_FACTOR
+        else:
+            factor = min(rk45._MAX_FACTOR, max(rk45._MIN_FACTOR, rk45._SAFETY
+                                               * err ** -rk45._ALPHA * err_prev ** rk45._BETA))
+        err_prev = max(err, 1e-4)
+        h *= factor
+    if ts[-1] < t_end - 1e-14:
+        ts.append(t_end)
+        ys.append(y.copy())
+    return np.array(ts), np.array(ys), stats
+
+
+def logged(f, calls):
+    """``f`` that appends the (t, y) of each call to ``calls``."""
+    def g(t, y):
+        calls.append((float(t), y.copy()))
+        return f(t, y)
+    return g
+
+
+def same_calls(a, b):
+    """Two logs of ``logged`` hold the same evaluations, bit for bit."""
+    return len(a) == len(b) and all(ta == tb and np.array_equal(ya, yb)
+                                    for (ta, ya), (tb, yb) in zip(a, b))
+
+
+def crossing_wall(t, y):
+    if y[0] > 0.5:
+        raise FunnelViolation("crossed", t=t)
+    return np.array([1.0])
+
+
+def case_hg():
+    loop = ClosedLoop(case_study_config("hg"))
+    intg = loop.cfg.integrator
+    return loop.rhs, (0.0, 0.5), loop.initial_state(), dict(
+        rel_tol=intg.rel_tol, abs_tol=intg.abs_tol, max_step=intg.max_step,
+        min_step=intg.min_step, sample_step=SAMPLE_STEP, guards=(FunnelViolation, DomainError))
+
+
+class TestBitwiseReference:
+    """``rk45.solve`` does the reference's float operations in the same order."""
+
+    @pytest.mark.parametrize("problem, rejects", [
+        pytest.param(case_hg, False, id="case-hg"),
+        pytest.param(lambda: (van_der_pol(8.0), (0.0, 20.0), np.array([2.0, 0.0]),
+                              dict(rel_tol=1e-6, abs_tol=1e-9, sample_step=0.01)),
+                     True, id="van-der-pol-rejections"),
+        pytest.param(lambda: (lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
+                              np.array([1.0, 0.0]), dict(rel_tol=1e-12, abs_tol=1e-14)),
+                     False, id="no-sample-step"),
+    ])
+    def test_same_samples_statistics_and_evaluations(self, problem, rejects):
+        f, t_span, y0, kwargs = problem()
+        new_calls, ref_calls = [], []
+        res = rk45.solve(logged(f, new_calls), t_span, y0, **kwargs)
+        ts, ys, stats = reference_solve(logged(f, ref_calls), t_span, y0, **kwargs)
+        assert np.array_equal(res.t, ts) and np.array_equal(res.y, ys)
+        assert {k: getattr(res, k) for k in stats} == stats
+        assert len(new_calls) == res.nfev and same_calls(new_calls, ref_calls)
+        assert (res.nreject > 0) == rejects
+
+    def test_same_guard_bisection(self):
+        kwargs = dict(rel_tol=1e-9, abs_tol=1e-12, min_step=1e-12, guards=(FunnelViolation,))
+        raised = []
+        for solver in (rk45.solve, reference_solve):
+            calls = []
+            with pytest.raises(FunnelViolation) as exc:
+                solver(logged(crossing_wall, calls), (0.0, 2.0), np.array([0.0]), **kwargs)
+            raised.append((exc.value.t, exc.value.state, calls))
+        (t_new, state_new, new_calls), (t_ref, state_ref, ref_calls) = raised
+        assert t_new == t_ref and np.array_equal(state_new, state_ref)
+        assert new_calls and same_calls(new_calls, ref_calls)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_error_norm_is_bitwise_the_mean_formula(dim):
+    rng = np.random.default_rng(dim)
+    for k in range(200):
+        err, y0, y1 = rng.standard_normal((3, dim)) * 10.0 ** rng.integers(-12, 3, (3, dim))
+        if k % 4 == 1:
+            err[rng.integers(dim)] = math.nan
+        elif k % 4 == 2:
+            err[rng.integers(dim)] = math.inf
+        elif k % 4 == 3:
+            y1[rng.integers(dim)] = math.nan
+        new = rk45._error_norm(err, y0, y1, 1e-9, 1e-12)
+        ref = reference_error_norm(err, y0, y1, 1e-9, 1e-12)
+        assert type(new) is float
+        assert new == ref or (math.isnan(new) and math.isnan(ref))

@@ -183,6 +183,16 @@ class TestCaseStudyRuns:
         assert s["max_abs_beta"] < math.acos(2 / 3)
         assert case_hg.traj.columns[-3:] == ("zeta1", "zeta2", "zeta3")
 
+    def test_worst_margin_and_its_time(self, case_lin, case_hg):
+        for run in (case_lin, case_hg):
+            s = summarize(run.cfg, run.traj)
+            margins = run.traj.funnel_margins(run.cfg.funnels)
+            for j, (worst, t) in enumerate(zip(s["max_funnel_margins"],
+                                               s["max_funnel_margin_times"])):
+                assert worst == np.max(margins[:, j])
+                i = int(np.flatnonzero(run.traj.t == t)[0])
+                assert margins[i, j] == worst and np.all(margins[:i, j] < worst)
+
     def test_observer_tracks_auxiliary_output(self, case_hg):
         # after the transient, zeta1 follows y_new closely
         traj = case_hg.traj
@@ -313,13 +323,17 @@ class TestSweep:
         assert json.dumps(serial) == json.dumps(parallel)
 
     def test_failed_point_is_a_status_row(self, monkeypatch):
-        def wall(cfg):
-            raise FunnelViolation("funnel boundary reached", t=0.5, level=1)
+        for exc, t, level in [
+                (FunnelViolation("funnel boundary reached", t=0.5, level=1), 0.5, 1),
+                (IntegrationError("step size underflow", t=0.25), 0.25, None)]:
+            def fail(cfg):
+                raise exc
 
-        monkeypatch.setattr(sim, "integrate", wall)
-        rows = run_sweep(ScenarioConfig(), "disturbance.amp1", 0.5, 0.5, 1, parallel=False)
-        assert rows == [{"value": 0.5, "status": "FunnelViolation",
-                         "detail": "funnel boundary reached"}]
+            monkeypatch.setattr(sim, "integrate", fail)
+            rows = run_sweep(ScenarioConfig(), "disturbance.amp1", 0.5, 0.5, 1, parallel=False)
+            assert json.loads(json.dumps(rows)) == [
+                {"value": 0.5, "status": type(exc).__name__, "detail": str(exc),
+                 "t": t, "level": level}]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
