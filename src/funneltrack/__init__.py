@@ -8,7 +8,8 @@ reference), ``funnel`` (gain cascade, observer, control laws), ``sim``
 """
 from .bif import (BifCoords, internal_rhs, internal_rhs_oracle, phi_forward,
                   phi_inverse)
-from .errors import ConfigError, DomainError, FunnelViolation, IntegrationError
+from .errors import (ConfigError, DomainError, FunnelViolation, IntegrationError,
+                     SimulationError)
 from .funnel import (CascadeOutput, FunnelSpec, cascade, control_law, gain,
                      observer_rhs, phi_eval)
 from .linid import LinData, eigensplit, linearize, psi, ynew_derivatives
@@ -26,7 +27,7 @@ __all__ = [
     "BifCoords", "BoundedReference", "CascadeOutput", "ConfigError",
     "DisturbanceSpec", "DomainError", "FunnelSpec", "FunnelViolation",
     "IntegratorConfig", "IntegrationError", "LinData", "ManipulatorParams",
-    "PlantState", "ScenarioConfig", "Trajectory",
+    "PlantState", "ScenarioConfig", "SimulationError", "Trajectory",
     "TransitionRef", "accelerations", "cascade", "control_law",
     "disturbance", "eigensplit", "gain",
     "gamma", "generalized_forces", "integrate", "internal_rhs",

@@ -402,7 +402,7 @@ ALL_CHECKS = (
 )
 
 
-def run_all(verbose: bool = True) -> int:
+def run_all() -> int:
     """Run every check; return 0 if all pass, 1 otherwise."""
     failures = 0
     for name, fn in ALL_CHECKS:
@@ -411,6 +411,5 @@ def run_all(verbose: bool = True) -> int:
         except Exception as exc:  # a crashing check is a failing check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         failures += 0 if ok else 1
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return 0 if failures == 0 else 1

@@ -4,8 +4,8 @@ Subcommands: ``simulate`` (one scenario from a JSON config), ``check``
 (invariant/oracle suite), ``case-study`` (both controller variants on the
 reference transition), ``sweep`` (vary one config field over a range).
 
-Exit codes: 0 success, 1 config error, 2 funnel violation, 3 domain exit,
-4 integrator failure.
+Exit codes: 0 on success, else the code that ``FAILURES`` gives the
+exception that stopped the command.
 """
 import argparse
 import dataclasses
@@ -15,11 +15,13 @@ import sys
 from .errors import ConfigError, DomainError, FunnelViolation, IntegrationError
 from .sim import ScenarioConfig, integrate, run_case_study, run_sweep, summarize
 
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_FUNNEL = 2
-EXIT_DOMAIN = 3
-EXIT_INTEGRATOR = 4
+# exception type -> (exit code, stderr label)
+FAILURES = {
+    ConfigError: (1, "config error"),
+    FunnelViolation: (2, "funnel violation"),
+    DomainError: (3, "domain exit"),
+    IntegrationError: (4, "integrator failure"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,14 +75,14 @@ def main(argv=None) -> int:
             traj = integrate(cfg)
             traj.write_csv(args.out)
             print(json.dumps(summarize(cfg, traj), indent=2))
-            return EXIT_OK
+            return 0
         if args.command == "check":
             from .checks import run_all
             return run_all()
         if args.command == "case-study":
             _, _, summary = run_case_study(args.out_dir, disturbed=not args.no_disturbance)
             print(json.dumps(summary, indent=2))
-            return EXIT_OK
+            return 0
         if args.command == "sweep":
             cfg = ScenarioConfig.from_json_file(args.config)
             field, start, stop, n = _parse_vary(args.vary)
@@ -90,20 +92,12 @@ def main(argv=None) -> int:
                 fh.write("\n")
             for row in results:
                 print(f"{field} = {row['value']:.6g}: {row['status']}")
-            return EXIT_OK
+            return 0
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FunnelViolation as exc:
-        print(f"funnel violation: {exc}", file=sys.stderr)
-        return EXIT_FUNNEL
-    except DomainError as exc:
-        print(f"domain exit: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except IntegrationError as exc:
-        print(f"integrator failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    except tuple(FAILURES) as exc:
+        code, label = next(FAILURES[c] for c in type(exc).__mro__ if c in FAILURES)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The simulator maps these onto process exit codes: config 1, funnel 2,
-domain 3, integrator 4.
+``cli.FAILURES`` maps each of them to its process exit code and stderr
+label.
 """
 import dataclasses
 import math
@@ -20,38 +20,27 @@ def require_finite(cfg) -> None:
                 raise ConfigError(f"{type(cfg).__name__}.{f.name} must be finite, got {value!r}")
 
 
-class DomainError(ValueError):
-    """State left the admissible region cos(beta) > 2/3.
+class SimulationError(RuntimeError):
+    """A run stopped: the offending time, state and funnel level, where known."""
 
-    Carries the offending time (if known) and state for diagnostics.
-    """
-
-    def __init__(self, message, t=None, state=None):
+    def __init__(self, message, t=None, state=None, level=None):
         super().__init__(message)
         self.t = t
         self.state = state
+        self.level = level
 
 
-class FunnelViolation(RuntimeError):
+class DomainError(SimulationError, ValueError):
+    """State left the admissible region cos(beta) > 2/3."""
+
+
+class FunnelViolation(SimulationError):
     """A cascaded error reached its funnel boundary (phi*|e| >= 1).
 
     This signals loss of the control guarantee; the simulator aborts
     rather than clamping.
     """
 
-    def __init__(self, message, t=None, level=None, phi=None, error=None, state=None):
-        super().__init__(message)
-        self.t = t
-        self.level = level
-        self.phi = phi
-        self.error = error
-        self.state = state
 
-
-class IntegrationError(RuntimeError):
+class IntegrationError(SimulationError):
     """Step-size underflow or other integrator failure."""
-
-    def __init__(self, message, t=None, state=None):
-        super().__init__(message)
-        self.t = t
-        self.state = state

@@ -70,6 +70,12 @@ def _error_norm(err, y0, y1, rel_tol, abs_tol):
     return math.sqrt(np.add.reduce(ratio) / ratio.size)
 
 
+def check_tolerances(rel_tol, abs_tol, error=ValueError) -> None:
+    """Raise ``error`` unless both tolerances are finite and > 0."""
+    if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
+        raise error(f"tolerances must be finite and > 0, got rel_tol={rel_tol}, abs_tol={abs_tol}")
+
+
 def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
     """Hairer-style starting step, conservative under guard exceptions."""
     span = t_end - t0
@@ -99,7 +105,9 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     records t0 and the end of every accepted step.  ``guards`` is a tuple
     of exception types treated as state-constraint violations (see module
     docstring); their bisection stops below ``min_step``, which must be
-    finite and > 0.  ``max_step`` must be > 0 (``inf`` means no limit).
+    finite and > 0.  ``max_step`` must be > 0 (``inf`` means no limit),
+    and both tolerances finite and > 0.  A non-finite step size (say, from
+    an f that returns NaN) raises IntegrationError.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end <= t0:
@@ -108,6 +116,7 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         raise ValueError(f"need a finite min_step > 0, got {min_step}")
     if not max_step > 0:
         raise ValueError(f"need max_step > 0, got {max_step}")
+    check_tolerances(rel_tol, abs_tol)
     guards = tuple(guards)
     y = np.asarray(y0, dtype=float).copy()
 
@@ -118,6 +127,9 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     K = np.empty((7, y.size))
     K[0] = f(t0, y)  # guard violation at the initial point propagates
     h = _initial_step(f, t0, y, K[0], t_end, rel_tol, abs_tol, max_step, guards)
+    # later updates only scale or cap h by finite numbers, so one check suffices
+    if not math.isfinite(h):
+        raise IntegrationError(f"non-finite step size {h} at t = {t0:.6f}", t=t0, state=y.copy())
     nfev, naccept, nreject, nguard = 2, 0, 0, 0
     # per stage: node, tableau row, the stages it combines, the stage it fills
     stages = [(float(_C[i + 1]), a_row, K[: i + 1], K[i + 1]) for i, a_row in enumerate(_A)]

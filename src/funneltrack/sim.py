@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rk45
 from .errors import (ConfigError, DomainError, FunnelViolation,
-                     IntegrationError, require_finite)
+                     IntegrationError, SimulationError, require_finite)
 from .funnel import CascadeOutput, FunnelSpec, control_law, observer_rhs, phi_eval
 from .linid import LinData, eigensplit, psi
 from .model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
@@ -63,8 +63,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigError("integrator tolerances must be positive")
+        rk45.check_tolerances(self.rel_tol, self.abs_tol, ConfigError)
         if not 0 < self.min_step < self.max_step:  # > 0 also ends guard bisection
             raise ConfigError(f"need 0 < min_step < max_step, got {self.min_step}, {self.max_step}")
 
@@ -91,6 +90,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         require_finite(self)
+        if self.params.c <= 0:  # the model allows c = 0, the hyperbolic split does not
+            raise ConfigError(f"params.c must be > 0 for the hyperbolic split, got {self.params.c}")
         if self.mode not in ("lin", "hg"):
             raise ConfigError(f"mode must be 'lin' or 'hg', got {self.mode!r}")
         if self.t_end <= 0:
@@ -343,9 +344,9 @@ def _sweep_worker(job):
         traj = integrate(cfg)
         summary = summarize(cfg, traj)
         summary.update({"value": value, "status": "ok"})
-    except (FunnelViolation, DomainError, IntegrationError) as exc:
+    except SimulationError as exc:
         summary = {"value": value, "status": type(exc).__name__, "detail": str(exc),
-                   "t": getattr(exc, "t", None), "level": getattr(exc, "level", None)}
+                   "t": exc.t, "level": exc.level}
     return summary
 
 

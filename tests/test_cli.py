@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from funneltrack.cli import main
+from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
 from funneltrack.funnel import FunnelSpec
 from funneltrack.model import PlantState
 from funneltrack.reference import TransitionRef
@@ -128,13 +129,29 @@ def test_domain_exit_is_exit_3(tmp_path):
 
 def test_integrator_failure_is_exit_4(tmp_path, short_config, monkeypatch):
     from funneltrack import cli
-    from funneltrack.errors import IntegrationError
 
     def boom(cfg):
         raise IntegrationError("step size underflow", t=0.1)
 
     monkeypatch.setattr(cli, "integrate", boom)
     assert cli.main(["simulate", "--config", str(short_config)]) == 4
+
+
+@pytest.mark.parametrize("exc, code, label", [
+    (ConfigError("bad field"), 1, "config error"),
+    (FunnelViolation("boundary", t=0.1, level=2), 2, "funnel violation"),
+    (DomainError("outside", t=0.1), 3, "domain exit"),
+    (IntegrationError("underflow", t=0.1), 4, "integrator failure"),
+])
+def test_failure_exit_code_and_label(short_config, monkeypatch, capsys, exc, code, label):
+    from funneltrack import cli
+
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    assert cli.main(["simulate", "--config", str(short_config)]) == code
+    assert capsys.readouterr().err == f"{label}: {exc}\n"
 
 
 def test_case_study_outputs(tmp_path, capsys):

@@ -43,7 +43,7 @@ def integrators(draw):
 
 configs = st.builds(
     ScenarioConfig,
-    params=st.builds(ManipulatorParams, m=positive, l=positive, c=nonnegative, d=nonnegative),
+    params=st.builds(ManipulatorParams, m=positive, l=positive, c=positive, d=nonnegative),
     x0=st.builds(PlantState, floats(), floats(), floats(), floats()),
     ref=transitions(),
     funnels=st.tuples(*[st.builds(FunnelSpec, nonnegative, positive, positive)] * 3),
@@ -134,8 +134,8 @@ OUT_OF_RANGE = {
     **{f"funnels.{k}.a": negative for k in range(3)},
     **{f"funnels.{k}.{name}": nonpositive for k in range(3) for name in ("b", "eps")},
     **dict.fromkeys(["t_end", "integrator.rel_tol", "integrator.abs_tol",
-                     "params.m", "params.l"], nonpositive),
-    **dict.fromkeys(["params.c", "params.d"], negative),
+                     "params.m", "params.l", "params.c"], nonpositive),
+    "params.d": negative,
     "integrator.min_step": floats(BASE.integrator.max_step, 1e6),
     "integrator.max_step": floats(-1e6, BASE.integrator.min_step),
 }

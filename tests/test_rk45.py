@@ -1,5 +1,8 @@
 """Adaptive Runge-Kutta pair: accuracy, dense output, guards."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +79,8 @@ def test_determinism():
 @pytest.mark.parametrize("limit, value", [
     *(pytest.param("min_step", v, id=str(v)) for v in (0.0, -1.0, math.nan, math.inf)),
     *(pytest.param("max_step", v, id=f"max_step={v}") for v in (0.0, -0.1, math.nan)),
+    *(pytest.param(tol, v, id=f"{tol}={v}") for tol in ("rel_tol", "abs_tol")
+      for v in (0.0, -1.0, math.nan, math.inf)),
 ])
 def test_min_step_must_be_finite_and_positive(limit, value):
     calls = []
@@ -101,6 +106,33 @@ def test_empty_or_reversed_span_is_rejected(t_span):
     with pytest.raises(ValueError):
         rk45.solve(f, t_span, np.array([0.0]))
     assert calls == []
+
+
+# each call once looped for ever: run it in a child process with a timeout,
+# so that a regression fails instead of hanging the suite
+@pytest.mark.parametrize("call, raised", [
+    pytest.param("rk45.solve(lambda t, y: np.array([np.nan]), (0.0, 1.0), np.array([1.0]))",
+                 "IntegrationError t=0.0 state=[1.0]", id="nan-field"),
+    pytest.param("rk45.solve(lambda t, y: np.array([0.0, 1.0]), (0.0, 1.0), np.zeros(2),"
+                 " abs_tol=0.0)", "ValueError", id="zero-abs-tol"),
+    pytest.param("rk45.solve(lambda t, y: np.array([0.0, 1.0]), (0.0, 1.0), np.zeros(2),"
+                 " rel_tol=0.0, abs_tol=0.0)", "ValueError", id="zero-tols"),
+])
+def test_degenerate_solve_raises_instead_of_looping(call, raised):
+    code = ("import numpy as np\n"
+            "from funneltrack import rk45\n"
+            "from funneltrack.errors import IntegrationError\n"
+            "try:\n"
+            f"    {call}\n"
+            "except IntegrationError as exc:\n"
+            "    print(f'IntegrationError t={exc.t} state={exc.state.tolist()}')\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == raised
 
 
 class TestGuards:

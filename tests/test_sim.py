@@ -58,8 +58,9 @@ class TestConfig:
             ScenarioConfig.from_json_file(tmp_path / "absent.json")
 
     def test_bad_tolerances_rejected(self):
-        with pytest.raises(ConfigError):
-            IntegratorConfig(rel_tol=0.0)
+        for tols in ({"rel_tol": 0.0}, {"abs_tol": -1e-12}):
+            with pytest.raises(ConfigError):
+                IntegratorConfig(**tols)
 
     def test_case_study_defaults(self):
         cfg = case_study_config("lin")
@@ -165,7 +166,7 @@ class TestClosedLoopRhs:
             got = raised(method, t, state)
             assert type(got) is type(want)
             assert got.t == want.t == t
-            assert getattr(got, "level", None) == getattr(want, "level", None) == level
+            assert got.level == want.level == level
             assert (got.state is None and want.state is None
                     or np.array_equal(got.state, want.state))
 
@@ -325,7 +326,8 @@ class TestSweep:
     def test_failed_point_is_a_status_row(self, monkeypatch):
         for exc, t, level in [
                 (FunnelViolation("funnel boundary reached", t=0.5, level=1), 0.5, 1),
-                (IntegrationError("step size underflow", t=0.25), 0.25, None)]:
+                (IntegrationError("step size underflow", t=0.25), 0.25, None),
+                (DomainError("left the admissible region", t=0.75), 0.75, None)]:
             def fail(cfg):
                 raise exc
 
