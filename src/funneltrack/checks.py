@@ -5,25 +5,23 @@ through an independent route (generic linear algebra, finite differences,
 a chain-rule oracle, Richardson-refined quadrature, forward integration)
 and compares it with the closed forms shipped in the package.  Every check
 returns ``(ok, detail)``.  ``funneltrack check`` runs all of them through
-``run_all``; pytest runs each one (``tests/test_checks.py``) and the
-acceptance criteria call the ones they name.  A check of several
-properties is built from named parts (``gamma_at_zero``, ``eigen_identities``,
-``reference_sup_bound``, ...), each also an ``(ok, detail)`` function, which
-the unit tests of those properties call.  Sampling is deterministic:
-every draw is a fixed seed and count.
+``run_all``; pytest runs each one once (``tests/test_checks.py``) and the
+acceptance criteria read the ones they name from those results.  Sampling
+is deterministic: every draw is a fixed seed and count.
 """
 import math
 
 import numpy as np
 
 from . import bif, linid, model, reference, rk45, sim
-from .funnel import FunnelSpec, cascade, observer_rhs, phi_eval
+from .funnel import cascade, observer_rhs, phi_eval
 from .model import ManipulatorParams
 
 _SEED = 20240817
 _P = ManipulatorParams()
-_REF = reference.TransitionRef(0.0, math.pi / 4, 0.0, 3.0)
-_GAINS = (1e2, 1e5, 1e6)
+_CASE = sim.case_study_config()
+_REF = _CASE.ref
+_GAINS = _CASE.observer_gains
 
 
 def random_domain_states(n, seed, vel_scale=2.0, beta_margin=0.02):
@@ -87,12 +85,6 @@ def check_plant_residual():
     return worst < 1e-12 and kinematic, f"max residual = {worst:.3e}, exact kinematics: {kinematic}"
 
 
-def _combined(*parts):
-    """(ok, detail) of a check made of several parts: it passes if all of them pass."""
-    results = [part() for part in parts]
-    return all(ok for ok, _ in results), ", ".join(detail for _, detail in results)
-
-
 _LIE_DRAWS = ((200, _SEED + 1), (1000, 13), (1000, 17), (300, 103))
 _DH = np.array([1.0, 0.5, 0.0, 0.0])  # grad(h), constant
 
@@ -138,14 +130,6 @@ def gamma_sign_on_circle():
                for beta in np.linspace(-math.pi, math.pi, n, endpoint=False)
                if abs(math.cos(beta) - 2 / 3) >= gap)
     return flip, f"sign flip at cos(beta) = 2/3: {flip}"
-
-
-def check_relative_degree():
-    """Relative degree 2: L_g h = 0 and L_g L_f h = Gamma, analytically and by
-    finite differences; Gamma(0) = -3/7, and Gamma < 0 exactly where
-    cos(beta) > 2/3, with its root on the boundary."""
-    return _combined(lie_derivatives_analytic, lie_derivatives_fd, gamma_at_zero,
-                     gamma_root_at_boundary, gamma_sign_on_circle)
 
 
 def check_transform_roundtrip():
@@ -225,12 +209,6 @@ def eigen_closed_form():
     return ok, f"closed-form eigenvalues {res:.3e}"
 
 
-def check_eigensplit():
-    """Diagonalization, coupling split, eigenvalue identities and closed forms."""
-    return _combined(eigen_diagonalization, eigen_coupling_split, eigen_identities,
-                     eigen_closed_form)
-
-
 def _bounded_reference():
     """The eigensplit and the bounded reference of ``_REF``."""
     lin = linid.eigensplit(_P)
@@ -297,17 +275,9 @@ def reference_sup_bound():
     return sup <= bound, f"sup |y_bar_ref| = {sup:.3f} (<= {bound:.3f})"
 
 
-def check_reference_consistency():
-    """Bounded auxiliary reference: derivative vs finite differences, exact
-    steady state, agreement with forward integration, and its sup bound."""
-    return _combined(reference_derivative_fd, reference_steady_state,
-                     reference_forward_agreement, reference_sup_bound)
-
-
 def check_cascade_algebra():
     """Rebuild the cascade from scratch at random feasible points."""
-    specs = (FunnelSpec(1.5, 0.8, 0.001), FunnelSpec(1.5, 0.8, 0.001),
-             FunnelSpec(60.0, 0.2, 0.001))
+    specs = _CASE.funnels
     worst = 0.0
     for rng, n in ((np.random.default_rng(_SEED + 5), 200), (np.random.default_rng(71), 300)):
         for _ in range(n):
@@ -386,14 +356,24 @@ def check_zero_scenario():
 ALL_CHECKS = (
     ("mass-matrix-inverse", check_mass_matrix_inverse),
     ("plant-residual", check_plant_residual),
-    ("relative-degree", check_relative_degree),
+    ("lie-derivatives-analytic", lie_derivatives_analytic),
+    ("lie-derivatives-fd", lie_derivatives_fd),
+    ("gamma-at-zero", gamma_at_zero),
+    ("gamma-root-at-boundary", gamma_root_at_boundary),
+    ("gamma-sign-on-circle", gamma_sign_on_circle),
     ("transform-roundtrip", check_transform_roundtrip),
     ("input-decoupling", check_decoupling),
     ("internal-dynamics-oracle", check_internal_dynamics),
     ("linearization-fd", check_linearization),
-    ("eigensplit", check_eigensplit),
+    ("eigen-diagonalization", eigen_diagonalization),
+    ("eigen-coupling-split", eigen_coupling_split),
+    ("eigen-identities", eigen_identities),
+    ("eigen-closed-form", eigen_closed_form),
     ("reference-ic-quadrature", check_reference_ic),
-    ("reference-consistency", check_reference_consistency),
+    ("reference-derivative-fd", reference_derivative_fd),
+    ("reference-steady-state", reference_steady_state),
+    ("reference-forward-agreement", reference_forward_agreement),
+    ("reference-sup-bound", reference_sup_bound),
     ("cascade-algebra", check_cascade_algebra),
     ("observer-linearity", check_observer_linearity),
     ("observer-convergence", check_observer_convergence),

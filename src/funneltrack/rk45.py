@@ -98,7 +98,7 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
 
 def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
           min_step=1e-12, sample_step=None, guards=()) -> SolveResult:
-    """Integrate y' = f(t, y) over ``t_span`` with dense sampling.
+    """Integrate y' = f(t, y) over a finite ``t_span`` with t0 < t_end, with dense sampling.
 
     ``sample_step`` > 0 emits interpolated states on the uniform grid
     t0 + k * sample_step (the endpoint is always included); ``None``
@@ -110,8 +110,8 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     an f that returns NaN) raises IntegrationError.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
-    if t_end <= t0:
-        raise ValueError(f"need t_end > t0, got {t_span}")
+    if not (math.isfinite(t0) and math.isfinite(t_end) and t0 < t_end):
+        raise ValueError(f"need finite t0 < t_end, got {t_span}")
     if not (min_step > 0 and math.isfinite(min_step)):
         raise ValueError(f"need a finite min_step > 0, got {min_step}")
     if not max_step > 0:

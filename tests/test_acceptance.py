@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion.  Criteria 5-9 and 11 run the named checks of
-``funneltrack.checks``, the one home of the oracles.  Criteria 3
+line per criterion.  Criteria 5-9 and 11 read the results of the named
+checks of ``funneltrack.checks``, the one home of the oracles.  Criteria 3
 (mode-agreement clause) and 4 compare the two controller variants across
 separately evolving closed loops; see test_regression.py for this build's
 frozen values of those quantities.
@@ -74,7 +74,9 @@ class TestCriterion4ControllerAgreement:
 
 class TestCriterion5LinearizationOracle:
     def test_linearization(self, check_results):
-        assert report(5, *run_checks(check_results, "linearization-fd", "eigensplit"))
+        assert report(5, *run_checks(check_results, "linearization-fd",
+                                     "eigen-diagonalization", "eigen-coupling-split",
+                                     "eigen-identities", "eigen-closed-form"))
 
 
 class TestCriterion6TransformSuite:
@@ -85,13 +87,16 @@ class TestCriterion6TransformSuite:
 
 class TestCriterion7RelativeDegree:
     def test_relative_degree_checks(self, check_results):
-        assert report(7, *run_checks(check_results, "relative-degree"))
+        assert report(7, *run_checks(check_results, "lie-derivatives-analytic",
+                                     "lie-derivatives-fd", "gamma-at-zero",
+                                     "gamma-root-at-boundary", "gamma-sign-on-circle"))
 
 
 class TestCriterion8ReferenceGenerator:
     def test_reference_generator(self, check_results):
         assert report(8, *run_checks(check_results, "reference-ic-quadrature",
-                                     "reference-consistency"))
+                                     "reference-derivative-fd", "reference-steady-state",
+                                     "reference-forward-agreement", "reference-sup-bound"))
 
 
 class TestCriterion9Observer:

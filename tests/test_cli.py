@@ -12,7 +12,7 @@ from funneltrack.errors import ConfigError, DomainError, FunnelViolation, Integr
 from funneltrack.funnel import FunnelSpec
 from funneltrack.model import PlantState
 from funneltrack.reference import TransitionRef
-from funneltrack.sim import IntegratorConfig, ScenarioConfig
+from funneltrack.sim import ScenarioConfig
 
 
 @pytest.fixture
@@ -107,12 +107,10 @@ def test_usage_error_is_exit_1():
 
 
 def test_funnel_violation_is_exit_2(tmp_path):
-    cfg = ScenarioConfig(
-        ref=TransitionRef(0.0, 0.7853981633974483, 0.0, 3.0),
-        funnels=(FunnelSpec(1.5, 100.0, 1e-4), FunnelSpec(1.5, 0.8, 0.001),
-                 FunnelSpec(60.0, 0.2, 0.001)),
-        t_end=0.5,
-        integrator=IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=1e-10))
+    # phi(0) = 500 puts the initial error outside funnel 0; test_sim covers
+    # a violation in the middle of a run
+    cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.7853981633974483, 0.0, 3.0),
+                         funnels=(FunnelSpec(0.001, 0.8, 0.001),) * 3)
     path = tmp_path / "violating.json"
     cfg.write_json(path)
     out = tmp_path / "never.csv"

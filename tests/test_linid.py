@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from funneltrack import checks
 from funneltrack.bif import phi_forward
 from funneltrack.checks import fd_gradient, random_domain_states
 from funneltrack.linid import eigensplit, linearize, psi, ynew_derivatives
@@ -39,18 +38,6 @@ class TestEigensplit:
         w = np.sort(np.linalg.eigvals(LIN.Q).real)
         assert w[0] == pytest.approx(LIN.lambda1, abs=1e-10)
         assert w[1] == pytest.approx(LIN.lambda2, abs=1e-10)
-
-    def test_diagonalization(self):
-        ok, detail = checks.eigen_diagonalization()
-        assert ok, detail
-
-    def test_coupling_split(self):
-        ok, detail = checks.eigen_coupling_split()
-        assert ok, detail
-
-    def test_eigenvalue_identities(self):
-        ok, detail = checks.eigen_identities()
-        assert ok, detail
 
     def test_hyperbolic_split_random_params(self):
         rng = np.random.default_rng(53)

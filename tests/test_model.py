@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from funneltrack import checks
 from funneltrack.errors import ConfigError, DomainError
 from funneltrack.model import (ManipulatorParams, generalized_forces,
                                mass_matrix, mass_matrix_inverse, output,
@@ -82,30 +81,6 @@ class TestOutput:
 
     def test_end_effector_weight(self):
         assert output([1.0, 2.0, 3.0, 4.0]) == (2.0, 5.0)
-
-
-class TestGamma:
-    """High-frequency gain; the properties are parts of the relative-degree check."""
-
-    def test_value_at_zero(self):
-        ok, detail = checks.gamma_at_zero()
-        assert ok, detail
-
-    def test_root_at_domain_boundary(self):
-        ok, detail = checks.gamma_root_at_boundary()
-        assert ok, detail
-
-    def test_negative_exactly_on_domain(self):
-        ok, detail = checks.gamma_sign_on_circle()
-        assert ok, detail
-
-    def test_lie_derivative_structure_analytic(self):
-        ok, detail = checks.lie_derivatives_analytic()
-        assert ok, detail
-
-    def test_lie_derivative_structure_finite_difference(self):
-        ok, detail = checks.lie_derivatives_fd()
-        assert ok, detail
 
 
 class TestDomain:

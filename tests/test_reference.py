@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from funneltrack import checks, reference
+from funneltrack import reference
 from funneltrack.errors import ConfigError
 from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams
@@ -135,24 +135,12 @@ class TestBoundedReference:
             assert vd == LIN.lambda2 * v + LIN.lambda2 * LIN.p2 * yr
             assert vdd == LIN.lambda2 * vd + LIN.lambda2 * LIN.p2 * yr_dot
 
-    def test_first_derivative_matches_fd(self):
-        ok, detail = checks.reference_derivative_fd()
-        assert ok, detail
-
     def test_continuity_at_transition_end(self):
         eps = 1e-9
         below = self.bref.eval(REF.tf - eps)
         at = self.bref.eval(REF.tf)
         for a, b in zip(below, at):
             assert abs(a - b) < 1e-6  # C^1 junction, derivative scale lam2
-
-    def test_boundedness(self):
-        ok, detail = checks.reference_sup_bound()
-        assert ok, detail
-
-    def test_forward_integration_agreement(self):
-        ok, detail = checks.reference_forward_agreement()
-        assert ok, detail
 
     @pytest.mark.parametrize("ref", REFS)
     def test_grid_equals_scalar_recurrence(self, ref):

@@ -95,7 +95,7 @@ def test_min_step_must_be_finite_and_positive(limit, value):
     assert calls == []
 
 
-@pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan), (math.nan, 1.0)])
 def test_empty_or_reversed_span_is_rejected(t_span):
     calls = []
 
@@ -117,6 +117,10 @@ def test_empty_or_reversed_span_is_rejected(t_span):
                  " abs_tol=0.0)", "ValueError", id="zero-abs-tol"),
     pytest.param("rk45.solve(lambda t, y: np.array([0.0, 1.0]), (0.0, 1.0), np.zeros(2),"
                  " rel_tol=0.0, abs_tol=0.0)", "ValueError", id="zero-tols"),
+    pytest.param("rk45.solve(lambda t, y: -y, (0.0, np.inf), np.array([1.0]))",
+                 "ValueError", id="infinite-end"),
+    pytest.param("rk45.solve(lambda t, y: -y, (-np.inf, 1.0), np.array([1.0]))",
+                 "ValueError", id="infinite-start"),
 ])
 def test_degenerate_solve_raises_instead_of_looping(call, raised):
     code = ("import numpy as np\n"
