@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from funneltrack import case_study_config, checks, integrate
+from funneltrack import checks
+from funneltrack.sim import case_study_config, integrate
 
 
 class CaseStudyRun:

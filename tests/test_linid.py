@@ -1,6 +1,4 @@
 """Linearization, eigensplit and the auxiliary-output derivative ladder."""
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,17 +26,6 @@ class TestLinearize:
 
 
 class TestEigensplit:
-    def test_closed_form_eigenvalues(self):
-        assert LIN.lambda1 == pytest.approx(1.5 - 2.0 * math.sqrt(3.5625), abs=1e-12)
-        assert LIN.lambda2 == pytest.approx(1.5 + 2.0 * math.sqrt(3.5625), abs=1e-12)
-        assert LIN.lambda1 == pytest.approx(-2.274917217635375, abs=1e-9)
-        assert LIN.lambda2 == pytest.approx(5.274917217635375, abs=1e-9)
-
-    def test_against_generic_eigensolver(self):
-        w = np.sort(np.linalg.eigvals(LIN.Q).real)
-        assert w[0] == pytest.approx(LIN.lambda1, abs=1e-10)
-        assert w[1] == pytest.approx(LIN.lambda2, abs=1e-10)
-
     def test_hyperbolic_split_random_params(self):
         rng = np.random.default_rng(53)
         for _ in range(1000):

@@ -116,10 +116,6 @@ class TestBoundedReference:
         for t in (0.0, 1.0, 5.0):
             assert b.eval(t) == (0.0, 0.0, 0.0)
 
-    def test_steady_state_after_transition(self):
-        for t in (3.0, 3.5, 100.0):
-            assert self.bref.eval(t) == (-LIN.p2 * REF.yf, 0.0, 0.0)
-
     def test_value_at_zero_matches_ic(self):
         # windows starting before 0 put 0 between knots, so the spline's
         # interpolation error shows there; 5 ms transitions are included
