@@ -3,6 +3,8 @@
 Library layers: ``model`` (plant), ``bif`` (normal-form coordinates and
 internal dynamics), ``linid`` (linearization, eigensplit, auxiliary
 output), ``reference`` (transition polynomial and bounded auxiliary
-reference), ``funnel`` (gain cascade, observer, control laws), ``sim``
-(closed-loop integration, CSV, case study), plus the ``funneltrack`` CLI.
+reference), ``funnel`` (gain cascade, observer, control laws), ``rk45``
+(adaptive integrator with state guards), ``sim`` (closed-loop integration,
+CSV, case study), ``errors`` (exception types), ``checks`` (independent-route
+oracles), plus the ``funneltrack`` CLI.
 """

@@ -216,8 +216,8 @@ def _bounded_reference():
 
 
 def check_reference_ic():
-    """The bounded reference at 0 (its first knot value) vs the bounded
-    initial value by Richardson-refined Simpson quadrature."""
+    """The bounded reference at 0 (the case study's first knot value) vs the
+    bounded initial value by Richardson-refined Simpson quadrature."""
     lin, bref = _bounded_reference()
     got = bref.value(0.0)
 

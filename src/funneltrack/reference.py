@@ -10,10 +10,11 @@ where lam2 and p2 are the unstable eigenvalue and its modal coupling, read
 from a ``linid.LinData``.  Its only bounded solution is the backward
 convolution integral; forward integration amplifies roundoff by
 exp(lam2 t), so ``checks`` uses it as a cross-check only.
-``BoundedReference`` is the one route to that solution: it memoizes it on
-a uniform grid for cheap in-loop evaluation, through a not-a-knot cubic
-spline whose tridiagonal solve is done here (``_not_a_knot``), and its
-value at 0 is the bounded initial value.  The package needs numpy only.
+``BoundedReference`` is the one route to that solution: closed forms
+where y_ref is constant, and over the window a uniform grid for cheap
+in-loop evaluation, through a not-a-knot cubic spline whose tridiagonal
+solve is done here (``_not_a_knot``).  Its value at 0 is the bounded
+initial value.  The package needs numpy only.
 """
 import math
 from dataclasses import dataclass
@@ -84,17 +85,6 @@ def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
     return _rise(r, tau, t5), t5 / tau * _horner(tau, _SLOPE_COEFFS) * (r.yf - r.y0) / T
 
 
-def _yref_values(r: TransitionRef, s: np.ndarray) -> np.ndarray:
-    """``yref_eval(r, t)[0]`` for every t in ``s``, with the same arithmetic."""
-    out = np.where(s < r.t0 if r.tf == r.t0 else s <= r.t0, r.y0, r.yf).astype(float)
-    inside = (s > r.t0) & (s < r.tf)
-    tau = (s[inside] - r.t0) / (r.tf - r.t0)
-    # scalar pow: numpy's vectorised power may round differently
-    t5 = np.fromiter((v**5 for v in tau.tolist()), float, tau.size)
-    out[inside] = _rise(r, tau, t5)
-    return out
-
-
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float, float, float]]:
     """Per-interval coefficients (c3, c2, c1, c0) of the not-a-knot cubic
     spline through (x, y), one tuple of floats per interval; needs len(x) >= 4.
@@ -141,13 +131,15 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float, float,
 
 
 class BoundedReference:
-    """Bounded auxiliary reference, memoized on a uniform grid.
+    """Bounded auxiliary reference for t >= 0.
 
-    Grid values are produced by a backward one-interval recurrence (all
-    exponentials decay in that direction) with Gauss-Legendre panels, then
-    wrapped in a not-a-knot cubic spline (``_not_a_knot``, at least 4 knots,
-    solved here without scipy).  Derivatives are recovered through the ODE
-    relations, so the first-derivative residual vanishes by construction.
+    From ``tf`` on it is -p2 yf.  On [max(0, t0), tf] grid values come from
+    a backward one-interval recurrence (all exponentials decay in that
+    direction) with Gauss-Legendre panels, wrapped in a not-a-knot cubic
+    spline (``_not_a_knot``, at least 4 knots).  Before that it decays
+    analytically from the first knot value, or from -p2 yf if there is no
+    grid.  Derivatives are recovered through the ODE relations, so the
+    first-derivative residual vanishes by construction.
     """
 
     def __init__(self, lin: LinData, ref: TransitionRef):
@@ -155,7 +147,7 @@ class BoundedReference:
         self.lam2 = lin.lambda2
         self.p2 = lin.p2
         self.final_value = -lin.p2 * ref.yf
-        self.t_lo = min(0.0, ref.t0)
+        self.t_lo = max(0.0, ref.t0)
         self._coeffs = None
         if ref.tf > self.t_lo:
             # at least 4 knots, as _not_a_knot needs
@@ -173,27 +165,31 @@ class BoundedReference:
             for i in range(n - 1, -1, -1):
                 vals[i] = panels[i] + decay * vals[i + 1]
             self._knots = ts.tolist()
-            self._vals = vals
             self._coeffs = _not_a_knot(ts, vals)
 
     def _panels(self, ts: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
         """Convolution integral over each interval of ``ts`` by Gauss-Legendre
-        quadrature with nodes ``gx`` and weights ``gw`` on [-1, 1]."""
-        half = 0.5 * self._h
+        quadrature with nodes ``gx`` and weights ``gw`` on [-1, 1].  Every
+        node lies inside the transition window."""
+        ref, half = self.ref, 0.5 * self._h
         sg = (0.5 * (ts[:-1] + ts[1:]))[:, None] + half * gx  # one row of nodes per interval
-        weighted = gw * np.exp(self.lam2 * (ts[:-1, None] - sg)) * _yref_values(self.ref, sg)
+        tau = (sg - ref.t0) / (ref.tf - ref.t0)
+        # scalar pow, as in yref_eval: numpy's vectorised power may round differently
+        t5 = np.reshape([v**5 for v in tau.ravel().tolist()], tau.shape)
+        weighted = gw * np.exp(self.lam2 * (ts[:-1, None] - sg)) * _rise(ref, tau, t5)
         return -self.lam2 * self.p2 * half * np.sum(weighted, axis=1)
 
     def value(self, t: float) -> float:
-        """Bounded solution at time t."""
+        """Bounded solution at time t >= 0."""
         ref = self.ref
-        if t >= ref.tf or self._coeffs is None:
+        if t >= ref.tf:
             return self.final_value
         if t < self.t_lo:
-            # y_ref is constant y0 left of the grid; propagate analytically
-            # (the exponent is negative, so this stays stable)
+            # y_ref is y0 before the grid: decay from the first knot value, or
+            # from -p2 yf without a grid (a negative exponent, so stable)
+            start = self._coeffs[0][3] if self._coeffs else self.final_value
             decay = math.exp(self.lam2 * (t - self.t_lo))
-            return -self.p2 * ref.y0 * (1.0 - decay) + decay * self._vals[0]
+            return -self.p2 * ref.y0 * (1.0 - decay) + decay * start
         i = min(len(self._knots) - 2, int((t - self.t_lo) / self._h))
         dt = t - self._knots[i]
         c3, c2, c1, c0 = self._coeffs[i]

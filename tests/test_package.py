@@ -1,5 +1,6 @@
 """The package as a whole: its root imports nothing, each module reads what
-it imports, and README's library example runs."""
+it imports and every private name it defines, and README's library example
+runs."""
 import ast
 import os
 import pathlib
@@ -21,6 +22,12 @@ def test_importing_the_root_loads_no_layer_and_no_numpy():
     assert run.returncode == 0, run.stderr
 
 
+def read_names(tree: ast.AST) -> set:
+    """Names a module reads."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_imports(source: str) -> list:
     """Names a module imports but never reads."""
     tree = ast.parse(source)
@@ -32,9 +39,26 @@ def unread_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = read_names(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def unread_private_names(source: str) -> list:
+    """Private (``_name``, not dunder) module-level functions, classes and
+    variables that the module never reads: helpers left behind."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = read_names(tree)
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
 def test_every_module_reads_what_it_imports():
@@ -45,6 +69,19 @@ def test_every_module_reads_what_it_imports():
 def test_the_scan_finds_an_unread_import():
     assert unread_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math (line 1)", "path (line 2)"]
+
+
+def test_every_module_reads_its_private_names():
+    unread = {path.name: unread_private_names(path.read_text()) for path in MODULES}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_the_scan_finds_an_unread_private_name():
+    source = ("_A, _B = 1, 2\n__all__ = []\n_C: int = 3\n"
+              "def _helper():\n    return _A\n"
+              "class _Left:\n    pass\n"
+              "def public():\n    _local = _C\n    return _local\n")
+    assert unread_private_names(source) == ["_B (line 1)", "_Left (line 6)", "_helper (line 4)"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -18,28 +18,48 @@ REFS = [REF, TransitionRef(0.3, 0.7, 1.0, 2.0), TransitionRef(-1, 2, -0.5, 1.7),
         TransitionRef(0.1, 0.5, 0.5, 0.5)]
 
 
-def random_refs(n, seed):
-    """Transitions with spans from 5 ms to 6 s and windows starting before or after 0."""
+def random_refs(n, seed, t0_min=-1.0):
+    """Transitions with spans from 5 ms to 6 s and windows starting in [t0_min, 2),
+    by default before or after 0."""
     rng = np.random.default_rng(seed)
     refs = []
     for _ in range(n):
-        t0 = rng.uniform(-1.0, 2.0)
+        t0 = rng.uniform(t0_min, 2.0)
         refs.append(TransitionRef(rng.uniform(-1, 1), rng.uniform(-1, 1), t0,
                                   t0 + 10 ** rng.uniform(math.log10(5e-3), math.log10(6.0))))
     return refs
 
 
-def quad_ic(lin, r):
-    """Bounded initial value by adaptive quadrature over the transition plus
-    the analytic exponential tail -p2 * yf * exp(-lam2 * tf)."""
+def quad_value(lin, r, t, epsabs=1e-10):
+    """Bounded solution at t by adaptive quadrature of the convolution
+    integral up to tf plus the analytic exponential tail
+    -p2 * yf * exp(lam2 * (t - tf))."""
     lam2, p2 = lin.lambda2, lin.p2
-    hi = max(r.tf, 0.0)
+    hi = max(r.tf, t)
     body = 0.0
-    if hi > 0.0:
-        pts = [r.t0] if 0.0 < r.t0 < hi else None
-        body, _ = quad(lambda s: math.exp(-lam2 * s) * lam2 * p2 * yref_eval(r, s)[0],
-                       0.0, hi, epsabs=1e-10, epsrel=1e-12, limit=200, points=pts)
-    return -(body + p2 * r.yf * math.exp(-lam2 * hi))
+    if hi > t:
+        pts = [r.t0] if t < r.t0 < hi else None
+        body, _ = quad(lambda s: math.exp(lam2 * (t - s)) * lam2 * p2 * yref_eval(r, s)[0],
+                       t, hi, epsabs=epsabs, epsrel=1e-12, limit=200, points=pts)
+    return -(body + p2 * r.yf * math.exp(lam2 * (t - hi)))
+
+
+def knot_values(b):
+    """The spline's knot values: c0 of each interval, then -p2 yf at tf."""
+    return [c[3] for c in b._coeffs] + [b.final_value]
+
+
+def assert_closed_form_without_window(b, ref):
+    """A reference whose window has no part after 0 builds no spline: it is
+    -p2 yf from tf on, and a pure decay from -p2 yf before a step at t0 > 0."""
+    assert b._coeffs is None
+    for t in (0.0, 0.5 * ref.t0, ref.t0, 1.0, ref.tf + 1.0):
+        if t < 0.0:
+            continue  # value is defined for t >= 0
+        want = -LIN.p2 * ref.yf
+        if t < ref.tf:
+            want = -LIN.p2 * (ref.y0 + (ref.yf - ref.y0) * math.exp(LIN.lambda2 * (t - ref.t0)))
+        assert b.value(t) == pytest.approx(want, rel=1e-14, abs=1e-15), t
 
 
 def naive_transition(r, t):
@@ -122,7 +142,7 @@ class TestBoundedReference:
         for ref in REFS + random_refs(30, seed=97):
             scale = LIN.p2 * max(abs(ref.y0), abs(ref.yf))
             got = BoundedReference(LIN, ref).value(0.0)
-            assert got == pytest.approx(quad_ic(LIN, ref), abs=1e-10 * scale), ref
+            assert got == pytest.approx(quad_value(LIN, ref, 0.0), abs=1e-10 * scale), ref
 
     def test_ode_residual_by_construction(self):
         for t in np.linspace(0.0, 2.99, 100):
@@ -142,8 +162,11 @@ class TestBoundedReference:
     def test_grid_equals_scalar_recurrence(self, ref):
         # the build's oracle: one scalar yref_eval per Gauss node, panel by panel
         b = BoundedReference(LIN, ref)
+        if ref.tf <= max(0.0, ref.t0):
+            assert_closed_form_without_window(b, ref)
+            return
         lam2, p2 = LIN.lambda2, LIN.p2
-        ts = np.linspace(b.t_lo, ref.tf, len(b._vals))
+        ts = np.linspace(b.t_lo, ref.tf, len(b._knots))
         h = ts[1] - ts[0]
         gx, gw = np.polynomial.legendre.leggauss(10)
         vals = np.empty(len(ts))
@@ -154,7 +177,7 @@ class TestBoundedReference:
             yr = np.array([yref_eval(ref, s)[0] for s in sg])
             panel = -lam2 * p2 * half * float(np.sum(gw * np.exp(lam2 * (ts[i] - sg)) * yr))
             vals[i] = panel + math.exp(-lam2 * h) * vals[i + 1]
-        assert np.array_equal(b._vals, vals)
+        assert knot_values(b) == vals.tolist()
 
     def test_gauss_literals_equal_leggauss(self):
         gx, gw = np.polynomial.legendre.leggauss(10)
@@ -165,15 +188,33 @@ class TestBoundedReference:
     def test_spline_equals_scipy(self, ref):
         # the own not-a-knot solve reproduces scipy's spline bit for bit
         b = BoundedReference(LIN, ref)
-        assert np.array_equal(b._coeffs, CubicSpline(b._knots, b._vals).c.T)
+        if ref.tf <= max(0.0, ref.t0):
+            assert_closed_form_without_window(b, ref)
+            return
+        assert np.array_equal(b._coeffs, CubicSpline(b._knots, knot_values(b)).c.T)
 
     def test_short_transition_keeps_four_knots(self):
         ref = TransitionRef(0.0, 0.5, 0.0, 0.002)
         b = BoundedReference(LIN, ref)
         assert len(b._knots) >= 4
-        want = CubicSpline(b._knots, b._vals).c.T
+        want = CubicSpline(b._knots, knot_values(b)).c.T
         np.testing.assert_allclose(b._coeffs, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("ref", random_refs(20, seed=41, t0_min=0.05)
+                             + [r for r in REFS + random_refs(30, seed=97) if r.t0 < 0.0 < r.tf])
+    def test_value_before_grid_matches_quad(self, ref):
+        # before max(0, t0) the value is the analytic decay from the first knot:
+        # at t in [0, t0) of delayed windows, up to 0.1 ms before t0 where a
+        # spline across t0 would show, and at 0 of windows starting before 0
+        b = BoundedReference(LIN, ref)
+        scale = LIN.p2 * max(abs(ref.y0), abs(ref.yf))
+        ts = [0.0]
+        if ref.t0 > 0.0:
+            ts = [*np.linspace(0.0, ref.t0, 5)[:-1], ref.t0 - 3e-4, ref.t0 - 1e-4]
+        for t in ts:
+            want = quad_value(LIN, ref, t, epsabs=1e-14)
+            assert b.value(t) == pytest.approx(want, abs=1e-12 * scale), (ref, t)
 
     def test_early_start_before_window(self):
         ref = TransitionRef(y0=0.3, yf=0.7, t0=1.0, tf=2.0)
