@@ -12,12 +12,16 @@ class ConfigError(ValueError):
 
 
 def require_finite(cfg) -> None:
-    """Raise ConfigError if a number in a field (or tuple field) of ``cfg`` is not finite."""
+    """Raise ConfigError unless each ``float`` field of ``cfg``, and each entry
+    of a ``tuple[float, ...]`` field, is a finite int or float (not a bool)."""
     for f in dataclasses.fields(cfg):
+        if f.type not in (float, tuple[float, ...]):
+            continue
         value = getattr(cfg, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, (int, float)) and not math.isfinite(v):
-                raise ConfigError(f"{type(cfg).__name__}.{f.name} must be finite, got {value!r}")
+        for v in (value,) if f.type is float else value:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ConfigError(
+                    f"{type(cfg).__name__}.{f.name} must be a finite number, got {value!r}")
 
 
 class SimulationError(RuntimeError):

@@ -42,8 +42,10 @@ def phi_eval(f: FunnelSpec, t: float) -> tuple[float, float]:
 
 
 class CascadeOutput(NamedTuple):
-    """Errors, gains and input of one controller evaluation."""
+    """One controller evaluation: the CSV's controller columns, in order."""
 
+    y_bar_ref: float
+    y_new: float
     e0: float
     e1: float
     e2: float
@@ -51,10 +53,6 @@ class CascadeOutput(NamedTuple):
     k1: float
     k2: float
     u: float
-    e0_1: float  # surrogate first derivative of e0
-    e0_2: float  # surrogate second derivative of e0
-    k0_1: float  # derivative of k0 induced by (e0, e0_1)
-    e1_1: float  # surrogate derivative of e1
 
 
 def gain(phi: float, e: float, *, t=None, level=None) -> float:
@@ -86,7 +84,7 @@ def cascade(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,
     e1_1 = e0_2 + k0 * e0_1 + k0_1 * e0
     e2 = e1_1 + k1 * e1
     k2 = gain(phi2, e2, t=t, level=2)
-    return CascadeOutput(e0, e1, e2, k0, k1, k2, k2 * e2, e0_1, e0_2, k0_1, e1_1)
+    return CascadeOutput(y_bar_ref, y_new, e0, e1, e2, k0, k1, k2, k2 * e2)
 
 
 def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
@@ -97,8 +95,8 @@ def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
 
 
 def control_law(lin: LinData, specs, new_ref: BoundedReference, t: float, x,
-                zeta=None) -> tuple[CascadeOutput, float]:
-    """Feedback law at (t, x); returns the cascade output and y_new = psi(x).
+                zeta=None) -> CascadeOutput:
+    """Feedback law at (t, x), with y_new = psi(x).
 
     The surrogate derivatives of y_new are the observer estimates
     ``zeta[1:]`` when ``zeta`` is given (``hg``), else the modal ladder
@@ -108,4 +106,4 @@ def control_law(lin: LinData, specs, new_ref: BoundedReference, t: float, x,
         y_new, y1, y2 = ynew_derivatives(lin, x)
     else:
         y_new, y1, y2 = psi(lin, x), zeta[1], zeta[2]
-    return cascade(specs, t, y_new, y1, y2, *new_ref.eval(t)), y_new
+    return cascade(specs, t, y_new, y1, y2, *new_ref.eval(t))

@@ -106,8 +106,9 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     of exception types treated as state-constraint violations (see module
     docstring); their bisection stops below ``min_step``, which must be
     finite and > 0.  ``max_step`` must be > 0 (``inf`` means no limit),
-    and both tolerances finite and > 0.  A non-finite step size (say, from
-    an f that returns NaN) raises IntegrationError.
+    and both tolerances finite and > 0.  An initial step size that is not
+    finite and > 0 (say, from an f that returns NaN, or from an abs_tol so
+    small that the error scale overflows) raises IntegrationError.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end) and t0 < t_end):
@@ -127,9 +128,10 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     K = np.empty((7, y.size))
     K[0] = f(t0, y)  # guard violation at the initial point propagates
     h = _initial_step(f, t0, y, K[0], t_end, rel_tol, abs_tol, max_step, guards)
-    # later updates only scale or cap h by finite numbers, so one check suffices
-    if not math.isfinite(h):
-        raise IntegrationError(f"non-finite step size {h} at t = {t0:.6f}", t=t0, state=y.copy())
+    # later updates only scale or cap h by finite numbers > 0, so one check suffices
+    if not 0 < h < math.inf:  # h = 0 would never advance t
+        raise IntegrationError(f"initial step size {h} outside (0, inf) at t = {t0:.6f}",
+                               t=t0, state=y.copy())
     nfev, naccept, nreject, nguard = 2, 0, 0, 0
     # per stage: node, tableau row, the stages it combines, the stage it fills
     stages = [(float(_C[i + 1]), a_row, K[: i + 1], K[i + 1]) for i, a_row in enumerate(_A)]

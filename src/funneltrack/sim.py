@@ -31,7 +31,7 @@ from .reference import BoundedReference, TransitionRef, yref_eval
 SAMPLE_STEP = 1e-3
 
 BASE_COLUMNS = ("t", "alpha", "beta", "alpha_dot", "beta_dot", "y", "y_ref",
-                "y_bar_ref", "y_new", "e0", "e1", "e2", "k0", "k1", "k2", "u")
+                *CascadeOutput._fields)
 OBSERVER_COLUMNS = ("zeta1", "zeta2", "zeta3")
 # rk45.SolveResult step statistics kept on a Trajectory and in its summary
 SOLVER_STATS = ("nfev", "naccept", "nreject", "nguard")
@@ -144,7 +144,7 @@ def _from_json(tp, value):
         return tp(**value)
     if typing.get_origin(tp) is tuple:
         return tuple(_from_json(typing.get_args(tp)[0], v) for v in value)
-    return tp(value)
+    return value
 
 
 def case_study_config(mode: str = "lin", disturbed: bool = True) -> ScenarioConfig:
@@ -204,8 +204,8 @@ class ClosedLoop:
             return np.concatenate([x0, [psi(self.lin, x0), 0.0, 0.0]])
         return x0
 
-    def evaluate(self, t: float, state: np.ndarray) -> tuple[list, CascadeOutput, float]:
-        """State derivative, cascade output and y_new at (t, state), in one pass.
+    def evaluate(self, t: float, state: np.ndarray) -> tuple[list, CascadeOutput]:
+        """State derivative and controller record at (t, state), in one pass.
 
         The control law and the plant take the state list whole.  Raises
         DomainError, with t and the state, outside cos(beta) > 2/3, and
@@ -219,12 +219,12 @@ class ClosedLoop:
                 f"beta = {xs[1]:.6f} left the admissible region at t = {t:.6f}",
                 t=t, state=state.copy())
         zeta = xs[4:] if self.observer else None
-        out, y_new = control_law(self.lin, self.specs, self.new_ref, t, xs, zeta)
+        out = control_law(self.lin, self.specs, self.new_ref, t, xs, zeta)
         u_d = out.u + disturbance(self.dist, t)
         deriv = [xs[2], xs[3], *accelerations(self.params, xs, u_d)]
         if zeta is not None:
-            deriv.extend(observer_rhs(self.gains, zeta, y_new))
-        return deriv, out, y_new
+            deriv.extend(observer_rhs(self.gains, zeta, out.y_new))
+        return deriv, out
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
         return np.array(self.evaluate(t, state)[0])
@@ -237,11 +237,9 @@ class ClosedLoop:
 
     def row(self, t: float, state: np.ndarray) -> list:
         """One output sample (re-evaluates the closed loop at the state)."""
-        _, out, y_new = self.evaluate(t, state)
+        out = self.evaluate(t, state)[1]
         xs = state.tolist()
-        y, _ = output(xs)
-        return [t, *xs[:4], y, yref_eval(self.cfg.ref, t)[0], self.new_ref.value(t), y_new,
-                out.e0, out.e1, out.e2, out.k0, out.k1, out.k2, out.u, *xs[4:]]
+        return [t, *xs[:4], output(xs)[0], yref_eval(self.cfg.ref, t)[0], *out, *xs[4:]]
 
 
 def integrate(cfg: ScenarioConfig) -> Trajectory:

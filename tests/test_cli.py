@@ -78,6 +78,12 @@ def test_non_object_json_is_exit_1(tmp_path):
     pytest.param("funnels", [{"a": 1.5, "b": 0.8, "eps": 0.001}] * 2, id="funnels-value14"),
     pytest.param("observer_gains", [1e2, 1e5], id="observer_gains-value15"),
     ("params.s", 1.0),  # the tracking offset is no longer a field
+    # a number field takes a finite int or float at every depth, never a
+    # string, null or bool
+    ("ref.yf", "0.5"),
+    ("x0.alpha", "0.1"),
+    ("disturbance.amp1", None),
+    ("t_end", True),
 ])
 def test_invalid_field_is_exit_1(tmp_path, path, value):
     data = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=1.0).to_dict()
@@ -168,7 +174,8 @@ def test_sweep_bad_spec_is_exit_1(short_config):
 
 
 @pytest.mark.parametrize("vary", ["funnels.3.a=0:1:2", "funnels.x.a=0:1:2",
-                                  "params.bogus=0:1:2", "t_end=1:-1:3"])
+                                  "params.bogus=0:1:2", "t_end=1:-1:3",
+                                  "disturbance.amp1=0:1:0"])
 def test_sweep_invalid_point_is_exit_1_before_any_run(tmp_path, short_config,
                                                       monkeypatch, vary):
     from funneltrack import sim

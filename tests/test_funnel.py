@@ -76,27 +76,27 @@ class TestCascade:
     def test_zero_e0_kills_gain_derivative_term(self):
         # y_new == y_bar_ref with nonzero matched derivatives
         out = cascade(SPECS, 0.7, 0.3, 0.05, -0.02, 0.3, 0.01, 0.03)
-        assert out.e0 == 0.0
-        assert out.k0_1 == 0.0
-        assert out.e1 == out.e0_1
-        assert out.u == pytest.approx(
-            out.k2 * (out.e0_2 + out.k0 * out.e0_1 + out.k1 * out.e1), rel=1e-15)
+        e0_1, e0_2 = 0.05 - 0.01, -0.02 - 0.03
+        assert out.e0 == 0.0 and out.k0 == 1.0
+        assert out.e1 == e0_1
+        # the k0' e0 term drops out: e2 = e0'' + k0 e0' + k1 e1
+        assert out.e2 == e0_2 + e0_1 + out.k1 * e0_1
+        assert out.u == out.k2 * out.e2
 
     def test_gain_derivative_matches_fd_on_synthetic_signal(self):
-        # e0(t) = 0.1 sin t with its true derivative: k0_1 must be d/dt k0;
-        # restricted to times where the synthetic signal fits all funnels
-        ts = np.linspace(0.2, 1.8, 33)
-        h = 1e-5
-        for t in ts:
-            def k0_of(tt):
-                phi, _ = phi_eval(SPECS[0], tt)
-                e = 0.1 * math.sin(tt)
-                return 1.0 / (1.0 - phi * phi * e * e)
+        # e0(t) = 0.1 sin t with its true derivatives: e2 - k1 e1 is the
+        # derivative of e1 = e0' + k0 e0, so the cascade's k0' must be d/dt k0
+        # (e0 >= 0.02 here); restricted to times where the synthetic signal
+        # fits all funnels
+        def out_at(t):
+            return cascade(SPECS, t, 0.1 * math.sin(t), 0.1 * math.cos(t),
+                           -0.1 * math.sin(t), 0.0, 0.0, 0.0)
 
-            out = cascade(SPECS, t, 0.1 * math.sin(t), 0.1 * math.cos(t),
-                          -0.1 * math.sin(t), 0.0, 0.0, 0.0)
-            fd = (k0_of(t + h) - k0_of(t - h)) / (2 * h)
-            assert out.k0_1 == pytest.approx(fd, abs=1e-5)
+        h = 1e-5
+        for t in np.linspace(0.2, 1.8, 33):
+            out = out_at(t)
+            fd = (out_at(t + h).e1 - out_at(t - h).e1) / (2 * h)
+            assert out.e2 - out.k1 * out.e1 == pytest.approx(fd, abs=1e-8)
 
     def test_positive_feedback_direction(self):
         # du/de2 > 0 wherever the cascade is defined
@@ -128,11 +128,11 @@ class TestControllers:
         self.case_ref = BoundedReference(LIN, TransitionRef(0.0, math.pi / 4, 0.0, 3.0))
 
     def test_equilibrium_zero_reference(self):
-        out, y_new = control_law(LIN, SPECS, self.zero_ref, 0.0, np.zeros(4))
-        assert out.u == 0.0 and y_new == 0.0
+        out = control_law(LIN, SPECS, self.zero_ref, 0.0, np.zeros(4))
+        assert out.u == 0.0 and out.y_new == 0.0
 
     def test_initial_feasibility_of_case_study(self):
-        out, _ = control_law(LIN, SPECS, self.case_ref, 0.0, np.zeros(4))
+        out = control_law(LIN, SPECS, self.case_ref, 0.0, np.zeros(4))
         assert out.e0 == pytest.approx(-self.case_ref.value(0.0), abs=1e-15)
         phi0, _ = phi_eval(SPECS[0], 0.0)
         assert phi0 * abs(out.e0) < 1.0
@@ -142,18 +142,18 @@ class TestControllers:
             t = 1.0
             zeta = ynew_derivatives(LIN, x)
             try:
-                want, _ = control_law(LIN, SPECS, self.case_ref, t, x)
+                want = control_law(LIN, SPECS, self.case_ref, t, x)
             except FunnelViolation:
                 continue  # random state outside the funnels; not the point here
-            got, y_new = control_law(LIN, SPECS, self.case_ref, t, x, zeta)
+            got = control_law(LIN, SPECS, self.case_ref, t, x, zeta)
             assert got == want
-            assert y_new == zeta[0]
+            assert got.y_new == zeta[0]
 
     def test_hg_persistent_rest(self):
         zeta = (psi(LIN, np.zeros(4)), 0.0, 0.0)
-        out, y_new = control_law(LIN, SPECS, self.zero_ref, 0.0, np.zeros(4), zeta)
+        out = control_law(LIN, SPECS, self.zero_ref, 0.0, np.zeros(4), zeta)
         assert out.u == 0.0
-        assert observer_rhs(GAINS, zeta, y_new) == (0.0, 0.0, 0.0)
+        assert observer_rhs(GAINS, zeta, out.y_new) == (0.0, 0.0, 0.0)
 
     def test_hg_zero_gain_observer_is_decoupled(self):
         cfg = case_study_config("hg")

@@ -121,6 +121,8 @@ def test_empty_or_reversed_span_is_rejected(t_span):
                  "ValueError", id="infinite-end"),
     pytest.param("rk45.solve(lambda t, y: -y, (-np.inf, 1.0), np.array([1.0]))",
                  "ValueError", id="infinite-start"),
+    pytest.param("rk45.solve(lambda t, y: np.array([1.0]), (0.0, 1.0), np.array([0.0]),"
+                 " abs_tol=1e-300)", "IntegrationError t=0.0 state=[0.0]", id="zero-initial-step"),
 ])
 def test_degenerate_solve_raises_instead_of_looping(call, raised):
     code = ("import numpy as np\n"
@@ -185,6 +187,19 @@ def test_no_sample_step_records_every_accepted_step():
     assert res.t[0] == 0.0 and res.t[-1] == 10.0
     assert np.all(np.diff(res.t) > 0)
     assert np.max(np.abs(res.y[:, 0] - np.cos(res.t))) < 1e-9
+
+
+def test_span_off_the_sample_grid_ends_with_the_final_state():
+    # 1.0005 is not a multiple of sample_step: the grid stops at 1.0 and the
+    # end of the span is appended with the last accepted state
+    def f(t, y):
+        return np.array([y[1], -y[0]])
+
+    y0 = np.array([1.0, 0.0])
+    sampled = rk45.solve(f, (0.0, 1.0005), y0, sample_step=1e-3)
+    stepped = rk45.solve(f, (0.0, 1.0005), y0, sample_step=None)
+    assert sampled.t[-3:].tolist() == pytest.approx([0.999, 1.0, 1.0005], abs=1e-15)
+    assert np.array_equal(sampled.y[-1], stepped.y[-1])
 
 
 def test_retry_after_rejection_starts_from_f_at_the_step_start():

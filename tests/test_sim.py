@@ -85,7 +85,7 @@ def composed(loop, t, state):
     out = cascade(cfg.funnels, t, y_new, y1, y2, *loop.new_ref.eval(t))
     deriv = plant_rhs(cfg.params, x, out.u + disturbance(cfg.disturbance, t))
     row = [t, *x, output(x)[0], yref_eval(cfg.ref, t)[0],
-           loop.new_ref.value(t), y_new, *out[:7]]
+           loop.new_ref.value(t), y_new, *out[2:]]
     if cfg.mode == "hg":
         deriv = np.concatenate([deriv, observer_rhs(cfg.observer_gains, state[4:], y_new)])
         row.extend(state[4:])
@@ -112,7 +112,7 @@ class TestClosedLoopRhs:
     def test_case_study_start_is_finite_and_moderate(self):
         cfg = case_study_config("lin")
         loop = ClosedLoop(cfg)
-        _, out, _ = loop.evaluate(0.0, loop.initial_state())
+        _, out = loop.evaluate(0.0, loop.initial_state())
         assert abs(out.u) < 100.0
         deriv = loop.rhs(0.0, loop.initial_state())
         assert np.all(np.isfinite(deriv))
