@@ -3,7 +3,7 @@
 Library layers: ``model`` (plant), ``bif`` (normal-form coordinates and
 internal dynamics), ``linid`` (linearization, eigensplit, auxiliary
 output), ``reference`` (transition polynomial and bounded auxiliary
-reference), ``funnel`` (gain cascade, observer, control laws), ``rk45``
+reference), ``funnel`` (gain cascade, high-gain observer), ``rk45``
 (adaptive integrator with state guards), ``sim`` (closed-loop integration,
 CSV, case study), ``errors`` (exception types), ``checks`` (independent-route
 oracles), plus the ``funneltrack`` CLI.

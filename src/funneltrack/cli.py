@@ -21,6 +21,7 @@ FAILURES = {
     FunnelViolation: (2, "funnel violation"),
     DomainError: (3, "domain exit"),
     IntegrationError: (4, "integrator failure"),
+    OSError: (1, "I/O error"),  # an output path that cannot be written
 }
 
 

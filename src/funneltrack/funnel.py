@@ -1,4 +1,4 @@
-"""Funnel functions, the gain/error cascade, and the two control laws.
+"""Funnel functions, the gain/error cascade, and the high-gain observer.
 
 The cascade stacks three funnel-gain stages around the auxiliary output
 error: e1 = e0' + k0 e0, e2 = e1' + k1 e1, u = +k2 e2, each gain
@@ -6,18 +6,17 @@ k = 1/(1 - phi^2 e^2) blowing up as the error approaches its funnel
 boundary 1/phi.  The positive feedback sign matches the negative
 effective input gain of the auxiliary output on the admissible region.
 
-Two variants supply the surrogate derivatives of the auxiliary output to
-``control_law``: the modal derivative ladder (``lin``), or a high-gain
-observer whose three states estimate the output and its first two time
-derivatives (``hg``).
+The cascade takes the auxiliary output and two surrogate time
+derivatives of it.  Two variants supply them: the modal derivative ladder
+``linid.ynew_derivatives`` (``lin``), or ``observer_derivatives``, which
+reads the last two of a high-gain observer's three states (``hg``).
 """
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError, FunnelViolation, require_finite
-from .linid import LinData, psi, ynew_derivatives
-from .reference import BoundedReference
+from .linid import LinData, psi
 
 
 @dataclass(frozen=True)
@@ -94,16 +93,6 @@ def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
     return l1 * err + zeta[1], l2 * err + zeta[2], l3 * err
 
 
-def control_law(lin: LinData, specs, new_ref: BoundedReference, t: float, x,
-                zeta=None) -> CascadeOutput:
-    """Feedback law at (t, x), with y_new = psi(x).
-
-    The surrogate derivatives of y_new are the observer estimates
-    ``zeta[1:]`` when ``zeta`` is given (``hg``), else the modal ladder
-    (``lin``).
-    """
-    if zeta is None:
-        y_new, y1, y2 = ynew_derivatives(lin, x)
-    else:
-        y_new, y1, y2 = psi(lin, x), zeta[1], zeta[2]
-    return cascade(specs, t, y_new, y1, y2, *new_ref.eval(t))
+def observer_derivatives(lin: LinData, x) -> tuple[float, float, float]:
+    """``ynew_derivatives`` for the state x = (plant, observer): y_new and x[5:7]."""
+    return psi(lin, x), x[5], x[6]

@@ -105,7 +105,11 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     records t0 and the end of every accepted step.  ``guards`` is a tuple
     of exception types treated as state-constraint violations (see module
     docstring); their bisection stops below ``min_step``, which must be
-    finite and > 0.  ``max_step`` must be > 0 (``inf`` means no limit),
+    finite and > 0.  No step is shorter than ``min_step`` except the last
+    one, cut short to end at ``t_end``; a step size that falls below it
+    anywhere else (the first, or after a rejected or an accepted step)
+    raises IntegrationError.
+    ``max_step`` must be > 0 (``inf`` means no limit),
     and both tolerances finite and > 0.  An initial step size that is not
     finite and > 0 (say, from an f that returns NaN, or from an abs_tol so
     small that the error scale overflows) raises IntegrationError.
@@ -141,6 +145,10 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     err_prev = 1e-4
     while t < t_end:
         h = min(h, max_step, t_end - t)
+        if h < min_step and h < t_end - t:  # only the last step may be that short
+            raise IntegrationError(
+                f"step size underflow ({h:.3e} < {min_step:.3e}) at t = {t:.6f}",
+                t=t, state=y.copy())
         # K[0] holds f(t, y): set from the last stage of an accepted step only,
         # so a retry after a rejection starts from the same first stage (FSAL)
         try:
@@ -172,10 +180,6 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         if err > 1.0:
             nreject += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            if h < min_step:
-                raise IntegrationError(
-                    f"step size underflow ({h:.3e} < {min_step:.3e}) at t = {t:.6f}",
-                    t=t, state=y.copy())
             continue
 
         # accepted: dense samples inside (t, t+h]

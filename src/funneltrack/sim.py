@@ -22,8 +22,9 @@ import numpy as np
 from . import rk45
 from .errors import (ConfigError, DomainError, FunnelViolation,
                      IntegrationError, SimulationError, require_finite)
-from .funnel import CascadeOutput, FunnelSpec, control_law, observer_rhs, phi_eval
-from .linid import LinData, eigensplit, psi
+from .funnel import (CascadeOutput, FunnelSpec, cascade, observer_derivatives,
+                     observer_rhs, phi_eval)
+from .linid import LinData, eigensplit, psi, ynew_derivatives
 from .model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
                     accelerations, output)
 from .reference import BoundedReference, TransitionRef, yref_eval
@@ -193,6 +194,8 @@ class ClosedLoop:
         self.lin: LinData = eigensplit(cfg.params)
         self.new_ref = BoundedReference(self.lin, cfg.ref)
         self.observer = cfg.mode == "hg"
+        # the one place the variants differ: where y_new's derivatives come from
+        self.derivatives = observer_derivatives if self.observer else ynew_derivatives
         self.columns = BASE_COLUMNS + (OBSERVER_COLUMNS if self.observer else ())
         self.specs = cfg.funnels
         self.gains = cfg.observer_gains
@@ -207,7 +210,7 @@ class ClosedLoop:
     def evaluate(self, t: float, state: np.ndarray) -> tuple[list, CascadeOutput]:
         """State derivative and controller record at (t, state), in one pass.
 
-        The control law and the plant take the state list whole.  Raises
+        The derivative source and the plant take the state list whole.  Raises
         DomainError, with t and the state, outside cos(beta) > 2/3, and
         FunnelViolation once an error reaches its funnel boundary.
         """
@@ -218,12 +221,12 @@ class ClosedLoop:
             raise DomainError(
                 f"beta = {xs[1]:.6f} left the admissible region at t = {t:.6f}",
                 t=t, state=state.copy())
-        zeta = xs[4:] if self.observer else None
-        out = control_law(self.lin, self.specs, self.new_ref, t, xs, zeta)
+        y_new, y1, y2 = self.derivatives(self.lin, xs)
+        out = cascade(self.specs, t, y_new, y1, y2, *self.new_ref.eval(t))
         u_d = out.u + disturbance(self.dist, t)
         deriv = [xs[2], xs[3], *accelerations(self.params, xs, u_d)]
-        if zeta is not None:
-            deriv.extend(observer_rhs(self.gains, zeta, out.y_new))
+        if self.observer:
+            deriv.extend(observer_rhs(self.gains, xs[4:], out.y_new))
         return deriv, out
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:

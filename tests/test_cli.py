@@ -137,6 +137,7 @@ def test_integrator_failure_is_exit_4(tmp_path, short_config, monkeypatch):
     (FunnelViolation("boundary", t=0.1, level=2), 2, "funnel violation"),
     (DomainError("outside", t=0.1), 3, "domain exit"),
     (IntegrationError("underflow", t=0.1), 4, "integrator failure"),
+    (FileNotFoundError(2, "No such file or directory"), 1, "I/O error"),
 ])
 def test_failure_exit_code_and_label(short_config, monkeypatch, capsys, exc, code, label):
     from funneltrack import cli
@@ -147,6 +148,14 @@ def test_failure_exit_code_and_label(short_config, monkeypatch, capsys, exc, cod
     monkeypatch.setattr(cli, "integrate", fail)
     assert cli.main(["simulate", "--config", str(short_config)]) == code
     assert capsys.readouterr().err == f"{label}: {exc}\n"
+
+
+def test_unwritable_output_is_exit_1_without_traceback(tmp_path, short_config, capsys):
+    out = tmp_path / "missing" / "a.csv"
+    assert main(["simulate", "--config", str(short_config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_case_study_outputs(tmp_path, capsys):

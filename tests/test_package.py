@@ -1,6 +1,6 @@
-"""The package as a whole: its root imports nothing, each module reads what
-it imports and every private name it defines, and README's library example
-runs."""
+"""The package as a whole: its root imports nothing, each module and test
+file reads what it imports and every private name it defines, and README's
+library example runs."""
 import ast
 import os
 import pathlib
@@ -10,7 +10,8 @@ import sys
 import funneltrack
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted(pathlib.Path(funneltrack.__file__).parent.glob("*.py"))
+MODULES = (sorted(pathlib.Path(funneltrack.__file__).parent.glob("*.py"))
+           + sorted((ROOT / "tests").glob("*.py")))
 
 
 def test_importing_the_root_loads_no_layer_and_no_numpy():
@@ -62,7 +63,8 @@ def unread_private_names(source: str) -> list:
 
 
 def test_every_module_reads_what_it_imports():
-    unread = {path.name: unread_imports(path.read_text()) for path in MODULES}
+    unread = {f"{path.parent.name}/{path.name}": unread_imports(path.read_text())
+              for path in MODULES}
     assert {name: names for name, names in unread.items() if names} == {}
 
 
@@ -72,7 +74,8 @@ def test_the_scan_finds_an_unread_import():
 
 
 def test_every_module_reads_its_private_names():
-    unread = {path.name: unread_private_names(path.read_text()) for path in MODULES}
+    unread = {f"{path.parent.name}/{path.name}": unread_private_names(path.read_text())
+              for path in MODULES}
     assert {name: names for name, names in unread.items() if names} == {}
 
 

@@ -180,6 +180,19 @@ class TestGuards:
         assert exc.value.t is not None
 
 
+def test_accepted_steps_do_not_shrink_below_min_step():
+    # y' = y^2 blows up at t = 1: the step size falls below min_step after
+    # accepted steps alone, so the solve must stop there, not take 180 more
+    with pytest.raises(IntegrationError) as exc:
+        rk45.solve(lambda t, y: y * y, (0.0, 1 - 1e-7), [1.0], min_step=1e-6)
+    assert exc.value.t == pytest.approx(0.99997, abs=1e-5)
+
+
+def test_last_step_may_be_shorter_than_min_step():
+    res = rk45.solve(lambda t, y: -y, (0.0, 1e-9), [1.0], min_step=1e-6)
+    assert res.t.tolist() == [0.0, 1e-9]
+
+
 def test_no_sample_step_records_every_accepted_step():
     res = rk45.solve(lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
                      np.array([1.0, 0.0]), rel_tol=1e-12, abs_tol=1e-14)
@@ -233,6 +246,8 @@ def reference_solve(f, t_span, y0, *, rel_tol, abs_tol, max_step=math.inf,
     K = np.empty((7, y.size))
     while t < t_end:
         h = min(h, max_step, t_end - t)
+        if h < min_step and h < t_end - t:
+            raise IntegrationError("step size underflow", t=t, state=y.copy())
         K[0] = f_curr
         try:
             for i, a_row in enumerate(rk45._A):
@@ -255,8 +270,6 @@ def reference_solve(f, t_span, y0, *, rel_tol, abs_tol, max_step=math.inf,
         if err > 1.0:
             stats["nreject"] += 1
             h *= max(rk45._MIN_FACTOR, rk45._SAFETY * err ** -0.2)
-            if h < min_step:
-                raise IntegrationError("step size underflow", t=t, state=y.copy())
             continue
         if sample_step is not None:
             t_target = t0 + next_k * sample_step
