@@ -22,16 +22,18 @@ _P = ManipulatorParams()
 _CASE = sim.case_study_config()
 _REF = _CASE.ref
 _GAINS = _CASE.observer_gains
+_BETA_MARGIN = 0.02  # random states keep this far inside the admissible region
+_FD_STEP = 1e-6
 
 
-def random_domain_states(n, seed, vel_scale=2.0, beta_margin=0.02):
+def random_domain_states(n, seed, vel_scale=2.0):
     """``n`` plant states with beta strictly inside the admissible region.
 
     ``seed`` is an int or a ``np.random.Generator``; a generator is drawn
     from in place, so the caller can go on drawing inputs from it.
     """
     rng = np.random.default_rng(seed)
-    beta_max = model.BETA_MAX - beta_margin
+    beta_max = model.BETA_MAX - _BETA_MARGIN
     states = np.empty((n, 4))
     states[:, 0] = rng.uniform(-2.0, 2.0, n)
     states[:, 1] = rng.uniform(-beta_max, beta_max, n)
@@ -44,14 +46,14 @@ def _states(*draws):
     return np.vstack([random_domain_states(n, seed) for n, seed in draws])
 
 
-def fd_gradient(fun, x, step=1e-6):
+def fd_gradient(fun, x):
     """Central differences of ``fun`` at ``x``: the gradient of a scalar
     function, the Jacobian (one column per coordinate) of a vector one."""
     cols = []
     for i in range(len(x)):
         e = np.zeros(len(x))
-        e[i] = step
-        cols.append((np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2 * step))
+        e[i] = _FD_STEP
+        cols.append((np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2 * _FD_STEP))
     return np.array(cols).T
 
 

@@ -10,6 +10,7 @@ exception that stopped the command.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .errors import ConfigError, DomainError, FunnelViolation, IntegrationError
@@ -65,6 +66,21 @@ def _parse_vary(spec: str):
         raise ConfigError(f"--vary expects FIELD=START:STOP:N, got {spec!r}") from exc
 
 
+def _check_writable(*paths) -> None:
+    """Raise the OSError that writing any of ``paths`` would raise; create no file."""
+    for path in paths:
+        existed = os.path.lexists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
+def _write_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -73,6 +89,7 @@ def main(argv=None) -> int:
             overrides = {"mode": args.mode, "t_end": args.t_end}
             cfg = dataclasses.replace(
                 cfg, **{k: v for k, v in overrides.items() if v is not None})
+            _check_writable(args.out)
             traj = integrate(cfg)
             traj.write_csv(args.out)
             print(json.dumps(summarize(cfg, traj), indent=2))
@@ -81,16 +98,22 @@ def main(argv=None) -> int:
             from .checks import run_all
             return run_all()
         if args.command == "case-study":
-            _, _, summary = run_case_study(args.out_dir, disturbed=not args.no_disturbance)
+            os.makedirs(args.out_dir, exist_ok=True)
+            lin_csv, hg_csv, summary_json = (os.path.join(args.out_dir, name)
+                                             for name in ("lin.csv", "hg.csv", "summary.json"))
+            _check_writable(lin_csv, hg_csv, summary_json)
+            traj_lin, traj_hg, summary = run_case_study(disturbed=not args.no_disturbance)
+            traj_lin.write_csv(lin_csv)
+            traj_hg.write_csv(hg_csv)
+            _write_json(summary, summary_json)
             print(json.dumps(summary, indent=2))
             return 0
         if args.command == "sweep":
             cfg = ScenarioConfig.from_json_file(args.config)
             field, start, stop, n = _parse_vary(args.vary)
+            _check_writable(args.out)
             results = run_sweep(cfg, field, start, stop, n, parallel=not args.serial)
-            with open(args.out, "w") as fh:
-                json.dump(results, fh, indent=2)
-                fh.write("\n")
+            _write_json(results, args.out)
             for row in results:
                 print(f"{field} = {row['value']:.6g}: {row['status']}")
             return 0

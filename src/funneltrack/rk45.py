@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import ConfigError, IntegrationError
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
@@ -70,10 +70,23 @@ def _error_norm(err, y0, y1, rel_tol, abs_tol):
     return math.sqrt(np.add.reduce(ratio) / ratio.size)
 
 
-def check_tolerances(rel_tol, abs_tol, error=ValueError) -> None:
-    """Raise ``error`` unless both tolerances are finite and > 0."""
-    if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
-        raise error(f"tolerances must be finite and > 0, got rel_tol={rel_tol}, abs_tol={abs_tol}")
+# 1/sqrt(float max): below it (f/abs_tol)**2 of a unit-size derivative
+# overflows in _initial_step's norm
+MIN_ABS_TOL = 2.0 ** -512
+
+
+def check_settings(rel_tol, abs_tol, min_step, max_step, sample_step=None) -> None:
+    """Raise ConfigError unless ``solve`` accepts these settings: both
+    tolerances finite, rel_tol > 0 and abs_tol >= MIN_ABS_TOL;
+    0 < min_step < max_step (``max_step`` may be ``inf``; min_step > 0 also
+    ends guard bisection); ``sample_step`` None or finite and > 0."""
+    if not (0 < rel_tol < math.inf and MIN_ABS_TOL <= abs_tol < math.inf):
+        raise ConfigError(f"tolerances must be finite, rel_tol > 0 and abs_tol >= 2**-512, "
+                          f"got rel_tol={rel_tol}, abs_tol={abs_tol}")
+    if not 0 < min_step < max_step:
+        raise ConfigError(f"need 0 < min_step < max_step, got {min_step}, {max_step}")
+    if not (sample_step is None or 0 < sample_step < math.inf):
+        raise ConfigError(f"sample_step must be None or finite and > 0, got {sample_step}")
 
 
 def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
@@ -100,28 +113,22 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
           min_step=1e-12, sample_step=None, guards=()) -> SolveResult:
     """Integrate y' = f(t, y) over a finite ``t_span`` with t0 < t_end, with dense sampling.
 
-    ``sample_step`` > 0 emits interpolated states on the uniform grid
-    t0 + k * sample_step (the endpoint is always included); ``None``
-    records t0 and the end of every accepted step.  ``guards`` is a tuple
-    of exception types treated as state-constraint violations (see module
-    docstring); their bisection stops below ``min_step``, which must be
-    finite and > 0.  No step is shorter than ``min_step`` except the last
-    one, cut short to end at ``t_end``; a step size that falls below it
-    anywhere else (the first, or after a rejected or an accepted step)
-    raises IntegrationError.
-    ``max_step`` must be > 0 (``inf`` means no limit),
-    and both tolerances finite and > 0.  An initial step size that is not
-    finite and > 0 (say, from an f that returns NaN, or from an abs_tol so
-    small that the error scale overflows) raises IntegrationError.
+    ``check_settings`` states which tolerances and step settings run; it
+    raises ConfigError, a ValueError, before f is called.  ``sample_step``
+    emits interpolated states on the uniform grid t0 + k * sample_step (the
+    endpoint is always included); ``None`` records t0 and the end of every
+    accepted step.  ``guards`` is a tuple of exception types treated as
+    state-constraint violations (see module docstring); their bisection
+    stops below ``min_step``.  No step is shorter than ``min_step`` except
+    the last one, cut short to end at ``t_end``; a step size that falls
+    below it anywhere else (the first, or after a rejected or an accepted
+    step) raises IntegrationError, and so does an initial step size that
+    is not finite and > 0 (say, from an f that returns NaN).
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end) and t0 < t_end):
         raise ValueError(f"need finite t0 < t_end, got {t_span}")
-    if not (min_step > 0 and math.isfinite(min_step)):
-        raise ValueError(f"need a finite min_step > 0, got {min_step}")
-    if not max_step > 0:
-        raise ValueError(f"need max_step > 0, got {max_step}")
-    check_tolerances(rel_tol, abs_tol)
+    check_settings(rel_tol, abs_tol, min_step, max_step, sample_step)
     guards = tuple(guards)
     y = np.asarray(y0, dtype=float).copy()
 

@@ -12,7 +12,6 @@ configurations produce bit-identical CSV files.
 import dataclasses
 import json
 import math
-import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -64,9 +63,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         require_finite(self)
-        rk45.check_tolerances(self.rel_tol, self.abs_tol, ConfigError)
-        if not 0 < self.min_step < self.max_step:  # > 0 also ends guard bisection
-            raise ConfigError(f"need 0 < min_step < max_step, got {self.min_step}, {self.max_step}")
+        rk45.check_settings(self.rel_tol, self.abs_tol, self.min_step, self.max_step)
 
 
 @dataclass(frozen=True)
@@ -294,11 +291,10 @@ def summarize(cfg: ScenarioConfig, traj: Trajectory) -> dict:
     }
 
 
-def run_case_study(out_dir=".", disturbed: bool = True) -> tuple[Trajectory, Trajectory, dict]:
+def run_case_study(disturbed: bool = True) -> tuple[Trajectory, Trajectory, dict]:
     """Run both controller variants on the case-study scenario.
 
-    Writes ``lin.csv``, ``hg.csv`` and ``summary.json`` into ``out_dir``
-    and returns the two trajectories plus the summary dictionary.
+    Returns the two trajectories and the summary of both.
     """
     cfg_lin = case_study_config("lin", disturbed)
     cfg_hg = case_study_config("hg", disturbed)
@@ -314,12 +310,6 @@ def run_case_study(out_dir=".", disturbed: bool = True) -> tuple[Trajectory, Tra
         "y_final_difference": abs(float(traj_lin["y"][-1]) - float(traj_hg["y"][-1])),
         "disturbed": disturbed,
     }
-    os.makedirs(out_dir, exist_ok=True)
-    traj_lin.write_csv(os.path.join(out_dir, "lin.csv"))
-    traj_hg.write_csv(os.path.join(out_dir, "hg.csv"))
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
     return traj_lin, traj_hg, summary
 
 

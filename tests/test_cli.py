@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -151,11 +152,38 @@ def test_failure_exit_code_and_label(short_config, monkeypatch, capsys, exc, cod
 
 
 def test_unwritable_output_is_exit_1_without_traceback(tmp_path, short_config, capsys):
-    out = tmp_path / "missing" / "a.csv"
-    assert main(["simulate", "--config", str(short_config), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("I/O error: ") and err.count("\n") == 1
-    assert not out.parent.exists()
+    a_file = tmp_path / "file.txt"
+    a_file.write_text("")
+    (tmp_path / "taken" / "lin.csv").mkdir(parents=True)
+    # a missing directory, a directory path that is not a directory, a directory
+    bad = [tmp_path / "missing" / "a.csv", a_file / "a.csv", tmp_path]
+    commands = [
+        *(["simulate", "--config", str(short_config), "--out", str(p)] for p in bad),
+        *(["sweep", "--config", str(short_config), "--vary", "t_end=1:2:2",
+           "--out", str(p), "--serial"] for p in bad),
+        *(["case-study", "--out-dir", str(p)] for p in (a_file, a_file / "sub", tmp_path / "taken")),
+    ]
+    before = sorted(tmp_path.rglob("*"))
+    with mock.patch("funneltrack.cli.integrate") as simulate_runs, \
+            mock.patch("funneltrack.sim.integrate") as other_runs:
+        for argv in commands:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("I/O error: ") and err.count("\n") == 1, err
+    assert simulate_runs.call_count == other_runs.call_count == 0
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_case_study_writes_no_file(tmp_path, monkeypatch):
+    from funneltrack import sim
+
+    def fail(cfg):
+        raise FunnelViolation("boundary", t=0.1, level=2)
+
+    monkeypatch.setattr(sim, "integrate", fail)
+    out = tmp_path / "results"
+    assert main(["case-study", "--out-dir", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_case_study_outputs(tmp_path, capsys):

@@ -14,6 +14,7 @@ from funneltrack.errors import ConfigError
 from funneltrack.funnel import FunnelSpec
 from funneltrack.model import ManipulatorParams, PlantState
 from funneltrack.reference import TransitionRef
+from funneltrack.rk45 import MIN_ABS_TOL
 from funneltrack.sim import (DisturbanceSpec, IntegratorConfig, ScenarioConfig,
                              _replace_field)
 
@@ -38,7 +39,7 @@ def transitions(draw):
 @st.composite
 def integrators(draw):
     min_step, max_step = sorted(draw(st.lists(positive, min_size=2, max_size=2, unique=True)))
-    return IntegratorConfig(draw(positive), draw(positive), max_step, min_step)
+    return IntegratorConfig(draw(positive), draw(floats(MIN_ABS_TOL, 1e6)), max_step, min_step)
 
 
 configs = st.builds(
@@ -133,8 +134,10 @@ nonpositive = floats(-1e6, 0.0)
 OUT_OF_RANGE = {
     **{f"funnels.{k}.a": negative for k in range(3)},
     **{f"funnels.{k}.{name}": nonpositive for k in range(3) for name in ("b", "eps")},
-    **dict.fromkeys(["t_end", "integrator.rel_tol", "integrator.abs_tol",
-                     "params.m", "params.l", "params.c"], nonpositive),
+    **dict.fromkeys(["t_end", "integrator.rel_tol", "params.m", "params.l", "params.c"],
+                    nonpositive),
+    "integrator.abs_tol": st.one_of(nonpositive, floats(0.0, MIN_ABS_TOL, exclude_min=True,
+                                                        exclude_max=True)),
     "params.d": negative,
     "integrator.min_step": floats(BASE.integrator.max_step, 1e6),
     "integrator.max_step": floats(-1e6, BASE.integrator.min_step),

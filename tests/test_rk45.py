@@ -9,8 +9,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from funneltrack import rk45
-from funneltrack.errors import DomainError, FunnelViolation, IntegrationError
-from funneltrack.sim import SAMPLE_STEP, ClosedLoop, case_study_config
+from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
+from funneltrack.sim import SAMPLE_STEP, ClosedLoop, IntegratorConfig, case_study_config
 
 
 def test_exact_on_smooth_scalar():
@@ -76,22 +76,27 @@ def test_determinism():
     assert np.array_equal(a.y, b.y) and np.array_equal(a.t, b.t)
 
 
-@pytest.mark.parametrize("limit, value", [
-    *(pytest.param("min_step", v, id=str(v)) for v in (0.0, -1.0, math.nan, math.inf)),
-    *(pytest.param("max_step", v, id=f"max_step={v}") for v in (0.0, -0.1, math.nan)),
-    *(pytest.param(tol, v, id=f"{tol}={v}") for tol in ("rel_tol", "abs_tol")
+# bad integrator settings: rk45.check_settings rejects each for both of its
+# callers, before any right-hand side evaluation
+@pytest.mark.parametrize("settings", [
+    *(pytest.param({"min_step": v}, id=str(v)) for v in (0.0, -1.0, math.nan, math.inf)),
+    pytest.param({"min_step": 0.05, "max_step": 0.05}, id="min_step=max_step"),
+    *(pytest.param({"max_step": v}, id=f"max_step={v}") for v in (0.0, -0.1, math.nan)),
+    *(pytest.param({tol: v}, id=f"{tol}={v}") for tol in ("rel_tol", "abs_tol")
       for v in (0.0, -1.0, math.nan, math.inf)),
+    pytest.param({"abs_tol": rk45.MIN_ABS_TOL / 2}, id="abs_tol=2**-513"),
 ])
-def test_min_step_must_be_finite_and_positive(limit, value):
+def test_min_step_must_be_finite_and_positive(settings):
     calls = []
 
     def f(t, y):
         calls.append(t)
         raise FunnelViolation("wall", t=t)
 
-    with pytest.raises(ValueError):
-        rk45.solve(f, (0.0, 1.0), np.array([0.0]), **{limit: value},
-                   guards=(FunnelViolation,))
+    with pytest.raises(ConfigError):
+        rk45.solve(f, (0.0, 1.0), np.array([0.0]), **settings, guards=(FunnelViolation,))
+    with pytest.raises(ConfigError):
+        IntegratorConfig(**settings)
     assert calls == []
 
 
@@ -122,7 +127,10 @@ def test_empty_or_reversed_span_is_rejected(t_span):
     pytest.param("rk45.solve(lambda t, y: -y, (-np.inf, 1.0), np.array([1.0]))",
                  "ValueError", id="infinite-start"),
     pytest.param("rk45.solve(lambda t, y: np.array([1.0]), (0.0, 1.0), np.array([0.0]),"
-                 " abs_tol=1e-300)", "IntegrationError t=0.0 state=[0.0]", id="zero-initial-step"),
+                 " abs_tol=1e-300)", "ValueError", id="zero-initial-step"),
+    *(pytest.param(f"rk45.solve(lambda t, y: -y, (0.0, 1.0), np.array([1.0]), sample_step={v})",
+                   "ValueError", id=f"sample_step={v}")
+      for v in ("0.0", "-0.1", "np.nan")),
 ])
 def test_degenerate_solve_raises_instead_of_looping(call, raised):
     code = ("import numpy as np\n"
