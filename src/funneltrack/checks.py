@@ -108,7 +108,7 @@ def lie_derivatives_fd():
     for x in _states(*_LIE_DRAWS):
         g = model.input_field(_P, x)
         grad_h = fd_gradient(lambda z: model.output(z)[0], x)
-        grad_lfh = fd_gradient(lambda z: float(_DH @ model.drift(_P, z)), x)
+        grad_lfh = fd_gradient(lambda z: float(_DH @ model.plant_rhs(_P, z, 0.0)), x)
         worst = max(worst, abs(grad_h @ g), abs(grad_lfh @ g - model.gamma(_P, x[1])))
     return worst < 1e-6, f"finite-difference {worst:.3e}"
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, FunnelViolation, require_finite
 from .linid import LinData, psi
 
@@ -84,6 +86,14 @@ def cascade(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,
     e2 = e1_1 + k1 * e1
     k2 = gain(phi2, e2, t=t, level=2)
     return CascadeOutput(y_bar_ref, y_new, e0, e1, e2, k0, k1, k2, k2 * e2)
+
+
+def cascade_margins(specs, ts, errors) -> np.ndarray:
+    """Funnel margins phi_i(t) |e_i(t)|, shape (n, 3); ``errors[i]`` holds e_i at ``ts``."""
+    out = np.empty((len(ts), 3))
+    for j, (spec, e) in enumerate(zip(specs, errors)):
+        out[:, j] = np.array([phi_eval(spec, t)[0] for t in ts]) * np.abs(e)
+    return out
 
 
 def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:

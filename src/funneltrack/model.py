@@ -12,6 +12,8 @@ entries appended can be passed as it is.  Each computes the ``cos(beta)``
 and ``sin(beta)`` it needs.  All functions are pure; the admissible region
 ``cos(beta) > 2/3`` (where the high-frequency gain keeps a fixed sign) is
 checked by callers (``bif``, ``sim.ClosedLoop.evaluate``), not here.
+``plant_rhs``, the dynamics, returns a list: ``sim.ClosedLoop.rhs`` appends
+the observer's derivative to it.
 """
 import functools
 import math
@@ -93,8 +95,8 @@ def generalized_forces(p: ManipulatorParams, x) -> tuple[float, float]:
     return f1, f2
 
 
-def accelerations(p: ManipulatorParams, x, u_d: float) -> tuple[float, float]:
-    """(alpha_ddot, beta_ddot) at the state ``x``; entries past the fourth are ignored.
+def plant_rhs(p: ManipulatorParams, x, u_d: float) -> list:
+    """First-order dynamics xdot = f(x) + g(x) u_d, as a list.
 
     ``u_d`` is the torque on the first link including any disturbance.
     """
@@ -103,17 +105,7 @@ def accelerations(p: ManipulatorParams, x, u_d: float) -> tuple[float, float]:
     k = 36.0 / (p.l2m * (16.0 - 9.0 * cb * cb))
     a12 = -1.0 / 3.0 - 0.5 * cb
     t1 = f1 + u_d
-    return k * (t1 / 3.0 + a12 * f2), k * (a12 * t1 + (5.0 / 3.0 + cb) * f2)
-
-
-def plant_rhs(p: ManipulatorParams, x, u_d: float) -> np.ndarray:
-    """First-order dynamics xdot = f(x) + g(x) u_d."""
-    return np.array([x[2], x[3], *accelerations(p, x, u_d)])
-
-
-def drift(p: ManipulatorParams, x) -> np.ndarray:
-    """Drift vector field f(x) of the control-affine form."""
-    return plant_rhs(p, x, 0.0)
+    return [x[2], x[3], k * (t1 / 3.0 + a12 * f2), k * (a12 * t1 + (5.0 / 3.0 + cb) * f2)]
 
 
 def input_field(p: ManipulatorParams, x) -> np.ndarray:

@@ -89,19 +89,29 @@ def check_settings(rel_tol, abs_tol, min_step, max_step, sample_step=None) -> No
         raise ConfigError(f"sample_step must be None or finite and > 0, got {sample_step}")
 
 
+def _rms(z) -> float:
+    """RMS of ``z``; only where its squares overflow, that of z / max|z|, times max|z|."""
+    with np.errstate(over="ignore"):
+        d = float(np.sqrt(np.mean(z ** 2)))
+    if d == math.inf and np.all(np.isfinite(z)):
+        m = float(np.max(np.abs(z)))
+        d = m * float(np.sqrt(np.mean((z / m) ** 2)))
+    return d
+
+
 def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
     """Hairer-style starting step, conservative under guard exceptions."""
     span = t_end - t0
     scale = abs_tol + rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * span, max_step)
     try:
         f1 = f(t0 + h0, y0 + h0 * f0)
     except guards:
         return min(1e-8, max_step, span)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

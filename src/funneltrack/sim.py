@@ -21,11 +21,10 @@ import numpy as np
 from . import rk45
 from .errors import (ConfigError, DomainError, FunnelViolation,
                      IntegrationError, SimulationError, require_finite)
-from .funnel import (CascadeOutput, FunnelSpec, cascade, observer_derivatives,
-                     observer_rhs, phi_eval)
+from .funnel import (CascadeOutput, FunnelSpec, cascade, cascade_margins,
+                     observer_derivatives, observer_rhs)
 from .linid import LinData, eigensplit, psi, ynew_derivatives
-from .model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
-                    accelerations, output)
+from .model import DOMAIN_COS_LIMIT, ManipulatorParams, PlantState, output, plant_rhs
 from .reference import BoundedReference, TransitionRef, yref_eval
 
 SAMPLE_STEP = 1e-3
@@ -167,14 +166,6 @@ class Trajectory:
     def t(self) -> np.ndarray:
         return self["t"]
 
-    def funnel_margins(self, funnels) -> np.ndarray:
-        """phi_i(t) * |e_i(t)| for i = 0, 1, 2, shape (n, 3)."""
-        out = np.empty((len(self.t), 3))
-        for j, (spec, col) in enumerate(zip(funnels, ("e0", "e1", "e2"))):
-            phis = np.array([phi_eval(spec, t)[0] for t in self.t])
-            out[:, j] = phis * np.abs(self[col])
-        return out
-
     def write_csv(self, path):
         fmt = ",".join(["%.17g"] * len(self.columns)) + "\n"
         with open(path, "w", newline="\n") as fh:
@@ -204,42 +195,36 @@ class ClosedLoop:
             return np.concatenate([x0, [psi(self.lin, x0), 0.0, 0.0]])
         return x0
 
-    def evaluate(self, t: float, state: np.ndarray) -> tuple[list, CascadeOutput]:
-        """State derivative and controller record at (t, state), in one pass.
+    def evaluate(self, t: float, xs: list) -> CascadeOutput:
+        """Controller record at time t and closed-loop state ``xs``, a list.
 
-        The derivative source and the plant take the state list whole.  Raises
+        The derivative source takes the state list whole.  Raises
         DomainError, with t and the state, outside cos(beta) > 2/3, and
         FunnelViolation once an error reaches its funnel boundary.
         """
         # Python floats: the same values, but numpy scalars are several times slower
         t = float(t)
-        xs = state.tolist()
         if math.cos(xs[1]) <= DOMAIN_COS_LIMIT:
             raise DomainError(
                 f"beta = {xs[1]:.6f} left the admissible region at t = {t:.6f}",
-                t=t, state=state.copy())
-        y_new, y1, y2 = self.derivatives(self.lin, xs)
-        out = cascade(self.specs, t, y_new, y1, y2, *self.new_ref.eval(t))
-        u_d = out.u + disturbance(self.dist, t)
-        deriv = [xs[2], xs[3], *accelerations(self.params, xs, u_d)]
-        if self.observer:
-            deriv.extend(observer_rhs(self.gains, xs[4:], out.y_new))
-        return deriv, out
+                t=t, state=np.array(xs))
+        return cascade(self.specs, t, *self.derivatives(self.lin, xs), *self.new_ref.eval(t))
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
-        return np.array(self.evaluate(t, state)[0])
-
-    def margins(self, t: float, state: np.ndarray) -> tuple[float, float, float]:
-        """Funnel margins phi_i |e_i| at (t, state); raises like ``rhs``."""
-        out = self.evaluate(t, state)[1]
-        return tuple(phi_eval(spec, t)[0] * abs(e)
-                     for spec, e in zip(self.specs, (out.e0, out.e1, out.e2)))
+        """State derivative: the plant under the controller's input plus the
+        disturbance and, in ``hg`` mode, the observer."""
+        xs = state.tolist()
+        out = self.evaluate(t, xs)
+        deriv = plant_rhs(self.params, xs, out.u + disturbance(self.dist, t))
+        if self.observer:
+            deriv.extend(observer_rhs(self.gains, xs[4:], out.y_new))
+        return np.array(deriv)
 
     def row(self, t: float, state: np.ndarray) -> list:
-        """One output sample (re-evaluates the closed loop at the state)."""
-        out = self.evaluate(t, state)[1]
+        """One output sample: the state, the outputs and the controller record."""
         xs = state.tolist()
-        return [t, *xs[:4], output(xs)[0], yref_eval(self.cfg.ref, t)[0], *out, *xs[4:]]
+        return [t, *xs[:4], output(xs)[0], yref_eval(self.cfg.ref, t)[0],
+                *self.evaluate(t, xs), *xs[4:]]
 
 
 def integrate(cfg: ScenarioConfig) -> Trajectory:
@@ -257,7 +242,8 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
         # near a funnel wall the gains blow up and the step size underflows
         # before any evaluation crosses; report that as the violation it is
         if exc.state is not None:
-            margins = loop.margins(exc.t, exc.state)
+            out = loop.evaluate(exc.t, exc.state.tolist())
+            margins = cascade_margins(cfg.funnels, [exc.t], [[out.e0], [out.e1], [out.e2]])[0]
             if max(margins) >= 0.99:
                 level = int(np.argmax(margins))
                 raise FunnelViolation(
@@ -275,7 +261,7 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
 
 def summarize(cfg: ScenarioConfig, traj: Trajectory) -> dict:
     """Scalar diagnostics of a completed run."""
-    margins = traj.funnel_margins(cfg.funnels)
+    margins = cascade_margins(cfg.funnels, traj.t, [traj["e0"], traj["e1"], traj["e2"]])
     worst = np.argmax(margins, axis=0)  # per funnel; a NaN counts as the worst
     y_final = float(traj["y"][-1])
     return {

@@ -10,6 +10,7 @@ frozen values of those quantities.
 import math
 
 import numpy as np
+from funneltrack.funnel import cascade_margins
 from funneltrack.model import BETA_MAX
 
 
@@ -26,7 +27,7 @@ def run_checks(check_results, *names):
 
 
 def margins_of(run):
-    return run.traj.funnel_margins(run.cfg.funnels)
+    return cascade_margins(run.cfg.funnels, run.traj.t, [run.traj[c] for c in ("e0", "e1", "e2")])
 
 
 class TestCriterion1FunnelInvariance:

@@ -88,13 +88,13 @@ class TestDomain:
     loop = ClosedLoop(ScenarioConfig())
 
     def test_origin_inside(self):
-        self.loop.evaluate(0.0, np.zeros(4))
+        self.loop.evaluate(0.0, [0.0] * 4)
 
     def test_half_pi_outside(self):
         with pytest.raises(DomainError):
-            self.loop.evaluate(0.0, np.array([0.0, math.pi / 2, 0.0, 0.0]))
+            self.loop.evaluate(0.0, [0.0, math.pi / 2, 0.0, 0.0])
 
     def test_boundary_is_excluded(self):
         for sign in (1.0, -1.0):
             with pytest.raises(DomainError):
-                self.loop.evaluate(0.0, np.array([0.0, sign * math.acos(2 / 3), 0.0, 0.0]))
+                self.loop.evaluate(0.0, [0.0, sign * math.acos(2 / 3), 0.0, 0.0])

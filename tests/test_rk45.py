@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ def test_degenerate_solve_raises_instead_of_looping(call, raised):
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == raised
+
+
+# the smallest accepted abs_tol: the starting-step norms of the case study
+# stay finite, so the solve stops on a too-short step, with no overflow
+@pytest.mark.parametrize("abs_tol", [rk45.MIN_ABS_TOL, 1e-154])
+def test_smallest_abs_tol_underflows_without_overflow(abs_tol):
+    loop = ClosedLoop(case_study_config("lin"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            rk45.solve(loop.rhs, (0.0, 3.0), loop.initial_state(), abs_tol=abs_tol,
+                       max_step=0.05)
 
 
 class TestGuards:

@@ -8,7 +8,7 @@ import pytest
 
 from funneltrack import sim
 from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
-from funneltrack.funnel import FunnelSpec, cascade, observer_rhs, phi_eval
+from funneltrack.funnel import FunnelSpec, cascade, cascade_margins, observer_rhs, phi_eval
 from funneltrack.linid import psi, ynew_derivatives
 from funneltrack.model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
                                output, plant_rhs)
@@ -73,7 +73,7 @@ class TestConfig:
 
 def composed(loop, t, state):
     """(rhs, row) of ``loop`` at (t, state), composed from the public layer
-    functions on numpy scalars; the oracle for ``ClosedLoop.evaluate``."""
+    functions on numpy scalars; the oracle for ``ClosedLoop``."""
     cfg, lin = loop.cfg, loop.lin
     x = state[:4]
     if math.cos(x[1]) <= DOMAIN_COS_LIMIT:
@@ -98,6 +98,11 @@ def states_of(traj):
     return traj.data[:, [traj.columns.index(c) for c in names if c in traj.columns]]
 
 
+def margins_of(run):
+    """phi_i |e_i| of each sample of a case-study run, shape (n, 3)."""
+    return cascade_margins(run.cfg.funnels, run.traj.t, [run.traj[c] for c in ("e0", "e1", "e2")])
+
+
 def raised(fn, *args):
     with pytest.raises((DomainError, FunnelViolation)) as exc:
         fn(*args)
@@ -110,14 +115,14 @@ class TestClosedLoopRhs:
         for mode in ("lin", "hg"):
             loop = ClosedLoop(ScenarioConfig(mode=mode))
             state = loop.initial_state()
-            deriv, out = loop.evaluate(0.0, state)
+            out = loop.evaluate(0.0, state.tolist())
             assert out.u == 0.0 and out.y_new == 0.0
-            assert deriv == [0.0] * len(state)
+            assert loop.rhs(0.0, state).tolist() == [0.0] * len(state)
 
     def test_case_study_start_is_finite_and_moderate(self):
         cfg = case_study_config("lin")
         loop = ClosedLoop(cfg)
-        _, out = loop.evaluate(0.0, loop.initial_state())
+        out = loop.evaluate(0.0, loop.initial_state().tolist())
         assert abs(out.u) < 100.0
         # the start lies inside funnel 0: y_new = 0 against the reference
         assert out.e0 == -loop.new_ref.value(0.0)
@@ -136,10 +141,11 @@ class TestClosedLoopRhs:
             t = rng.uniform(0.0, 2.0)
             zeta = ynew_derivatives(loop_hg.lin, x)
             try:
-                want = loop_lin.evaluate(t, x)[1]
+                want = loop_lin.evaluate(t, x.tolist())
             except FunnelViolation:
                 continue  # random state outside the funnels; not the point here
-            assert loop_hg.evaluate(t, np.concatenate([x, zeta]))[1] == want
+            got = loop_hg.evaluate(t, [*x.tolist(), *zeta])
+            assert type(got) is type(want) and got == want  # the whole record
 
     def test_matches_layer_composition_bit_for_bit(self, case_lin, case_hg):
         for run in (case_lin, case_hg):
@@ -151,6 +157,18 @@ class TestClosedLoopRhs:
                 assert np.array_equal(loop.rhs(t, state), want_rhs)
                 assert np.array_equal(loop.row(t, state), want_row)
                 assert np.array_equal(loop.row(t, state), run.traj.data[i])
+
+    def test_row_computes_no_dynamics(self, case_lin, case_hg, monkeypatch):
+        def no_dynamics(*args):
+            raise AssertionError("an output row evaluated the dynamics")
+
+        monkeypatch.setattr(sim, "plant_rhs", no_dynamics)
+        monkeypatch.setattr(sim, "observer_rhs", no_dynamics)
+        for run in (case_lin, case_hg):
+            loop = ClosedLoop(run.cfg)
+            states = states_of(run.traj)
+            for i in range(0, len(run.traj.t), 500):
+                assert np.array_equal(loop.row(run.traj.t[i], states[i]), run.traj.data[i])
 
     @pytest.mark.parametrize("mode, column, shift, level", [
         ("lin", 1, 1.5, None),    # cos(beta) < 2/3
@@ -169,7 +187,7 @@ class TestClosedLoopRhs:
         state = states_of(run.traj)[i]
         state[column] += shift
         want = raised(composed, loop, t, state)
-        for method in (loop.rhs, loop.row, loop.margins):
+        for method in (loop.rhs, loop.row):
             got = raised(method, t, state)
             assert type(got) is type(want)
             assert got.t == want.t == t
@@ -194,7 +212,7 @@ class TestCaseStudyRuns:
     def test_worst_margin_and_its_time(self, case_lin, case_hg):
         for run in (case_lin, case_hg):
             s = summarize(run.cfg, run.traj)
-            margins = run.traj.funnel_margins(run.cfg.funnels)
+            margins = margins_of(run)
             for j, (worst, t) in enumerate(zip(s["max_funnel_margins"],
                                                s["max_funnel_margin_times"])):
                 assert worst == np.max(margins[:, j])
