@@ -30,8 +30,8 @@ class BifCoords(NamedTuple):
 
 
 def _require_domain(cb: float, label: str, value: float):
-    if cb <= DOMAIN_COS_LIMIT:
-        raise DomainError(f"cos({label}) = {cb:.6f} <= 2/3 at {label} = {value:.6f}")
+    if not cb > DOMAIN_COS_LIMIT:  # a NaN is outside too
+        raise DomainError(f"cos({label}) = {cb:.6f} is not > 2/3 at {label} = {value:.6f}")
 
 
 def phi_forward(x) -> BifCoords:

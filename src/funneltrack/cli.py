@@ -5,7 +5,8 @@ Subcommands: ``simulate`` (one scenario from a JSON config), ``check``
 reference transition), ``sweep`` (vary one config field over a range).
 
 Exit codes: 0 on success, else the code that ``FAILURES`` gives the
-exception that stopped the command.
+exception that stopped the command, whose stderr line is the label,
+`` at t = <t>`` if the exception carries a time, and the message.
 """
 import argparse
 import dataclasses
@@ -14,7 +15,7 @@ import os
 import sys
 
 from .errors import ConfigError, DomainError, FunnelViolation, IntegrationError
-from .sim import ScenarioConfig, integrate, run_case_study, run_sweep, summarize
+from .sim import ScenarioConfig, dump_json, integrate, run_case_study, run_sweep, summarize
 
 # exception type -> (exit code, stderr label)
 FAILURES = {
@@ -75,12 +76,6 @@ def _check_writable(*paths) -> None:
             os.remove(path)
 
 
-def _write_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -105,7 +100,7 @@ def main(argv=None) -> int:
             traj_lin, traj_hg, summary = run_case_study(disturbed=not args.no_disturbance)
             traj_lin.write_csv(lin_csv)
             traj_hg.write_csv(hg_csv)
-            _write_json(summary, summary_json)
+            dump_json(summary, summary_json)
             print(json.dumps(summary, indent=2))
             return 0
         if args.command == "sweep":
@@ -113,14 +108,15 @@ def main(argv=None) -> int:
             field, start, stop, n = _parse_vary(args.vary)
             _check_writable(args.out)
             results = run_sweep(cfg, field, start, stop, n, parallel=not args.serial)
-            _write_json(results, args.out)
+            dump_json(results, args.out)
             for row in results:
                 print(f"{field} = {row['value']:.6g}: {row['status']}")
             return 0
         raise ConfigError(f"unknown command {args.command!r}")
     except tuple(FAILURES) as exc:
         code, label = next(FAILURES[c] for c in type(exc).__mro__ if c in FAILURES)
-        print(f"{label}: {exc}", file=sys.stderr)
+        where = "" if getattr(exc, "t", None) is None else f" at t = {exc.t:.6f}"
+        print(f"{label}{where}: {exc}", file=sys.stderr)
         return code
 
 

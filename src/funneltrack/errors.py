@@ -25,7 +25,10 @@ def require_finite(cfg) -> None:
 
 
 class SimulationError(RuntimeError):
-    """A run stopped: the offending time, state and funnel level, where known."""
+    """A run stopped: the offending time, state and funnel level, where known.
+
+    ``sim.ClosedLoop.evaluate`` attaches t and the state to every controller
+    error, ``rk45.solve`` to its own; messages leave t to ``cli``."""
 
     def __init__(self, message, t=None, state=None, level=None):
         super().__init__(message)

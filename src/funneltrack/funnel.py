@@ -61,7 +61,7 @@ def gain(phi: float, e: float, *, t=None, level=None) -> float:
     w = 1.0 - (phi * e) ** 2
     if w <= 0.0:
         raise FunnelViolation(
-            f"funnel boundary reached at level {level}, t = {t}: phi*|e| = {phi * abs(e):.6f} >= 1",
+            f"funnel boundary reached at level {level}: phi*|e| = {phi * abs(e):.6f} >= 1",
             t=t, level=level)
     return 1.0 / w
 

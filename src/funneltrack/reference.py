@@ -72,13 +72,11 @@ def _rise(r: TransitionRef, tau, t5):
 
 
 def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
-    """Reference value and derivative at time t."""
-    if r.tf == r.t0:
-        return (r.y0 if t < r.t0 else r.yf), 0.0
-    if t <= r.t0:
-        return r.y0, 0.0
+    """Reference value and derivative at time t; a step (tf == t0) is yf from t0 on."""
     if t >= r.tf:
         return r.yf, 0.0
+    if t <= r.t0:
+        return r.y0, 0.0
     T = r.tf - r.t0
     tau = (t - r.t0) / T
     t5 = tau**5

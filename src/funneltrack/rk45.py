@@ -6,8 +6,8 @@ interpolant serves dense output on an arbitrary sampling grid.
 
 Guards: exceptions listed in ``guards`` raised by the right-hand side
 (funnel or domain violations) reject the trial step and bisect it; if the
-step underflows ``min_step`` the guard exception propagates, so the caller
-learns the first offending time and state.
+step underflows ``min_step`` the guard exception propagates as raised,
+with whatever time and state ``f`` attached to it.
 """
 import math
 from dataclasses import dataclass
@@ -151,8 +151,7 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     h = _initial_step(f, t0, y, K[0], t_end, rel_tol, abs_tol, max_step, guards)
     # later updates only scale or cap h by finite numbers > 0, so one check suffices
     if not 0 < h < math.inf:  # h = 0 would never advance t
-        raise IntegrationError(f"initial step size {h} outside (0, inf) at t = {t0:.6f}",
-                               t=t0, state=y.copy())
+        raise IntegrationError(f"initial step size {h} outside (0, inf)", t=t0, state=y.copy())
     nfev, naccept, nreject, nguard = 2, 0, 0, 0
     # per stage: node, tableau row, the stages it combines, the stage it fills
     stages = [(float(_C[i + 1]), a_row, K[: i + 1], K[i + 1]) for i, a_row in enumerate(_A)]
@@ -163,9 +162,8 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     while t < t_end:
         h = min(h, max_step, t_end - t)
         if h < min_step and h < t_end - t:  # only the last step may be that short
-            raise IntegrationError(
-                f"step size underflow ({h:.3e} < {min_step:.3e}) at t = {t:.6f}",
-                t=t, state=y.copy())
+            raise IntegrationError(f"step size underflow ({h:.3e} < {min_step:.3e})",
+                                   t=t, state=y.copy())
         # K[0] holds f(t, y): set from the last stage of an accepted step only,
         # so a retry after a rejection starts from the same first stage (FSAL)
         try:
@@ -178,13 +176,11 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
             y_new *= h
             y_new += y
             K[6] = f(t + h, y_new)
-        except guards as exc:
+        except guards:
             nfev += 1  # at least the failing evaluation
             nguard += 1
             h *= 0.5
             if h < min_step:
-                if getattr(exc, "state", None) is None and hasattr(exc, "state"):
-                    exc.state = y.copy()  # last accepted state before the wall
                 raise
             continue
         nfev += 6

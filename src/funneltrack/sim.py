@@ -24,7 +24,7 @@ from .errors import (ConfigError, DomainError, FunnelViolation,
 from .funnel import (CascadeOutput, FunnelSpec, cascade, cascade_margins,
                      observer_derivatives, observer_rhs)
 from .linid import LinData, eigensplit, psi, ynew_derivatives
-from .model import DOMAIN_COS_LIMIT, ManipulatorParams, PlantState, output, plant_rhs
+from .model import ManipulatorParams, PlantState, output, plant_rhs
 from .reference import BoundedReference, TransitionRef, yref_eval
 
 SAMPLE_STEP = 1e-3
@@ -130,9 +130,13 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        dump_json(self.to_dict(), path)
+
+
+def dump_json(obj, path):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _from_json(tp, value):
@@ -190,25 +194,26 @@ class ClosedLoop:
         self.dist = cfg.disturbance
 
     def initial_state(self) -> np.ndarray:
-        x0 = self.cfg.x0.as_array()
+        """x0 and, in ``hg`` mode, the observer at rest on y_new(x0); a start the
+        controller rejects raises from ``evaluate``, with the observer at 0."""
+        xs = self.cfg.x0.as_array().tolist() + [0.0, 0.0, 0.0] * self.observer
+        self.evaluate(0.0, xs)
         if self.observer:
-            return np.concatenate([x0, [psi(self.lin, x0), 0.0, 0.0]])
-        return x0
+            xs[4] = psi(self.lin, xs)
+        return np.array(xs)
 
     def evaluate(self, t: float, xs: list) -> CascadeOutput:
-        """Controller record at time t and closed-loop state ``xs``, a list.
-
-        The derivative source takes the state list whole.  Raises
-        DomainError, with t and the state, outside cos(beta) > 2/3, and
-        FunnelViolation once an error reaches its funnel boundary.
-        """
+        """Controller record at time t and closed-loop state ``xs``, a list,
+        which the derivative source takes whole.  A controller error
+        (DomainError outside cos(beta) > 2/3, FunnelViolation at a funnel
+        boundary) leaves with this t and state attached."""
         # Python floats: the same values, but numpy scalars are several times slower
         t = float(t)
-        if math.cos(xs[1]) <= DOMAIN_COS_LIMIT:
-            raise DomainError(
-                f"beta = {xs[1]:.6f} left the admissible region at t = {t:.6f}",
-                t=t, state=np.array(xs))
-        return cascade(self.specs, t, *self.derivatives(self.lin, xs), *self.new_ref.eval(t))
+        try:
+            return cascade(self.specs, t, *self.derivatives(self.lin, xs), *self.new_ref.eval(t))
+        except SimulationError as exc:
+            exc.t, exc.state = t, np.array(xs)
+            raise
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
         """State derivative: the plant under the controller's input plus the
@@ -241,15 +246,14 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     except IntegrationError as exc:
         # near a funnel wall the gains blow up and the step size underflows
         # before any evaluation crosses; report that as the violation it is
-        if exc.state is not None:
-            out = loop.evaluate(exc.t, exc.state.tolist())
-            margins = cascade_margins(cfg.funnels, [exc.t], [[out.e0], [out.e1], [out.e2]])[0]
-            if max(margins) >= 0.99:
-                level = int(np.argmax(margins))
-                raise FunnelViolation(
-                    f"integration pinned against funnel {level} at t = {exc.t:.6f} "
-                    f"(margins {margins[0]:.6f}, {margins[1]:.6f}, {margins[2]:.6f})",
-                    t=exc.t, level=level, state=exc.state) from exc
+        out = loop.evaluate(exc.t, exc.state.tolist())
+        margins = cascade_margins(cfg.funnels, [exc.t], [[out.e0], [out.e1], [out.e2]])[0]
+        if max(margins) >= 0.99:
+            level = int(np.argmax(margins))
+            raise FunnelViolation(
+                f"integration pinned against funnel {level} "
+                f"(margins {margins[0]:.6f}, {margins[1]:.6f}, {margins[2]:.6f})",
+                t=exc.t, level=level, state=exc.state) from exc
         raise
     rows = [loop.row(t, state) for t, state in zip(result.t, result.y)]
     data = np.array(rows)

@@ -46,6 +46,18 @@ class TestInverse:
         with pytest.raises(DomainError):
             phi_inverse([0.0, 0.0, 1.0, 0.0])
 
+
+@pytest.mark.parametrize("call", [
+    lambda: phi_forward([0.0, math.nan, 0.0, 0.0]),
+    lambda: phi_inverse([0.0, 0.0, math.nan, 0.0]),
+    lambda: internal_rhs(P, (math.nan, 0.0), 0.0),
+    lambda: internal_rhs_oracle(P, [0.0, math.nan, 0.0, 0.0]),
+], ids=["phi_forward", "phi_inverse", "internal_rhs", "internal_rhs_oracle"])
+def test_nan_angle_is_outside_the_domain(call):
+    # cos(nan) is nan, which is not > 2/3: a DomainError, not NaN coordinates
+    with pytest.raises(DomainError):
+        call()
+
 class TestJacobianStructure:
     def test_fd_jacobian_invertible(self):
         for x in random_domain_states(200, 29):

@@ -12,7 +12,7 @@ from funneltrack.errors import ConfigError, DomainError, FunnelViolation, Integr
 from funneltrack.funnel import FunnelSpec
 from funneltrack.model import PlantState
 from funneltrack.reference import TransitionRef
-from funneltrack.sim import ScenarioConfig
+from funneltrack.sim import ScenarioConfig, case_study_config
 
 
 @pytest.fixture
@@ -133,6 +133,20 @@ def test_integrator_failure_is_exit_4(tmp_path, short_config, monkeypatch):
     assert cli.main(["simulate", "--config", str(short_config)]) == 4
 
 
+def test_underflow_at_the_start_is_exit_4_at_t_0(tmp_path, capsys):
+    # valid, but too tight for the case study: the first step underflows,
+    # below every funnel wall, so it stays an integrator failure
+    data = case_study_config("lin").to_dict()
+    data["integrator"]["abs_tol"] = 1e-150
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "integrator failure at t = 0.000000: step size underflow (")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc, code, label", [
     (ConfigError("bad field"), 1, "config error"),
     (FunnelViolation("boundary", t=0.1, level=2), 2, "funnel violation"),
@@ -148,7 +162,9 @@ def test_failure_exit_code_and_label(short_config, monkeypatch, capsys, exc, cod
 
     monkeypatch.setattr(cli, "integrate", fail)
     assert cli.main(["simulate", "--config", str(short_config)]) == code
-    assert capsys.readouterr().err == f"{label}: {exc}\n"
+    # the time of a stopped run (t = 0.1 in each) comes first
+    where = "" if code == 1 else " at t = 0.100000"
+    assert capsys.readouterr().err == f"{label}{where}: {exc}\n"
 
 
 def test_unwritable_output_is_exit_1_without_traceback(tmp_path, short_config, capsys):

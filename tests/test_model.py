@@ -84,7 +84,7 @@ class TestOutput:
 
 
 class TestDomain:
-    # the closed loop is where the admissible region cos(beta) > 2/3 is enforced
+    # the closed loop meets bif's admissible-region rule cos(beta) > 2/3 through psi
     loop = ClosedLoop(ScenarioConfig())
 
     def test_origin_inside(self):

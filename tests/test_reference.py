@@ -101,6 +101,11 @@ class TestTransition:
             assert got[0] == pytest.approx(want[0], abs=5e-12)
             assert got[1] == pytest.approx(want[1], abs=5e-12)
 
+    def test_step(self):
+        # tf == t0: y0 before the step, yf from it on, with zero slope throughout
+        ref = TransitionRef(y0=0.1, yf=0.6, t0=1.0, tf=1.0)
+        assert [yref_eval(ref, t) for t in (0.5, 1.0, 1.5)] == [(0.1, 0.0), (0.6, 0.0), (0.6, 0.0)]
+
     def test_shifted_window(self):
         ref = TransitionRef(y0=0.1, yf=0.6, t0=1.0, tf=2.5)
         assert yref_eval(ref, 1.0) == (0.1, 0.0)

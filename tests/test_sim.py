@@ -1,5 +1,6 @@
 """Closed-loop harness: configs, integration, CSV, guards, sweep."""
 import dataclasses
+import functools
 import json
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from funneltrack import sim
-from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
+from funneltrack.errors import (ConfigError, DomainError, FunnelViolation, IntegrationError,
+                                SimulationError)
 from funneltrack.funnel import FunnelSpec, cascade, cascade_margins, observer_rhs, phi_eval
 from funneltrack.linid import psi, ynew_derivatives
 from funneltrack.model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
@@ -82,7 +84,11 @@ def composed(loop, t, state):
         y_new, y1, y2 = psi(lin, x), state[5], state[6]
     else:
         y_new, y1, y2 = ynew_derivatives(lin, x)
-    out = cascade(cfg.funnels, t, y_new, y1, y2, *loop.new_ref.eval(t))
+    try:
+        out = cascade(cfg.funnels, t, y_new, y1, y2, *loop.new_ref.eval(t))
+    except FunnelViolation as exc:
+        exc.t, exc.state = t, state.copy()
+        raise
     deriv = plant_rhs(cfg.params, x, out.u + disturbance(cfg.disturbance, t))
     row = [t, *x, output(x)[0], yref_eval(cfg.ref, t)[0],
            loop.new_ref.value(t), y_new, *out[2:]]
@@ -266,51 +272,101 @@ class TestCsv:
         assert b"\r" not in raw
 
 
+def _stop_configs():
+    base, hg = case_study_config("lin"), case_study_config("hg")
+    hopeless = (FunnelSpec(0.001, 0.8, 0.001),) * 3  # boundary ~ 0.002
+    # funnel 0 tightened: the run still leaves funnel 2, at t = 0.0471
+    tight = (FunnelSpec(1.5, 100.0, 1e-4), base.funnels[1], base.funnels[2])
+    return {
+        "lin-beta=1": ScenarioConfig(x0=PlantState(beta=1.0)),  # cos(1) < 2/3
+        "hg-beta=1": ScenarioConfig(x0=PlantState(beta=1.0), mode="hg"),
+        "lin-outside-funnel-0": ScenarioConfig(ref=base.ref, funnels=hopeless, mode="lin"),
+        "hg-outside-funnel-0": ScenarioConfig(ref=base.ref, funnels=hopeless, mode="hg"),
+        "mid-run": ScenarioConfig(ref=base.ref, funnels=tight, mode="lin",
+                                  disturbance=base.disturbance, t_end=0.5,
+                                  integrator=IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9,
+                                                              min_step=1e-10)),
+        "pinned": dataclasses.replace(
+            hg, disturbance=dataclasses.replace(hg.disturbance, amp1=12 / 7)),
+        "abs_tol=1e-150": dataclasses.replace(base, integrator=IntegratorConfig(abs_tol=1e-150)),
+    }
+
+
+STOP_CONFIGS = _stop_configs()
+
+
+@functools.cache
+def stopped(name):
+    """(config, the SimulationError that stops its run); each runs once."""
+    cfg = STOP_CONFIGS[name]
+    with pytest.raises(SimulationError) as exc:
+        integrate(cfg)
+    return cfg, exc.value
+
+
 class TestGuardsAndFailures:
     def test_forced_funnel_violation_is_clean(self):
         # the one tier-1 run through integrate in which a guard exception
-        # reaches min_step mid-run: funnel 0 is the one tightened, yet the
-        # run leaves funnel 2 at t = 0.0471 after about 123 000 RHS calls;
-        # rk45.solve re-raises the guard's FunnelViolation with the last
-        # accepted state attached, so no IntegrationError is its cause
-        base = case_study_config("lin")
-        tight = (FunnelSpec(1.5, 100.0, 1e-4), base.funnels[1], base.funnels[2])
-        cfg = ScenarioConfig(ref=base.ref, funnels=tight, mode="lin",
-                             disturbance=base.disturbance, t_end=0.5,
-                             integrator=IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9,
-                                                         min_step=1e-10))
-        with pytest.raises(FunnelViolation) as exc:
-            integrate(cfg)
-        assert exc.value.level == 2
-        assert 0.04 < exc.value.t < 0.05
-        assert exc.value.__cause__ is None
-        assert exc.value.state is not None and np.all(np.isfinite(exc.value.state))
+        # reaches min_step mid-run, after about 123 000 RHS calls;
+        # rk45.solve passes on the FunnelViolation that ClosedLoop.evaluate
+        # stamped, so no IntegrationError is its cause
+        _, exc = stopped("mid-run")
+        assert type(exc) is FunnelViolation and exc.level == 2
+        assert 0.04 < exc.t < 0.05
+        assert exc.__cause__ is None
+        assert exc.state is not None and np.all(np.isfinite(exc.state))
 
     def test_infeasible_start_raises_immediately(self):
-        cfg = case_study_config("lin")
-        hopeless = (FunnelSpec(0.001, 0.8, 0.001),) * 3  # boundary ~ 0.002
-        cfg = ScenarioConfig(ref=cfg.ref, funnels=hopeless, mode="lin")
-        with pytest.raises(FunnelViolation) as exc:
-            integrate(cfg)
-        assert exc.value.t == 0.0
+        _, exc = stopped("lin-outside-funnel-0")
+        assert type(exc) is FunnelViolation and exc.t == 0.0
 
     def test_domain_exit_reported(self):
-        cfg = ScenarioConfig(x0=PlantState(beta=1.0))  # cos(1) < 2/3
-        with pytest.raises(DomainError):
-            integrate(cfg)
+        assert type(stopped("lin-beta=1")[1]) is DomainError
 
     def test_step_underflow_at_a_funnel_wall_is_a_violation(self):
         # the hg case study with amp1 = 12/7 rides funnel 2 until the step
         # size underflows; integrate reads the margins there and reports it
-        base = case_study_config("hg")
-        cfg = dataclasses.replace(
-            base, disturbance=dataclasses.replace(base.disturbance, amp1=12 / 7))
-        with pytest.raises(FunnelViolation) as exc:
-            integrate(cfg)
-        assert exc.value.level == 2
-        assert 1.0 < exc.value.t < 1.2
-        assert isinstance(exc.value.__cause__, IntegrationError)
-        assert "pinned against funnel 2" in str(exc.value)
+        _, exc = stopped("pinned")
+        assert type(exc) is FunnelViolation and exc.level == 2
+        assert 1.0 < exc.t < 1.2
+        assert isinstance(exc.__cause__, IntegrationError)
+        assert "pinned against funnel 2" in str(exc)
+
+    @pytest.mark.parametrize("name", STOP_CONFIGS)
+    def test_every_stop_carries_its_time_and_state(self, name):
+        cfg, exc = stopped(name)
+        loop = ClosedLoop(cfg)
+        assert type(exc.t) is float
+        assert exc.state.shape == (7 if cfg.mode == "hg" else 4,)
+        assert np.all(np.isfinite(exc.state))
+        if isinstance(exc, IntegrationError) or exc.__cause__ is not None:
+            # the solver stopped on a step-size underflow at an accepted
+            # state, where the controller still runs
+            out = loop.evaluate(exc.t, exc.state.tolist())
+            margins = cascade_margins(cfg.funnels, [exc.t], [[out.e0], [out.e1], [out.e2]])[0]
+            assert exc.level == (None if max(margins) < 0.99 else int(np.argmax(margins)))
+        else:
+            # a guard error: the controller raises it again from its stamp
+            again = raised(loop.evaluate, exc.t, exc.state.tolist())
+            assert type(again) is type(exc) and again.level == exc.level
+            assert again.t == exc.t and np.array_equal(again.state, exc.state)
+
+    def test_start_failures_are_stamped_alike_in_both_modes(self):
+        for kind in ("beta=1", "outside-funnel-0"):
+            (_, lin), (_, hg) = stopped("lin-" + kind), stopped("hg-" + kind)
+            assert type(lin) is type(hg) and str(lin) == str(hg)
+            assert lin.t == hg.t == 0.0 and lin.level == hg.level
+            # the start, with the observer at zero in hg mode
+            assert hg.state.tolist() == lin.state.tolist() + [0.0, 0.0, 0.0]
+
+    def test_underflow_below_the_funnel_walls_stays_an_integrator_failure(self):
+        # abs_tol = 1e-150 is valid but the start's first step already
+        # underflows; the margins there are far below 0.99, so integrate
+        # re-raises the solver's error with the start time and state
+        cfg, exc = stopped("abs_tol=1e-150")
+        assert type(exc) is IntegrationError and exc.__cause__ is None
+        assert exc.t == 0.0
+        assert np.array_equal(exc.state, ClosedLoop(cfg).initial_state())
 
     def test_disturbed_hg_run_past_the_transition_leaves_funnel_2(self):
         # the present outcome of the case study extended to 12 s: funnel 2 at
