@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="run one scenario from a JSON config")
     p_sim.add_argument("--config", required=True, help="path to a scenario JSON file")
-    p_sim.add_argument("--mode", choices=("lin", "hg"), help="override the config's mode")
+    p_sim.add_argument("--mode", help="override the config's mode (lin or hg)")
     p_sim.add_argument("--out", default="trajectory.csv", help="output CSV path")
     p_sim.add_argument("--t-end", type=float, help="override the config's horizon")
 

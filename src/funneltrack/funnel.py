@@ -56,13 +56,13 @@ class CascadeOutput(NamedTuple):
     u: float
 
 
-def gain(phi: float, e: float, *, t=None, level=None) -> float:
+def gain(phi: float, e: float, *, level=None) -> float:
     """Funnel gain 1/(1 - phi^2 e^2); raises once the boundary is reached."""
     w = 1.0 - (phi * e) ** 2
     if w <= 0.0:
         raise FunnelViolation(
             f"funnel boundary reached at level {level}: phi*|e| = {phi * abs(e):.6f} >= 1",
-            t=t, level=level)
+            level=level)
     return 1.0 / w
 
 
@@ -77,14 +77,14 @@ def cascade(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,
     e0_1 = y_new_1 - y_bar_ref_dot
     e0_2 = y_new_2 - y_bar_ref_ddot
 
-    k0 = gain(phi0, e0, t=t, level=0)
+    k0 = gain(phi0, e0, level=0)
     # exact time derivative of k0 given (e0, e0_1)
     k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
     e1 = e0_1 + k0 * e0
-    k1 = gain(phi1, e1, t=t, level=1)
+    k1 = gain(phi1, e1, level=1)
     e1_1 = e0_2 + k0 * e0_1 + k0_1 * e0
     e2 = e1_1 + k1 * e1
-    k2 = gain(phi2, e2, t=t, level=2)
+    k2 = gain(phi2, e2, level=2)
     return CascadeOutput(y_bar_ref, y_new, e0, e1, e2, k0, k1, k2, k2 * e2)
 
 

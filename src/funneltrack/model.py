@@ -11,7 +11,7 @@ read only its first four entries, so the closed-loop state with observer
 entries appended can be passed as it is.  Each computes the ``cos(beta)``
 and ``sin(beta)`` it needs.  All functions are pure; the admissible region
 ``cos(beta) > 2/3`` (where the high-frequency gain keeps a fixed sign) is
-checked by callers (``bif``, ``sim.ClosedLoop.evaluate``), not here.
+checked by ``bif._require_domain``, which ``psi`` reaches, not here.
 ``plant_rhs``, the dynamics, returns a list: ``sim.ClosedLoop.rhs`` appends
 the observer's derivative to it.
 """

@@ -58,7 +58,7 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_step: float = 0.05
-    min_step: float = 1e-12
+    min_step: float = rk45.MIN_STEP
 
     def __post_init__(self):
         require_finite(self)

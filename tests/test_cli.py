@@ -40,6 +40,15 @@ def test_simulate_mode_override(tmp_path, short_config):
     assert out.read_text().splitlines()[0].endswith("zeta1,zeta2,zeta3")
 
 
+def test_simulate_unknown_mode_is_exit_1(tmp_path, short_config, capsys):
+    # ScenarioConfig, not the parser, says which modes exist
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(short_config), "--mode", "fancy",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: mode must be 'lin' or 'hg', got 'fancy'\n"
+    assert not out.exists()
+
+
 def test_simulate_t_end_override(tmp_path, short_config):
     out = tmp_path / "short.csv"
     assert main(["simulate", "--config", str(short_config), "--t-end", "0.5",

@@ -44,12 +44,12 @@ class TestGain:
 
     def test_boundary_raises(self):
         with pytest.raises(FunnelViolation):
-            gain(1.0, 1.0, t=0.3, level=1)
+            gain(1.0, 1.0, level=1)
 
     def test_violation_carries_diagnostics(self):
         with pytest.raises(FunnelViolation) as exc:
-            gain(2.0, 0.7, t=1.25, level=2)
-        assert exc.value.t == 1.25
+            gain(2.0, 0.7, level=2)
+        assert exc.value.t is None
         assert exc.value.level == 2
 
     def test_monotone_blowup(self):

@@ -162,8 +162,8 @@ def test_smallest_abs_tol_underflows_without_overflow(abs_tol):
                        max_step=0.05)
 
 
-@pytest.mark.parametrize("t_end, max_step, h", [(1.0, math.inf, 1e-8), (1.0, 1e-9, 1e-9),
-                                                (5e-9, math.inf, 5e-9)])
+@pytest.mark.parametrize("t_end, max_step, h", [(1.0, math.inf, 1e-6), (1.0, 1e-9, 1e-9),
+                                                (5e-9, math.inf, 5e-10)])
 def test_initial_step_falls_back_when_the_probe_hits_a_guard(t_end, max_step, h):
     # f runs at t0 but raises a guard at the probe point t0 + h0
     def f(t, y):
@@ -188,6 +188,15 @@ class TestGuards:
                        min_step=1e-12, guards=(FunnelViolation,))
         # the failing evaluation happens within one min_step of y = 0.5 at t = 0.5
         assert exc.value.t == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("min_step", [1e-12, 1e-8, 1e-6])
+    def test_guarded_start_bisects_down_to_min_step(self, min_step):
+        # the starting step's probe already crosses the wall at t = 1e-4;
+        # solve bisects that first step like any guarded one, down to min_step
+        with pytest.raises(FunnelViolation) as exc:
+            rk45.solve(crossing_wall, (0.0, 1.0), np.array([0.4999]), min_step=min_step,
+                       guards=(FunnelViolation,))
+        assert abs(exc.value.t - 1e-4) <= min_step
 
     def test_guard_at_initial_point_propagates(self):
         def f(t, y):
@@ -268,7 +277,7 @@ def reference_error_norm(err, y0, y1, rel_tol, abs_tol):
 
 
 def reference_solve(f, t_span, y0, *, rel_tol, abs_tol, max_step=math.inf,
-                    min_step=1e-12, sample_step=None, guards=()):
+                    min_step=rk45.MIN_STEP, sample_step=None, guards=()):
     """``rk45.solve`` as whole-array numpy expressions: the bitwise reference."""
     t0, t_end = t_span
     y = np.asarray(y0, dtype=float).copy()

@@ -378,6 +378,17 @@ class TestGuardsAndFailures:
         assert 3.93 < exc.value.t < 3.95
         assert isinstance(exc.value.__cause__, IntegrationError)
 
+    def test_disturbed_lin_run_past_the_transition_leaves_funnel_1(self):
+        # the lin case study extended to 12 s stalls at t = 5.5376 against
+        # funnel 1, for every min_step from 1e-9 to 1e-6 (README, "Past 3 s")
+        cfg = dataclasses.replace(case_study_config("lin"), t_end=12.0)
+        with pytest.raises(FunnelViolation) as exc:
+            integrate(cfg)
+        assert exc.value.level == 1
+        assert 5.53 < exc.value.t < 5.55
+        assert isinstance(exc.value.__cause__, IntegrationError)
+        assert "pinned against funnel 1" in str(exc.value)
+
 
 class TestToleranceConvergence:
     def test_halving_rel_tol_converges(self):
