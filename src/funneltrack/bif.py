@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .model import DOMAIN_COS_LIMIT, ManipulatorParams, plant_rhs
+from .model import DOMAIN_COS_LIMIT, ManipulatorParams, libm, plant_rhs
 
 
 class BifCoords(NamedTuple):
@@ -29,15 +29,21 @@ class BifCoords(NamedTuple):
     eta2: float
 
 
-def _require_domain(cb: float, label: str, value: float):
-    if not cb > DOMAIN_COS_LIMIT:  # a NaN is outside too
-        raise DomainError(f"cos({label}) = {cb:.6f} is not > 2/3 at {label} = {value:.6f}")
+def _require_domain(cb, label: str, value):
+    """Raise DomainError unless cos(label) = ``cb`` > 2/3, naming the first
+    sample outside when ``cb`` and ``value`` are arrays."""
+    inside = cb > DOMAIN_COS_LIMIT  # a NaN is outside too
+    if inside is not True and not np.all(inside):
+        at = np.argmin(inside)
+        raise DomainError(f"cos({label}) = {np.ravel(cb)[at]:.6f} is not > 2/3 "
+                          f"at {label} = {np.ravel(value)[at]:.6f}")
 
 
 def phi_forward(x) -> BifCoords:
-    """Transform plant coordinates to (y, ydot, eta1, eta2)."""
+    """Transform plant coordinates to (y, ydot, eta1, eta2), of one state or
+    of the states of many samples (``states.T``)."""
     x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
-    cb = math.cos(x2)
+    cb = math.cos(x2) if type(x2) is float else libm(math.cos, x2)
     _require_domain(cb, "beta", x2)
     w2 = 1.0 / 3.0 + 0.5 * cb
     return BifCoords(x1 + 0.5 * x2, x3 + 0.5 * x4, x2, w2 * x3 + x4 / 3.0)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, FunnelViolation, require_finite
 from .linid import LinData, psi
+from .model import libm
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,9 @@ class FunnelSpec:
 
 
 def phi_eval(f: FunnelSpec, t: float) -> tuple[float, float]:
-    """Funnel function and its derivative at time t >= 0."""
-    decay = f.a * math.exp(-f.b * t)
+    """Funnel function and its derivative at time t >= 0, a float or an array."""
+    z = -f.b * t
+    decay = f.a * (math.exp(z) if type(z) is float else libm(math.exp, z))
     phi = 1.0 / (decay + f.eps)
     return phi, f.b * decay * phi * phi
 
@@ -57,18 +59,22 @@ class CascadeOutput(NamedTuple):
 
 
 def gain(phi: float, e: float, *, level=None) -> float:
-    """Funnel gain 1/(1 - phi^2 e^2); raises once the boundary is reached."""
-    w = 1.0 - (phi * e) ** 2
-    if w <= 0.0:
-        raise FunnelViolation(
-            f"funnel boundary reached at level {level}: phi*|e| = {phi * abs(e):.6f} >= 1",
-            level=level)
+    """Funnel gain 1/(1 - phi^2 e^2), of floats or arrays; raises once the
+    boundary is reached, naming the first sample there for arrays."""
+    pe = phi * e
+    w = 1.0 - (pe ** 2 if type(pe) is float else libm(pow, pe, 2))
+    outside = w <= 0.0
+    if outside is not False and np.any(outside):
+        at = np.argmax(outside)
+        raise FunnelViolation(f"funnel boundary reached at level {level}: "
+                              f"phi*|e| = {np.ravel(phi * abs(e))[at]:.6f} >= 1", level=level)
     return 1.0 / w
 
 
 def cascade(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,
             y_bar_ref: float, y_bar_ref_dot: float, y_bar_ref_ddot: float) -> CascadeOutput:
-    """Evaluate the three-stage funnel cascade and the input u = k2 e2."""
+    """Evaluate the three-stage funnel cascade and the input u = k2 e2, at
+    one time or, with arrays, at many samples (every field an array)."""
     phi0, phi0_dot = phi_eval(specs[0], t)
     phi1, _ = phi_eval(specs[1], t)
     phi2, _ = phi_eval(specs[2], t)
@@ -90,10 +96,8 @@ def cascade(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,
 
 def cascade_margins(specs, ts, errors) -> np.ndarray:
     """Funnel margins phi_i(t) |e_i(t)|, shape (n, 3); ``errors[i]`` holds e_i at ``ts``."""
-    out = np.empty((len(ts), 3))
-    for j, (spec, e) in enumerate(zip(specs, errors)):
-        out[:, j] = np.array([phi_eval(spec, t)[0] for t in ts]) * np.abs(e)
-    return out
+    ts = np.asarray(ts, dtype=float)
+    return np.column_stack([phi_eval(spec, ts)[0] * np.abs(e) for spec, e in zip(specs, errors)])
 
 
 def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
@@ -104,5 +108,6 @@ def observer_rhs(gains, zeta, y_new: float) -> tuple[float, float, float]:
 
 
 def observer_derivatives(lin: LinData, x) -> tuple[float, float, float]:
-    """``ynew_derivatives`` for the state x = (plant, observer): y_new and x[5:7]."""
+    """``ynew_derivatives`` for the state x = (plant, observer): y_new and x[5:7],
+    of one state or of the states of many samples (``states.T``)."""
     return psi(lin, x), x[5], x[6]

@@ -73,15 +73,17 @@ def eigensplit(p: ManipulatorParams) -> LinData:
 
 
 def psi(lin: LinData, x) -> float:
-    """Auxiliary output y_new expressed in plant coordinates."""
+    """Auxiliary output y_new expressed in plant coordinates, of one state or
+    of the states of many samples (``states.T``)."""
     y, _, eta1, eta2 = phi_forward(x)
     w0, w1 = lin.unstable_row
-    return float(w0 * eta1 + w1 * eta2 - lin.p2 * y)
+    return w0 * eta1 + w1 * eta2 - lin.p2 * y
 
 
 def ladder(lam2: float, p2: float, v: float, u: float, u_dot: float) -> tuple[float, float, float]:
     """(v, v1, v2): v and its first two derivatives along the scalar unstable
-    mode vdot = lam2 * v + lam2 * p2 * u, driven by u with derivative u_dot."""
+    mode vdot = lam2 * v + lam2 * p2 * u, driven by u with derivative u_dot;
+    floats, or arrays of samples."""
     v1 = lam2 * v + lam2 * p2 * u
     return v, v1, lam2 * v1 + lam2 * p2 * u_dot
 
@@ -91,6 +93,7 @@ def ynew_derivatives(lin: LinData, x) -> tuple[float, float, float]:
 
     The ladder propagates the scalar unstable mode, so these are not the
     time derivatives of psi along the true flow; they satisfy
-    y2 = lam2 * y1 + lam2 * p2 * ydot identically.
+    y2 = lam2 * y1 + lam2 * p2 * ydot identically.  ``x`` is a state, or the
+    states of many samples (``states.T``).
     """
     return ladder(lin.lambda2, lin.p2, psi(lin, x), *output(x))

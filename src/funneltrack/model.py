@@ -67,6 +67,21 @@ class PlantState:
         return np.array([self.alpha, self.beta, self.alpha_dot, self.beta_dot])
 
 
+def libm(fn, x, *args):
+    """``fn(x, *args)``, on each entry for an array ``x``.
+
+    The layer functions on the output-row path take a float or an array of
+    samples, and an array must give each sample's bits.  numpy's ``+ - * /``
+    round as Python floats do, but its vectorised cos, exp and power need not
+    match the C library that ``math`` and float ``**`` call; so those calls
+    stay scalar, mapped over the entries here.  Callers on the right-hand
+    side's path test ``type(x) is float`` first and call ``fn`` directly.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v, *args) for v in x.ravel().tolist()]).reshape(x.shape)
+    return fn(x, *args)
+
+
 def mass_matrix(p: ManipulatorParams, beta: float) -> np.ndarray:
     """Symmetric 2x2 mass matrix M(beta)."""
     cb = math.cos(beta)
@@ -115,7 +130,8 @@ def input_field(p: ManipulatorParams, x) -> np.ndarray:
 
 
 def output(x) -> tuple[float, float]:
-    """End-effector output y = alpha + beta / 2 and its velocity."""
+    """End-effector output y = alpha + beta / 2 and its velocity, for a state
+    or for the states of many samples (``states.T``, one array per entry)."""
     return x[0] + 0.5 * x[1], x[2] + 0.5 * x[3]
 
 

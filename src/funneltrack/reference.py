@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, require_finite
 from .linid import LinData, ladder
+from .model import libm
 
 # ascending coefficients of the transition polynomial in tau**5 .. tau**9,
 # and of its derivative divided by tau**4
@@ -72,29 +73,36 @@ def _rise(r: TransitionRef, tau, t5):
 
 
 def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
-    """Reference value and derivative at time t; a step (tf == t0) is yf from t0 on."""
-    if t >= r.tf:
+    """Reference value and derivative at time t, a float or an array; a step
+    (tf == t0) is yf from t0 on."""
+    if type(t) is not float and isinstance(t, np.ndarray):
+        rising = (r.t0 < t) & (t < r.tf)
+        if not rising.all():  # the held samples here, the rising ones below
+            y, ydot = np.where(t >= r.tf, r.yf, r.y0), np.zeros(t.shape)
+            if rising.any():
+                y[rising], ydot[rising] = yref_eval(r, t[rising])
+            return y, ydot
+    elif t >= r.tf:
         return r.yf, 0.0
-    if t <= r.t0:
+    elif t <= r.t0:
         return r.y0, 0.0
     T = r.tf - r.t0
     tau = (t - r.t0) / T
-    t5 = tau**5
+    t5 = tau**5 if type(tau) is float else libm(pow, tau, 5)
     return _rise(r, tau, t5), t5 / tau * _horner(tau, _SLOPE_COEFFS) * (r.yf - r.y0) / T
 
 
-def _not_a_knot(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float, float, float]]:
-    """Per-interval coefficients (c3, c2, c1, c0) of the not-a-knot cubic
-    spline through (x, y), one tuple of floats per interval; needs len(x) >= 4.
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (c3, c2, c1, c0) of the not-a-knot cubic spline through
+    (x, y), one column per interval; needs len(x) >= 4.
 
-    Bit for bit the rows of ``scipy.interpolate.CubicSpline(x, y).c.T``
-    (scipy 1.17): the same expressions in the same order, with the
+    Bit for bit ``scipy.interpolate.CubicSpline(x, y).c`` (scipy 1.17): the
+    same expressions in the same order, with the
     tridiagonal system for the knot slopes solved as LAPACK ``dgtsv`` does
     when it swaps no rows.  On an increasing grid of near-equal steps h it
     never swaps: the first row compares d = h with the sub-diagonal h, the
     eliminated diagonal then settles near (2 + sqrt 3) h against a
-    sub-diagonal h, and the last row compares about 3.7 h with 2 h.  The
-    rows are tuples, so an evaluation indexes no array.
+    sub-diagonal h, and the last row compares about 3.7 h with 2 h.
     """
     n = len(x)
     dx = np.diff(x)
@@ -124,8 +132,7 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float, float,
     s = np.array(s)
     # Hermite form on each interval
     t = (s[:-1] + s[1:] - 2 * slope) / dx
-    cols = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
-    return list(zip(*(c.tolist() for c in cols)))
+    return np.array((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 class BoundedReference:
@@ -162,8 +169,11 @@ class BoundedReference:
             vals[-1] = self.final_value
             for i in range(n - 1, -1, -1):
                 vals[i] = panels[i] + decay * vals[i + 1]
+            # the arrays for samples at once; the tuples for one float t,
+            # which then indexes no array
+            self._knot_array, self._coeff_array = ts, _not_a_knot(ts, vals)
             self._knots = ts.tolist()
-            self._coeffs = _not_a_knot(ts, vals)
+            self._coeffs = list(zip(*self._coeff_array.tolist()))
 
     def _panels(self, ts: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
         """Convolution integral over each interval of ``ts`` by Gauss-Legendre
@@ -172,29 +182,54 @@ class BoundedReference:
         ref, half = self.ref, 0.5 * self._h
         sg = (0.5 * (ts[:-1] + ts[1:]))[:, None] + half * gx  # one row of nodes per interval
         tau = (sg - ref.t0) / (ref.tf - ref.t0)
-        # scalar pow, as in yref_eval: numpy's vectorised power may round differently
-        t5 = np.reshape([v**5 for v in tau.ravel().tolist()], tau.shape)
+        t5 = libm(pow, tau, 5)
         weighted = gw * np.exp(self.lam2 * (ts[:-1, None] - sg)) * _rise(ref, tau, t5)
         return -self.lam2 * self.p2 * half * np.sum(weighted, axis=1)
 
     def value(self, t: float) -> float:
-        """Bounded solution at time t >= 0."""
+        """Bounded solution at time t >= 0, a float or an array."""
         ref = self.ref
-        if t >= ref.tf:
-            return self.final_value
-        if t < self.t_lo:
-            # y_ref is y0 before the grid: decay from the first knot value, or
-            # from -p2 yf without a grid (a negative exponent, so stable)
-            start = self._coeffs[0][3] if self._coeffs else self.final_value
-            decay = math.exp(self.lam2 * (t - self.t_lo))
-            return -self.p2 * ref.y0 * (1.0 - decay) + decay * start
-        i = min(len(self._knots) - 2, int((t - self.t_lo) / self._h))
-        dt = t - self._knots[i]
-        c3, c2, c1, c0 = self._coeffs[i]
+        if type(t) is not float and isinstance(t, np.ndarray):
+            gridded = (self.t_lo <= t) & (t < ref.tf)
+            if not gridded.all():  # the other samples here, the gridded ones below
+                out = np.full(t.shape, self.final_value)
+                early = (t < self.t_lo) & (t < ref.tf)
+                out[early] = self._before_grid(t[early])
+                if gridded.any():
+                    out[gridded] = self.value(t[gridded])
+                return out
+            knots = self._knot_array
+            i = np.minimum(len(knots) - 2, ((t - self.t_lo) / self._h).astype(int))
+            c3, c2, c1, c0 = self._coeff_array[:, i]
+        else:
+            if t >= ref.tf:
+                return self.final_value
+            if t < self.t_lo:
+                return self._before_grid(t)
+            knots = self._knots
+            i = min(len(knots) - 2, int((t - self.t_lo) / self._h))
+            c3, c2, c1, c0 = self._coeffs[i]
+        dt = t - knots[i]
         return ((c3 * dt + c2) * dt + c1) * dt + c0
 
+    def _before_grid(self, t):
+        """``value`` at t < max(0, t0), where y_ref is y0: decay from the first
+        knot value, or from -p2 yf without a grid (a negative exponent, so stable)."""
+        start = self._coeffs[0][3] if self._coeffs else self.final_value
+        decay = libm(math.exp, self.lam2 * (t - self.t_lo))
+        return -self.p2 * self.ref.y0 * (1.0 - decay) + decay * start
+
     def eval(self, t: float) -> tuple[float, float, float]:
-        """Value and first two derivatives of the auxiliary reference."""
-        if t >= self.ref.tf:
+        """Value and first two derivatives of the auxiliary reference at t, a
+        float or an array."""
+        if type(t) is not float and isinstance(t, np.ndarray):
+            moving = t < self.ref.tf
+            if not moving.all():  # the samples from tf on here, the others below
+                out = np.zeros((3, t.size))
+                out[0] = self.final_value
+                if moving.any():
+                    out[:, moving] = self.eval(t[moving])
+                return tuple(out)
+        elif t >= self.ref.tf:
             return self.final_value, 0.0, 0.0
         return ladder(self.lam2, self.p2, self.value(t), *yref_eval(self.ref, t))

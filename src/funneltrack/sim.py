@@ -210,10 +210,15 @@ class ClosedLoop:
         # Python floats: the same values, but numpy scalars are several times slower
         t = float(t)
         try:
-            return cascade(self.specs, t, *self.derivatives(self.lin, xs), *self.new_ref.eval(t))
+            return self._cascade(t, xs)
         except SimulationError as exc:
             exc.t, exc.state = t, np.array(xs)
             raise
+
+    def _cascade(self, t, x) -> CascadeOutput:
+        """The controller at time t and state x: a float and a list, or the
+        sample times and the states' transpose, one array per state entry."""
+        return cascade(self.specs, t, *self.derivatives(self.lin, x), *self.new_ref.eval(t))
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
         """State derivative: the plant under the controller's input plus the
@@ -225,11 +230,25 @@ class ClosedLoop:
             deriv.extend(observer_rhs(self.gains, xs[4:], out.y_new))
         return np.array(deriv)
 
-    def row(self, t: float, state: np.ndarray) -> list:
-        """One output sample: the state, the outputs and the controller record."""
-        xs = state.tolist()
-        return [t, *xs[:4], output(xs)[0], yref_eval(self.cfg.ref, t)[0],
-                *self.evaluate(t, xs), *xs[4:]]
+    def row(self, ts: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """The output samples at times ``ts`` of ``states`` (one state per row),
+        one row each: t, the state, the outputs and the controller record.
+
+        Every sample goes through the layer functions at once, as arrays, and
+        gets the bits that ``evaluate`` gives it alone.  If the controller
+        rejects any sample, ``evaluate`` runs on the samples in order and
+        raises, stamped, at the first it rejects.
+        """
+        x = states.T
+        try:
+            # numpy on Python float terms: overflow and NaN pass silently, x / 0 raises
+            with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+                return np.column_stack((ts, *x[:4], output(x)[0], yref_eval(self.cfg.ref, ts)[0],
+                                        *self._cascade(ts, x), *x[4:]))
+        except (SimulationError, ArithmeticError):  # e.g. an OverflowError of float **
+            for t, state in zip(ts, states):
+                self.evaluate(t, state.tolist())
+            raise
 
 
 def integrate(cfg: ScenarioConfig) -> Trajectory:
@@ -255,8 +274,7 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
                 f"(margins {margins[0]:.6f}, {margins[1]:.6f}, {margins[2]:.6f})",
                 t=exc.t, level=level, state=exc.state) from exc
         raise
-    rows = [loop.row(t, state) for t, state in zip(result.t, result.y)]
-    data = np.array(rows)
+    data = loop.row(result.t, result.y)
     if not np.all(np.isfinite(data)):
         raise FunnelViolation("non-finite values in sampled trajectory", t=float(result.t[-1]))
     return Trajectory(columns=loop.columns, data=data,

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from funneltrack import sim
 from funneltrack.errors import (ConfigError, DomainError, FunnelViolation, IntegrationError,
@@ -115,6 +116,17 @@ def raised(fn, *args):
     return exc.value
 
 
+# runs whose samples reach the branches the case study does not
+ROW_CONFIGS = (
+    # samples before t0 (the decay ahead of the grid), in the window, at and after tf
+    ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.4, 0.8), mode="hg", t_end=1.0),
+    # tf == t0: a bounded reference without a grid, held from the start
+    ScenarioConfig(t_end=0.5),
+    # samples at and after tf
+    ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=1.25),
+)
+
+
 class TestClosedLoopRhs:
     def test_equilibrium_zero_scenario(self):
         # each mode on its own, with the observer (hg) at rest on y_new = 0
@@ -154,15 +166,19 @@ class TestClosedLoopRhs:
             assert type(got) is type(want) and got == want  # the whole record
 
     def test_matches_layer_composition_bit_for_bit(self, case_lin, case_hg):
-        for run in (case_lin, case_hg):
-            loop = ClosedLoop(run.cfg)
-            states = states_of(run.traj)
-            for i in range(0, len(run.traj.t), 37):
-                t, state = run.traj.t[i], states[i]
+        # all samples in one array pass, each the bits of the scalar oracle
+        runs = [(run.cfg, run.traj) for run in (case_lin, case_hg)]
+        runs += [(cfg, integrate(cfg)) for cfg in ROW_CONFIGS]
+        for cfg, traj in runs:
+            loop = ClosedLoop(cfg)
+            states = states_of(traj)
+            rows = loop.row(traj.t, states)
+            assert np.array_equal(rows, traj.data)
+            for i in range(len(traj.t)):
+                t, state = traj.t[i], states[i]
                 want_rhs, want_row = composed(loop, t, state)
                 assert np.array_equal(loop.rhs(t, state), want_rhs)
-                assert np.array_equal(loop.row(t, state), want_row)
-                assert np.array_equal(loop.row(t, state), run.traj.data[i])
+                assert np.array_equal(rows[i], want_row)
 
     def test_row_computes_no_dynamics(self, case_lin, case_hg, monkeypatch):
         def no_dynamics(*args):
@@ -172,9 +188,7 @@ class TestClosedLoopRhs:
         monkeypatch.setattr(sim, "observer_rhs", no_dynamics)
         for run in (case_lin, case_hg):
             loop = ClosedLoop(run.cfg)
-            states = states_of(run.traj)
-            for i in range(0, len(run.traj.t), 500):
-                assert np.array_equal(loop.row(run.traj.t[i], states[i]), run.traj.data[i])
+            assert np.array_equal(loop.row(run.traj.t, states_of(run.traj)), run.traj.data)
 
     @pytest.mark.parametrize("mode, column, shift, level", [
         ("lin", 1, 1.5, None),    # cos(beta) < 2/3
@@ -186,15 +200,18 @@ class TestClosedLoopRhs:
     ])
     def test_violations_match_layer_composition(self, case_lin, case_hg, mode, column,
                                                 shift, level):
+        # the row batch holds every sample, only the middle one pushed out
         run = case_lin if mode == "lin" else case_hg
         loop = ClosedLoop(run.cfg)
         i = 1500
         t = run.traj.t[i]
-        state = states_of(run.traj)[i]
-        state[column] += shift
+        states = states_of(run.traj)
+        states[i, column] += shift
+        state = states[i]
         want = raised(composed, loop, t, state)
-        for method in (loop.rhs, loop.row):
-            got = raised(method, t, state)
+        from_rhs, from_row = raised(loop.rhs, t, state), raised(loop.row, run.traj.t, states)
+        assert str(from_row) == str(from_rhs)
+        for got in (from_rhs, from_row):
             assert type(got) is type(want)
             assert got.t == want.t == t
             assert got.level == want.level == level
@@ -289,6 +306,9 @@ def _stop_configs():
         "pinned": dataclasses.replace(
             hg, disturbance=dataclasses.replace(hg.disturbance, amp1=12 / 7)),
         "abs_tol=1e-150": dataclasses.replace(base, integrator=IntegratorConfig(abs_tol=1e-150)),
+        # the disturbed case study past the transition (README, "Past 3 s")
+        "lin-12s": dataclasses.replace(base, t_end=12.0),
+        "hg-12s": dataclasses.replace(hg, t_end=12.0),
     }
 
 
@@ -371,26 +391,48 @@ class TestGuardsAndFailures:
     def test_disturbed_hg_run_past_the_transition_leaves_funnel_2(self):
         # the present outcome of the case study extended to 12 s: funnel 2 at
         # t = 3.9405, reached as a step-size underflow (README, "Past 3 s")
-        cfg = dataclasses.replace(case_study_config("hg"), t_end=12.0)
-        with pytest.raises(FunnelViolation) as exc:
-            integrate(cfg)
-        assert exc.value.level == 2
-        assert 3.93 < exc.value.t < 3.95
-        assert isinstance(exc.value.__cause__, IntegrationError)
+        _, exc = stopped("hg-12s")
+        assert type(exc) is FunnelViolation and exc.level == 2
+        assert 3.93 < exc.t < 3.95
+        assert isinstance(exc.__cause__, IntegrationError)
 
     def test_disturbed_lin_run_past_the_transition_leaves_funnel_1(self):
         # the lin case study extended to 12 s stalls at t = 5.5376 against
         # funnel 1, for every min_step from 1e-9 to 1e-6 (README, "Past 3 s")
-        cfg = dataclasses.replace(case_study_config("lin"), t_end=12.0)
-        with pytest.raises(FunnelViolation) as exc:
-            integrate(cfg)
-        assert exc.value.level == 1
-        assert 5.53 < exc.value.t < 5.55
-        assert isinstance(exc.value.__cause__, IntegrationError)
-        assert "pinned against funnel 1" in str(exc.value)
+        _, exc = stopped("lin-12s")
+        assert type(exc) is FunnelViolation and exc.level == 1
+        assert 5.53 < exc.t < 5.55
+        assert isinstance(exc.__cause__, IntegrationError)
+        assert "pinned against funnel 1" in str(exc)
+
+    @pytest.mark.parametrize("name", ["lin-12s", "hg-12s"])
+    def test_past_3s_stop_belongs_to_the_ode_not_to_rk45(self, name):
+        # scipy's LSODA, a multistep method sharing no code with rk45, stops
+        # on the same ClosedLoop.rhs within 1e-6 s of rk45 (measured 5e-7 s).
+        # Its level may differ: in lin it reads 2, where rk45 reads 1, since
+        # both margins pass 0.99 there
+        cfg, exc = stopped(name)
+        loop = ClosedLoop(cfg)
+        with pytest.raises(SimulationError) as lsoda:
+            solve_ivp(loop.rhs, (0.0, cfg.t_end), loop.initial_state(), method="LSODA",
+                      rtol=cfg.integrator.rel_tol, atol=cfg.integrator.abs_tol)
+        assert abs(lsoda.value.t - exc.t) < 1e-6
 
 
 class TestToleranceConvergence:
+    @pytest.mark.parametrize("fixture, t_end", [("case_lin", 3.0), ("case_hg", 0.5)])
+    def test_error_budget_against_a_100x_tighter_run(self, request, fixture, t_end):
+        # the shipped case study against rel_tol 1e-11 (abs_tol 1e-3 rel_tol,
+        # the shipped ratio); measured sup |dy| 7.2e-12 (lin), 1.0e-15 (hg)
+        # and sup |du| 3.3e-9 (lin), 2.3e-10 (hg); README states the budget
+        run = request.getfixturevalue(fixture)
+        tight = integrate(dataclasses.replace(
+            run.cfg, t_end=t_end, integrator=IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14)))
+        n = len(tight.t)
+        assert np.array_equal(tight.t, run.traj.t[:n])
+        assert np.max(np.abs(run.traj["y"][:n] - tight["y"])) <= 1e-10
+        assert np.max(np.abs(run.traj["u"][:n] - tight["u"])) <= 1e-7
+
     def test_halving_rel_tol_converges(self):
         base = case_study_config("lin")
         short = ScenarioConfig(ref=base.ref, mode="lin", disturbance=base.disturbance,
