@@ -100,7 +100,8 @@ def internal_rhs_oracle(p: ManipulatorParams, x, u_d: float = 0.0) -> tuple[floa
     """Chain-rule internal dynamics: grad(phi_i) . xdot along the plant.
 
     Independent of ``u_d`` because the phi_i gradients annihilate the
-    input field; the argument is exposed so tests can assert that.
+    input field; the ``internal-dynamics-oracle`` check drives it with
+    random torques.
     """
     cb = math.cos(x[1])
     _require_domain(cb, "beta", x[1])

@@ -1,4 +1,4 @@
-"""Independent-route checks: the one home of every oracle of the package.
+"""Independent-route checks of the package that need numpy only.
 
 Each check recomputes a structural property of the model or controller
 through an independent route (generic linear algebra, finite differences,
@@ -57,34 +57,27 @@ def fd_gradient(fun, x):
     return np.array(cols).T
 
 
-def check_mass_matrix_inverse():
-    """M(beta) is symmetric and M M^{-1} = I on a fine beta grid, three parameter sets."""
-    worst, symmetric = 0.0, True
-    for p in (_P, ManipulatorParams(m=2.0, l=0.7, c=3.0, d=0.1),
-              ManipulatorParams(m=2.0, l=0.5, c=2.0, d=0.1)):
-        for beta in np.linspace(-model.BETA_MAX, model.BETA_MAX, 1001):
-            M = model.mass_matrix(p, beta)
-            symmetric = symmetric and bool(M[0, 1] == M[1, 0])
-            res = M @ model.mass_matrix_inverse(p, beta) - np.eye(2)
-            worst = max(worst, float(np.max(np.abs(res))))
-    return worst < 1e-12 and symmetric, f"max |M M^-1 - I| = {worst:.3e}, symmetric: {symmetric}"
-
-
 def check_plant_residual():
     """Accelerations satisfy the second-order equations of motion, and the
-    position rates are exactly the velocities."""
+    position rates are exactly the velocities, three parameter sets."""
     rng = np.random.default_rng(_SEED)
     states = np.vstack([random_domain_states(1000, rng), random_domain_states(1000, 11)])
     inputs = np.concatenate([rng.uniform(-5.0, 5.0, 1000),
                              np.random.default_rng(7).uniform(-5.0, 5.0, 1000)])
-    worst, kinematic = 0.0, True
-    for x, u_d in zip(states, inputs):
-        xdot = model.plant_rhs(_P, x, u_d)
-        kinematic = kinematic and xdot[0] == x[2] and xdot[1] == x[3]
-        f1, f2 = model.generalized_forces(_P, x)
-        res = model.mass_matrix(_P, x[1]) @ xdot[2:] - np.array([f1 + u_d, f2])
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst < 1e-12 and kinematic, f"max residual = {worst:.3e}, exact kinematics: {kinematic}"
+    worst, kinematic = [], True
+    for p in (_P, ManipulatorParams(m=2.0, l=0.7, c=3.0, d=0.1),
+              ManipulatorParams(m=2.0, l=0.5, c=2.0, d=0.1)):
+        res = 0.0
+        for x, u_d in zip(states, inputs):
+            xdot = model.plant_rhs(p, x, u_d)
+            kinematic = kinematic and xdot[0] == x[2] and xdot[1] == x[3]
+            f1, f2 = model.generalized_forces(p, x)
+            r = model.mass_matrix(p, x[1]) @ xdot[2:] - np.array([f1 + u_d, f2])
+            res = max(res, float(np.max(np.abs(r))))
+        worst.append(res)
+    return max(worst) < 1e-12 and kinematic, (
+        f"max residual per parameter set = {', '.join(f'{w:.3e}' for w in worst)}, "
+        f"exact kinematics: {kinematic}")
 
 
 _LIE_DRAWS = ((200, _SEED + 1), (1000, 13), (1000, 17), (300, 103))
@@ -283,8 +276,9 @@ def check_cascade_algebra():
     worst = 0.0
     for rng, n in ((np.random.default_rng(_SEED + 5), 200), (np.random.default_rng(71), 300)):
         for _ in range(n):
+            # Python floats, as ClosedLoop.rhs hands the cascade
             t = rng.uniform(0.0, 3.0)
-            y = rng.uniform(-0.02, 0.02, 6)  # inside the tightest funnel on [0, 3]
+            y = rng.uniform(-0.02, 0.02, 6).tolist()  # inside the tightest funnel on [0, 3]
             out = cascade(specs, t, *y)
             phi0, dphi0 = phi_eval(specs[0], t)
             phi1, _ = phi_eval(specs[1], t)
@@ -356,7 +350,6 @@ def check_zero_scenario():
 
 
 ALL_CHECKS = (
-    ("mass-matrix-inverse", check_mass_matrix_inverse),
     ("plant-residual", check_plant_residual),
     ("lie-derivatives-analytic", lie_derivatives_analytic),
     ("lie-derivatives-fd", lie_derivatives_fd),

@@ -89,18 +89,6 @@ def mass_matrix(p: ManipulatorParams, beta: float) -> np.ndarray:
                              [1.0 / 3.0 + 0.5 * cb, 1.0 / 3.0]])
 
 
-def mass_matrix_inverse(p: ManipulatorParams, beta: float) -> np.ndarray:
-    """Closed-form inverse of the mass matrix.
-
-    det M = (l^2 m)^2 (16 - 9 cos^2 beta) / 36 never vanishes, so the
-    inverse exists for every beta.
-    """
-    cb = math.cos(beta)
-    k = 36.0 / (p.l2m * (16.0 - 9.0 * cb * cb))
-    return k * np.array([[1.0 / 3.0, -1.0 / 3.0 - 0.5 * cb],
-                         [-1.0 / 3.0 - 0.5 * cb, 5.0 / 3.0 + cb]])
-
-
 def generalized_forces(p: ManipulatorParams, x) -> tuple[float, float]:
     """Coriolis/centrifugal, spring and damping torques (f1, f2)."""
     x2, x3, x4 = x[1], x[2], x[3]
@@ -117,6 +105,7 @@ def plant_rhs(p: ManipulatorParams, x, u_d: float) -> list:
     """
     f1, f2 = generalized_forces(p, x)
     cb = math.cos(x[1])
+    # M^{-1} in closed form; det M = (l^2 m)^2 (16 - 9 cos^2 beta) / 36 never vanishes
     k = 36.0 / (p.l2m * (16.0 - 9.0 * cb * cb))
     a12 = -1.0 / 3.0 - 0.5 * cb
     t1 = f1 + u_d
@@ -124,9 +113,10 @@ def plant_rhs(p: ManipulatorParams, x, u_d: float) -> list:
 
 
 def input_field(p: ManipulatorParams, x) -> np.ndarray:
-    """Input vector field g(x) = (0, 0, M^{-1} e1)."""
-    col = mass_matrix_inverse(p, x[1])[:, 0]
-    return np.array([0.0, 0.0, col[0], col[1]])
+    """Input vector field g(x) = (0, 0, M^{-1} e1) of the dynamics that run:
+    ``plant_rhs`` is affine in ``u_d``, so its unit-torque difference is g up
+    to rounding."""
+    return np.subtract(plant_rhs(p, x, 1.0), plant_rhs(p, x, 0.0))
 
 
 def output(x) -> tuple[float, float]:

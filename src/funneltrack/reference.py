@@ -29,7 +29,7 @@ from .model import libm
 # and of its derivative divided by tau**4
 _TRANSITION_COEFFS = (126.0, -420.0, 540.0, -315.0, 70.0)
 _SLOPE_COEFFS = tuple((k + 5) * c for k, c in enumerate(_TRANSITION_COEFFS))
-# knot spacing of the memoized bounded reference
+# knot spacing of the bounded reference's spline on windows of 1 s or more
 _GRID_STEP = 1e-3
 # 10-point Gauss-Legendre nodes and weights on [-1, 1]: the floats of
 # numpy.polynomial.legendre.leggauss(10), written out so that a build does not
@@ -141,7 +141,7 @@ class BoundedReference:
     From ``tf`` on it is -p2 yf.  On [max(0, t0), tf] grid values come from
     a backward one-interval recurrence (all exponentials decay in that
     direction) with Gauss-Legendre panels, wrapped in a not-a-knot cubic
-    spline (``_not_a_knot``, at least 4 knots).  Before that it decays
+    spline (``_not_a_knot``, at least 1001 knots).  Before that it decays
     analytically from the first knot value, or from -p2 yf if there is no
     grid.  Derivatives are recovered through the ODE relations, so the
     first-derivative residual vanishes by construction.
@@ -155,8 +155,9 @@ class BoundedReference:
         self.t_lo = max(0.0, ref.t0)
         self._coeffs = None
         if ref.tf > self.t_lo:
-            # at least 4 knots, as _not_a_knot needs
-            n = max(3, int(round((ref.tf - self.t_lo) / _GRID_STEP)))
+            # at least 1000 intervals: with fewer, a short window's spline is off by
+            # up to 3e-5 p2 abs(yf - y0) midway between knots
+            n = max(1000, int(round((ref.tf - self.t_lo) / _GRID_STEP)))
             ts = np.linspace(self.t_lo, ref.tf, n + 1)
             self._h = ts[1] - ts[0]
             gauss = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)

@@ -82,13 +82,6 @@ class TestInternalDynamics:
     def test_oracle_origin(self):
         assert internal_rhs_oracle(P_DAMPED, np.zeros(4)) == (0.0, 0.0)
 
-    def test_oracle_input_independent(self):
-        for x in random_domain_states(1000, 41):
-            a = internal_rhs_oracle(P_DAMPED, x, u_d=0.0)
-            b = internal_rhs_oracle(P_DAMPED, x, u_d=10.0)
-            assert abs(a[0] - b[0]) < 1e-12
-            assert abs(a[1] - b[1]) < 1e-12
-
     def test_polynomial_degree_in_ydot(self):
         # eta1_dot affine, eta2_dot exactly quadratic in the output velocity
         rng = np.random.default_rng(47)

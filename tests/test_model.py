@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 
 from funneltrack.errors import ConfigError, DomainError
 from funneltrack.model import (ManipulatorParams, generalized_forces,
-                               mass_matrix, mass_matrix_inverse, output,
-                               plant_rhs)
+                               mass_matrix, output, plant_rhs)
 from funneltrack.sim import ClosedLoop, ScenarioConfig
 
 P = ManipulatorParams()  # l = m = c = 1, d = 0.25
@@ -37,18 +36,6 @@ class TestMassMatrix:
         expected = 2.0 * np.array([[5 / 3 + cb, 1 / 3 + cb / 2],
                                    [1 / 3 + cb / 2, 1 / 3]])
         assert_allclose(mass_matrix(p, 0.5), expected, atol=1e-15)
-        assert_allclose(mass_matrix(p, 0.5) @ mass_matrix_inverse(p, 0.5),
-                        np.eye(2), atol=1e-12)
-
-    def test_inverse_beta_zero_closed_form(self):
-        assert_allclose(mass_matrix_inverse(P, 0.0),
-                        [[12 / 7, -30 / 7], [-30 / 7, 96 / 7]], atol=1e-13)
-        # first diagonal entry of M @ M^-1 by hand
-        assert 8 / 3 * 12 / 7 + 5 / 6 * (-30 / 7) == pytest.approx(1.0, abs=1e-15)
-
-    def test_inverse_matches_generic_solver(self):
-        assert_allclose(mass_matrix_inverse(P, 0.3),
-                        np.linalg.inv(mass_matrix(P, 0.3)), atol=1e-12)
 
 
 class TestForcesAndDynamics:

@@ -198,13 +198,21 @@ class TestBoundedReference:
             return
         assert np.array_equal(b._coeffs, CubicSpline(b._knots, knot_values(b)).c.T)
 
-    def test_short_transition_keeps_four_knots(self):
-        ref = TransitionRef(0.0, 0.5, 0.0, 0.002)
+    @pytest.mark.parametrize("ref", [TransitionRef(0.0, 0.5, 0.0, 0.002),
+                                     TransitionRef(0.0, 0.5, 0.0, 0.0064),
+                                     TransitionRef(0.2, -0.4, 0.5, 0.51),
+                                     TransitionRef(-1.0, 1.0, 0.0, 0.025),
+                                     TransitionRef(0.3, 0.7, 1.0, 1.33)])
+    def test_short_window_midpoints_match_quad(self, ref):
+        # halfway between knots, where the spline's interpolation error peaks;
+        # windows under 1 s need the 1000-interval floor for this
         b = BoundedReference(LIN, ref)
-        assert len(b._knots) >= 4
-        want = CubicSpline(b._knots, knot_values(b)).c.T
-        np.testing.assert_allclose(b._coeffs, want, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(want)))
+        assert len(b._knots) == 1001
+        scale = LIN.p2 * max(abs(ref.y0), abs(ref.yf))
+        mids = 0.5 * (np.array(b._knots[:-1]) + np.array(b._knots[1:]))
+        for t in mids[::25].tolist():
+            want = quad_value(LIN, ref, t, epsabs=1e-14)
+            assert b.value(t) == pytest.approx(want, abs=1e-12 * scale), t
 
     @pytest.mark.parametrize("ref", random_refs(20, seed=41, t0_min=0.05)
                              + [r for r in REFS + random_refs(30, seed=97) if r.t0 < 0.0 < r.tf])
