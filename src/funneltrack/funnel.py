@@ -59,16 +59,16 @@ class CascadeOutput(NamedTuple):
 
 
 def gain(phi: float, e: float, *, level=None) -> float:
-    """Funnel gain 1/(1 - phi^2 e^2), of floats or arrays; raises once the
-    boundary is reached, naming the first sample there for arrays."""
+    """Funnel gain 1/(1 - phi^2 e^2), of floats or arrays.  It exists only
+    inside the funnel, so phi |e| >= 1 raises before anything is squared,
+    naming the first sample there for arrays."""
     pe = phi * e
-    w = 1.0 - (pe ** 2 if type(pe) is float else libm(pow, pe, 2))
-    outside = w <= 0.0
+    outside = abs(pe) >= 1.0
     if outside is not False and np.any(outside):
         at = np.argmax(outside)
         raise FunnelViolation(f"funnel boundary reached at level {level}: "
-                              f"phi*|e| = {np.ravel(phi * abs(e))[at]:.6f} >= 1", level=level)
-    return 1.0 / w
+                              f"phi*|e| = {np.ravel(abs(pe))[at]:#.7g} >= 1", level=level)
+    return 1.0 / (1.0 - (pe ** 2 if type(pe) is float else libm(pow, pe, 2)))
 
 
 def cascade(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,

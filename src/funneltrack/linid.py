@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bif import phi_forward
+from .errors import ConfigError
 from .model import ManipulatorParams, output
 
 
@@ -57,19 +58,29 @@ def eigensplit(p: ManipulatorParams) -> LinData:
     positive for every c > 0, d >= 0, which makes the effective gain
     lam2 * p2 * Gamma of the auxiliary output negative on the admissible
     region and matches the positive feedback sign u = +k2 e2 of the cascade.
+
+    Raises ConfigError unless, in floats, lambda1 < 0 < lambda2 and p2 > 0,
+    all finite.  c = 0 fails this, and so do parameters at which the
+    arithmetic overflows, underflows or cancels (say m = 1e-300 or c = 1e-320).
     """
-    if p.c <= 0:
-        raise ValueError(f"hyperbolic split requires c > 0, got c = {p.c}")
-    lm = p.l2m
-    root = 2.0 * math.sqrt((3.0 * p.d / lm) ** 2 + 3.0 * p.c / lm)
-    lambda1 = 6.0 * p.d / lm - root
-    lambda2 = 6.0 * p.d / lm + root
+    lambda1 = lambda2 = math.nan
+    # numpy scalars: their ** is the C library's pow, as a float's is, but an
+    # overflow gives inf where a float raises, and the test below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        lm = np.float64(p.l) ** 2 * p.m
+        if lm > 0:  # l^2 m may underflow
+            root = 2.0 * np.sqrt((3.0 * p.d / lm) ** 2 + 3.0 * p.c / lm)
+            lambda1, lambda2 = float(6.0 * p.d / lm - root), float(6.0 * p.d / lm + root)
+    if not -math.inf < lambda1 < 0.0 < lambda2 < math.inf:
+        raise ConfigError(f"no hyperbolic split at {p}: lambda1 = {lambda1}, lambda2 = {lambda2}")
 
     Q, P = linearize(p)
     V = np.array([[-12.0 / lambda1, 12.0 / lambda2], [1.0, -1.0]])
-    p1, p2 = np.linalg.solve(V, P)
+    p1, p2 = np.linalg.solve(V, P).tolist()
+    if not 0.0 < p2 < math.inf:
+        raise ConfigError(f"no hyperbolic split at {p}: p2 = {p2}")
     return LinData(Q=Q, P=P, lambda1=lambda1, lambda2=lambda2, V=V,
-                   Vinv=np.linalg.inv(V), p1=float(p1), p2=float(p2))
+                   Vinv=np.linalg.inv(V), p1=p1, p2=p2)
 
 
 def psi(lin: LinData, x) -> float:

@@ -31,6 +31,9 @@ _TRANSITION_COEFFS = (126.0, -420.0, 540.0, -315.0, 70.0)
 _SLOPE_COEFFS = tuple((k + 5) * c for k, c in enumerate(_TRANSITION_COEFFS))
 # knot spacing of the bounded reference's spline on windows of 1 s or more
 _GRID_STEP = 1e-3
+# most spline intervals a transition window may need: a build of this many
+# takes about 0.5 s and 37 MiB on a 2-vCPU x86-64, linear in the count
+MAX_INTERVALS = 100_000
 # 10-point Gauss-Legendre nodes and weights on [-1, 1]: the floats of
 # numpy.polynomial.legendre.leggauss(10), written out so that a build does not
 # import numpy.polynomial (about 5 ms per process)
@@ -57,6 +60,18 @@ class TransitionRef:
         require_finite(self)
         if self.tf < self.t0:
             raise ConfigError(f"transition needs tf >= t0, got [{self.t0}, {self.tf}]")
+        t_lo = max(0.0, self.t0)
+        if self.tf > t_lo and _intervals(t_lo, self.tf) > MAX_INTERVALS:
+            raise ConfigError(f"transition window [{t_lo}, {self.tf}] needs more than "
+                              f"{MAX_INTERVALS} spline intervals of {_GRID_STEP} s")
+
+
+def _intervals(t_lo: float, tf: float) -> float:
+    """Spline intervals of the bounded reference on [t_lo, tf], t_lo < tf: one
+    per _GRID_STEP, and at least 1000, since with fewer a short window's spline
+    is off by up to 3e-5 p2 abs(yf - y0) midway between knots.  A whole float,
+    so that a window too long for the float division reads inf, not an error."""
+    return max(1000.0, round((tf - t_lo) / _GRID_STEP, 0))
 
 
 def _horner(tau, coeffs):
@@ -155,9 +170,7 @@ class BoundedReference:
         self.t_lo = max(0.0, ref.t0)
         self._coeffs = None
         if ref.tf > self.t_lo:
-            # at least 1000 intervals: with fewer, a short window's spline is off by
-            # up to 3e-5 p2 abs(yf - y0) midway between knots
-            n = max(1000, int(round((ref.tf - self.t_lo) / _GRID_STEP)))
+            n = int(_intervals(self.t_lo, ref.tf))
             ts = np.linspace(self.t_lo, ref.tf, n + 1)
             self._h = ts[1] - ts[0]
             gauss = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rk45
-from .errors import (ConfigError, DomainError, FunnelViolation,
-                     IntegrationError, SimulationError, require_finite)
+from .errors import (ConfigError, FunnelViolation, IntegrationError,
+                     SimulationError, require_finite)
 from .funnel import (CascadeOutput, FunnelSpec, cascade, cascade_margins,
                      observer_derivatives, observer_rhs)
 from .linid import LinData, eigensplit, psi, ynew_derivatives
@@ -87,8 +87,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if self.params.c <= 0:  # the model allows c = 0, the hyperbolic split does not
-            raise ConfigError(f"params.c must be > 0 for the hyperbolic split, got {self.params.c}")
+        eigensplit(self.params)  # ConfigError unless the split is hyperbolic, as c = 0 is not
         if self.mode not in ("lin", "hg"):
             raise ConfigError(f"mode must be 'lin' or 'hg', got {self.mode!r}")
         if self.t_end <= 0:
@@ -203,22 +202,17 @@ class ClosedLoop:
         return np.array(xs)
 
     def evaluate(self, t: float, xs: list) -> CascadeOutput:
-        """Controller record at time t and closed-loop state ``xs``, a list,
-        which the derivative source takes whole.  A controller error
-        (DomainError outside cos(beta) > 2/3, FunnelViolation at a funnel
-        boundary) leaves with this t and state attached."""
-        # Python floats: the same values, but numpy scalars are several times slower
-        t = float(t)
+        """Controller record at time t and closed-loop state ``xs``, which the
+        derivative source takes whole: a Python float and a list, or the
+        sample times and the states' transpose, one array per state entry.
+        It returns the record or raises a controller error (DomainError
+        outside cos(beta) > 2/3, FunnelViolation at a funnel boundary), with
+        this t and state attached."""
         try:
-            return self._cascade(t, xs)
+            return cascade(self.specs, t, *self.derivatives(self.lin, xs), *self.new_ref.eval(t))
         except SimulationError as exc:
             exc.t, exc.state = t, np.array(xs)
             raise
-
-    def _cascade(self, t, x) -> CascadeOutput:
-        """The controller at time t and state x: a float and a list, or the
-        sample times and the states' transpose, one array per state entry."""
-        return cascade(self.specs, t, *self.derivatives(self.lin, x), *self.new_ref.eval(t))
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
         """State derivative: the plant under the controller's input plus the
@@ -234,20 +228,20 @@ class ClosedLoop:
         """The output samples at times ``ts`` of ``states`` (one state per row),
         one row each: t, the state, the outputs and the controller record.
 
-        Every sample goes through the layer functions at once, as arrays, and
-        gets the bits that ``evaluate`` gives it alone.  If the controller
-        rejects any sample, ``evaluate`` runs on the samples in order and
-        raises, stamped, at the first it rejects.
+        Every sample goes through the layer functions and ``evaluate`` at
+        once, as arrays, and gets the bits that ``evaluate`` gives it alone.
+        If the controller rejects any sample, ``evaluate`` runs on the samples
+        in order and raises, stamped, at the first it rejects.
         """
         x = states.T
         try:
-            # numpy on Python float terms: overflow and NaN pass silently, x / 0 raises
-            with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+            # numpy on Python float terms: overflow and NaN pass silently
+            with np.errstate(over="ignore", invalid="ignore"):
                 return np.column_stack((ts, *x[:4], output(x)[0], yref_eval(self.cfg.ref, ts)[0],
-                                        *self._cascade(ts, x), *x[4:]))
-        except (SimulationError, ArithmeticError):  # e.g. an OverflowError of float **
-            for t, state in zip(ts, states):
-                self.evaluate(t, state.tolist())
+                                        *self.evaluate(ts, x), *x[4:]))
+        except SimulationError:
+            for t, state in zip(ts.tolist(), states.tolist()):
+                self.evaluate(t, state)
             raise
 
 
@@ -261,7 +255,7 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
                             rel_tol=intg.rel_tol, abs_tol=intg.abs_tol,
                             max_step=intg.max_step, min_step=intg.min_step,
                             sample_step=SAMPLE_STEP,
-                            guards=(FunnelViolation, DomainError))
+                            guards=(SimulationError,))
     except IntegrationError as exc:
         # near a funnel wall the gains blow up and the step size underflows
         # before any evaluation crosses; report that as the violation it is

@@ -125,6 +125,20 @@ def test_funnel_violation_is_exit_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["lin", "hg"])
+@pytest.mark.parametrize("far", [{"x0": PlantState(alpha=1e200)}, {"ref": TransitionRef(yf=1e200)}],
+                         ids=["x0", "ref"])
+def test_start_far_outside_funnel_0_is_exit_2(tmp_path, capsys, mode, far):
+    # an error so large that (phi e)**2 would overflow is a violation as well
+    path = tmp_path / "far.json"
+    ScenarioConfig(mode=mode, **far).write_json(path)
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("funnel violation at t = 0.000000: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_domain_exit_is_exit_3(tmp_path):
     cfg = ScenarioConfig(x0=PlantState(beta=1.0))
     path = tmp_path / "outside.json"

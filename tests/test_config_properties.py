@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from funneltrack.cli import main
 from funneltrack.errors import ConfigError
 from funneltrack.funnel import FunnelSpec
+from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams, PlantState
-from funneltrack.reference import TransitionRef
+from funneltrack.reference import MAX_INTERVALS, TransitionRef
 from funneltrack.rk45 import MIN_ABS_TOL
 from funneltrack.sim import (DisturbanceSpec, IntegratorConfig, ScenarioConfig,
                              _replace_field)
@@ -42,9 +43,19 @@ def integrators(draw):
     return IntegratorConfig(draw(positive), draw(floats(MIN_ABS_TOL, 1e6)), max_step, min_step)
 
 
+def has_split(params):
+    try:
+        eigensplit(params)
+    except ConfigError:
+        return False
+    return True
+
+
 configs = st.builds(
     ScenarioConfig,
-    params=st.builds(ManipulatorParams, m=positive, l=positive, c=positive, d=nonnegative),
+    # half of the draws (m = 2.2e-309, say) have no hyperbolic split in floats
+    params=st.builds(ManipulatorParams, m=positive, l=positive, c=positive,
+                     d=nonnegative).filter(has_split),
     x0=st.builds(PlantState, floats(), floats(), floats(), floats()),
     ref=transitions(),
     funnels=st.tuples(*[st.builds(FunnelSpec, nonnegative, positive, positive)] * 3),
@@ -141,12 +152,30 @@ OUT_OF_RANGE = {
     "params.d": negative,
     "integrator.min_step": floats(BASE.integrator.max_step, 1e6),
     "integrator.max_step": floats(-1e6, BASE.integrator.min_step),
+    # before t0, or a window of more than MAX_INTERVALS spline intervals, which
+    # TransitionRef rejects before any spline is built
+    "ref.tf": st.one_of(negative, floats(MAX_INTERVALS * 1e-3 + 1.0, 1e300)),
 }
 
 
-# 18 leaves, 2 values each: 36 cases
+# 19 leaves, 2 values each: 38 cases
 @pytest.mark.parametrize("path", OUT_OF_RANGE)
 @settings(PROPERTY, max_examples=2)
 @given(data=st.data())
 def test_finite_out_of_range_leaf_is_exit_1_before_any_run(path, data):
     assert_exit_1_before_any_run(path, data.draw(OUT_OF_RANGE[path]))
+
+
+# finite values that ManipulatorParams accepts but at which eigensplit's float
+# arithmetic overflows, cancels or turns NaN, and a 1e300 s transition window;
+# listed, not drawn, so that each of them runs every time
+@pytest.mark.parametrize("path, bad", [
+    ("params.m", 1e-300),   # (3 d / (l^2 m))**2 overflows
+    ("params.d", 1e300),    # the same
+    ("params.c", 1e-320),   # lambda1 cancels to 0
+    ("params.c", 1e308),    # 3 c overflows: infinite eigenvalues
+    ("params.l", 1e-160),   # l^2 m is subnormal: NaN eigenvalues
+    ("ref.tf", 1e300),      # about 1e303 spline intervals
+])
+def test_degenerate_split_or_window_is_exit_1_before_any_run(path, bad):
+    assert_exit_1_before_any_run(path, bad)

@@ -45,6 +45,10 @@ class TestGain:
     def test_boundary_raises(self):
         with pytest.raises(FunnelViolation):
             gain(1.0, 1.0, level=1)
+        # far outside, where (phi e)**2 would overflow, the test comes first
+        with pytest.raises(FunnelViolation) as far:
+            gain(1e200, 1.0, level=1)
+        assert str(far.value) == "funnel boundary reached at level 1: phi*|e| = 1.000000e+200 >= 1"
 
     def test_violation_carries_diagnostics(self):
         with pytest.raises(FunnelViolation) as exc:
@@ -59,12 +63,14 @@ class TestGain:
         phi = rng.uniform(1.0, 60.0, 4000)
         e = rng.choice([-1.0, 1.0], 4000) * rng.uniform(0.9, 0.99999, 4000) / phi
         assert gain(phi, e).tolist() == [gain(p, x) for p, x in zip(phi.tolist(), e.tolist())]
-        # an array names its first sample outside, as that sample alone does
-        with pytest.raises(FunnelViolation) as one:
-            gain(2.0, 0.7, level=2)
-        with pytest.raises(FunnelViolation) as many:
-            gain(np.array([0.5, 2.0, 3.0]), np.array([0.1, 0.7, 0.9]), level=2)
-        assert str(many.value) == str(one.value)
+        # an array names its first sample outside, as that sample alone does,
+        # however far out
+        for phi_out in (2.0, 1e200):
+            with pytest.raises(FunnelViolation) as one:
+                gain(phi_out, 0.7, level=2)
+            with pytest.raises(FunnelViolation) as many:
+                gain(np.array([0.5, phi_out, 3.0]), np.array([0.1, 0.7, 0.9]), level=2)
+            assert str(many.value) == str(one.value)
 
     def test_monotone_blowup(self):
         ks = [gain(1.0, e) for e in (0.0, 0.5, 0.9, 0.99, 0.9999)]

@@ -190,6 +190,8 @@ class TestClosedLoopRhs:
         ("hg", 1, 1.5, None),
         ("lin", 0, 3.0, 0),       # y_new far from its reference
         ("hg", 0, 3.0, 0),
+        ("lin", 0, 1e200, 0),     # so far that (phi e0)**2 would overflow
+        ("hg", 0, 1e200, 0),
         ("hg", 5, 60.0, 1),       # observer's first derivative estimate
         ("hg", 6, 1e4, 2),        # observer's second derivative estimate
     ])
@@ -294,6 +296,9 @@ def _stop_configs():
         "hg-beta=1": ScenarioConfig(x0=PlantState(beta=1.0), mode="hg"),
         "lin-outside-funnel-0": ScenarioConfig(ref=base.ref, funnels=hopeless, mode="lin"),
         "hg-outside-funnel-0": ScenarioConfig(ref=base.ref, funnels=hopeless, mode="hg"),
+        # so far out that (phi e)**2 would overflow
+        "lin-far-outside-funnel-0": ScenarioConfig(x0=PlantState(alpha=1e200)),
+        "hg-far-outside-funnel-0": ScenarioConfig(x0=PlantState(alpha=1e200), mode="hg"),
         "mid-run": ScenarioConfig(ref=base.ref, funnels=tight, mode="lin",
                                   disturbance=base.disturbance, t_end=0.5,
                                   integrator=IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9,
@@ -332,8 +337,9 @@ class TestGuardsAndFailures:
         assert exc.state is not None and np.all(np.isfinite(exc.state))
 
     def test_infeasible_start_raises_immediately(self):
-        _, exc = stopped("lin-outside-funnel-0")
-        assert type(exc) is FunnelViolation and exc.t == 0.0
+        for name in ("lin-outside-funnel-0", "lin-far-outside-funnel-0"):
+            _, exc = stopped(name)
+            assert type(exc) is FunnelViolation and exc.t == 0.0 and exc.level == 0
 
     def test_domain_exit_reported(self):
         assert type(stopped("lin-beta=1")[1]) is DomainError
@@ -367,7 +373,7 @@ class TestGuardsAndFailures:
             assert again.t == exc.t and np.array_equal(again.state, exc.state)
 
     def test_start_failures_are_stamped_alike_in_both_modes(self):
-        for kind in ("beta=1", "outside-funnel-0"):
+        for kind in ("beta=1", "outside-funnel-0", "far-outside-funnel-0"):
             (_, lin), (_, hg) = stopped("lin-" + kind), stopped("hg-" + kind)
             assert type(lin) is type(hg) and str(lin) == str(hg)
             assert lin.t == hg.t == 0.0 and lin.level == hg.level
