@@ -276,7 +276,7 @@ def check_cascade_algebra():
     worst = 0.0
     for rng, n in ((np.random.default_rng(_SEED + 5), 200), (np.random.default_rng(71), 300)):
         for _ in range(n):
-            # Python floats, as ClosedLoop.rhs hands the cascade
+            # Python floats, as ClosedLoop.evaluate hands the cascade at one time
             t = rng.uniform(0.0, 3.0)
             y = rng.uniform(-0.02, 0.02, 6).tolist()  # inside the tightest funnel on [0, 3]
             out = cascade(specs, t, *y)

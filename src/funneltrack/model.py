@@ -12,8 +12,9 @@ entries appended can be passed as it is.  Each computes the ``cos(beta)``
 and ``sin(beta)`` it needs.  All functions are pure; the admissible region
 ``cos(beta) > 2/3`` (where the high-frequency gain keeps a fixed sign) is
 checked by ``bif._require_domain``, which ``psi`` reaches, not here.
-``plant_rhs``, the dynamics, returns a list: ``sim.ClosedLoop.rhs`` appends
-the observer's derivative to it.
+``plant_rhs``, the dynamics, returns a list: ``sim.ClosedLoop`` appends
+the observer's derivative to it where it composes the right-hand side from
+the layers.
 """
 import functools
 import math
@@ -45,6 +46,13 @@ class ManipulatorParams:
             raise ConfigError(f"mass and length must be positive, got m={self.m}, l={self.l}")
         if self.c < 0 or self.d < 0:
             raise ConfigError(f"spring/damping must be nonnegative, got c={self.c}, d={self.d}")
+        try:
+            l2m = float(self.l2m)
+        except OverflowError:  # float l**2, or float() of an int, past the float range
+            l2m = math.inf
+        if not 0.0 < l2m < math.inf:
+            raise ConfigError(f"l^2 m must be finite and > 0 in floats, got {l2m} "
+                              f"at m={self.m}, l={self.l}")
 
     @functools.cached_property
     def l2m(self) -> float:
@@ -74,8 +82,8 @@ def libm(fn, x, *args):
     samples, and an array must give each sample's bits.  numpy's ``+ - * /``
     round as Python floats do, but its vectorised cos, exp and power need not
     match the C library that ``math`` and float ``**`` call; so those calls
-    stay scalar, mapped over the entries here.  Callers on the right-hand
-    side's path test ``type(x) is float`` first and call ``fn`` directly.
+    stay scalar, mapped over the entries here.  The layer functions test
+    ``type(x) is float`` first and call ``fn`` directly on one float.
     """
     if isinstance(x, np.ndarray):
         return np.array([fn(v, *args) for v in x.ravel().tolist()]).reshape(x.shape)

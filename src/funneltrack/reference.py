@@ -168,7 +168,7 @@ class BoundedReference:
         self.p2 = lin.p2
         self.final_value = -lin.p2 * ref.yf
         self.t_lo = max(0.0, ref.t0)
-        self._coeffs = None
+        self._h = self._knots = self._coeffs = None  # no grid on an empty window
         if ref.tf > self.t_lo:
             n = int(_intervals(self.t_lo, ref.tf))
             ts = np.linspace(self.t_lo, ref.tf, n + 1)

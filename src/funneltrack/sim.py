@@ -15,6 +15,7 @@ import math
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import cos, exp, sin
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from .errors import (ConfigError, FunnelViolation, IntegrationError,
 from .funnel import (CascadeOutput, FunnelSpec, cascade, cascade_margins,
                      observer_derivatives, observer_rhs)
 from .linid import LinData, eigensplit, psi, ynew_derivatives
-from .model import ManipulatorParams, PlantState, output, plant_rhs
-from .reference import BoundedReference, TransitionRef, yref_eval
+from .model import DOMAIN_COS_LIMIT, ManipulatorParams, PlantState, output, plant_rhs
+from .reference import (_SLOPE_COEFFS, _TRANSITION_COEFFS, BoundedReference, TransitionRef,
+                        yref_eval)
 
 SAMPLE_STEP = 1e-3
 
@@ -191,6 +193,7 @@ class ClosedLoop:
         self.specs = cfg.funnels
         self.gains = cfg.observer_gains
         self.dist = cfg.disturbance
+        self._kernel = self._bind_kernel()
 
     def initial_state(self) -> np.ndarray:
         """x0 and, in ``hg`` mode, the observer at rest on y_new(x0); a start the
@@ -216,13 +219,120 @@ class ClosedLoop:
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
         """State derivative: the plant under the controller's input plus the
-        disturbance and, in ``hg`` mode, the observer."""
+        disturbance and, in ``hg`` mode, the observer.  The kernel bound at
+        construction computes it (``_bind_kernel``), and the layer functions
+        where the kernel returns None."""
+        deriv = self._kernel(t, state)
+        return self._rhs_layers(t, state) if deriv is None else deriv
+
+    def _rhs_layers(self, t: float, state: np.ndarray) -> np.ndarray:
+        """``rhs`` composed from the layer functions."""
         xs = state.tolist()
         out = self.evaluate(t, xs)
         deriv = plant_rhs(self.params, xs, out.u + disturbance(self.dist, t))
         if self.observer:
             deriv.extend(observer_rhs(self.gains, xs[4:], out.y_new))
         return np.array(deriv)
+
+    def _bind_kernel(self):
+        """``rhs`` as one pass of float arithmetic over this scenario's constants.
+
+        After the reference starts (``t > t0`` and ``t >= t_lo``) and inside
+        every funnel, it performs each operation of ``_rhs_layers`` -- ``psi``,
+        the ladder or the observer's estimates, ``BoundedReference.eval`` (the
+        spline and the rising y_ref before tf, the call itself from tf on),
+        ``cascade``, ``disturbance``, ``plant_rhs`` and ``observer_rhs`` -- on
+        the same operands in the same order, and so returns its bits.  At and
+        before t0, and at the layers' own guard conditions (``not cos(beta) >
+        2/3``, ``abs(phi_i e_i) >= 1`` at levels 0, 1 and 2), it returns None,
+        and ``rhs`` calls ``_rhs_layers``, which raises the stamped controller
+        error there.  The kernel holds no reference to the loop, so a loop is
+        freed as soon as it is dropped.
+        """
+        observer, ref, p, dist = self.observer, self.cfg.ref, self.params, self.dist
+        (a0, b0, eps0), (a1, b1, eps1), (a2, b2, eps2) = [(f.a, f.b, f.eps) for f in self.specs]
+        nb0, nb1, nb2 = -b0, -b1, -b2
+        w0, w1 = self.lin.unstable_row
+        lam2, p2 = self.lin.lambda2, self.lin.p2
+        lam2p2 = lam2 * p2
+        t0, tf, y0 = ref.t0, ref.tf, ref.y0
+        span, dy = tf - t0, ref.yf - y0
+        c5, c6, c7, c8, c9 = _TRANSITION_COEFFS
+        s5, s6, s7, s8, s9 = _SLOPE_COEFFS
+        new_ref = self.new_ref
+        t_lo, knots, coeffs, h = new_ref.t_lo, new_ref._knots, new_ref._coeffs, new_ref._h
+        last = len(knots) - 2 if knots else 0  # no knots: the window is empty
+        l2m, nc, d = p.l2m, -p.c, p.d
+        half_l2m = 0.5 * l2m
+        amp1, freq1, amp2, freq2 = dist.amp1, dist.freq1, dist.amp2, dist.freq2
+        g1, g2, g3 = self.gains
+
+        def kernel(t, state):
+            xs = state.tolist()
+            x1, x2, x3, x4 = xs[:4]
+            cb = cos(x2)
+            if not (cb > DOMAIN_COS_LIMIT and t > t0 and t >= t_lo):
+                return None
+            # y_new = psi(x) and its derivatives, from the observer or the ladder
+            y = x1 + 0.5 * x2
+            y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * y
+            if observer:
+                y1, y2 = xs[5], xs[6]
+                err = y_new - xs[4]
+                tail = (g1 * err + y1, g2 * err + y2, g3 * err)
+            else:
+                y1 = lam2 * y_new + lam2p2 * y
+                y2 = lam2 * y1 + lam2p2 * (x3 + 0.5 * x4)
+                tail = ()
+            if t < tf:  # the bounded reference's spline, and y_ref rising through the ladder
+                i = int((t - t_lo) / h)
+                if i > last:
+                    i = last
+                q3, q2, q1, q0 = coeffs[i]
+                dt = t - knots[i]
+                r0 = ((q3 * dt + q2) * dt + q1) * dt + q0
+                tau = (t - t0) / span
+                t5 = tau ** 5
+                y_ref = y0 + t5 * ((((c9 * tau + c8) * tau + c7) * tau + c6) * tau + c5) * dy
+                y_ref_dot = (t5 / tau * ((((s9 * tau + s8) * tau + s7) * tau + s6) * tau + s5)
+                             * dy / span)
+                r1 = lam2 * r0 + lam2p2 * y_ref
+                r2 = lam2 * r1 + lam2p2 * y_ref_dot
+            else:
+                r0, r1, r2 = new_ref.eval(t)
+            # the cascade, each funnel tested before its gain squares
+            decay = a0 * exp(nb0 * t)
+            phi0 = 1.0 / (decay + eps0)
+            phi0_dot = b0 * decay * phi0 * phi0
+            phi1 = 1.0 / (a1 * exp(nb1 * t) + eps1)
+            phi2 = 1.0 / (a2 * exp(nb2 * t) + eps2)
+            e0, e0_1, e0_2 = y_new - r0, y1 - r1, y2 - r2
+            pe = phi0 * e0
+            if abs(pe) >= 1.0:
+                return None
+            k0 = 1.0 / (1.0 - pe ** 2)
+            k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
+            e1 = e0_1 + k0 * e0
+            pe = phi1 * e1
+            if abs(pe) >= 1.0:
+                return None
+            k1 = 1.0 / (1.0 - pe ** 2)
+            e2 = e0_2 + k0 * e0_1 + k0_1 * e0 + k1 * e1
+            pe = phi2 * e2
+            if abs(pe) >= 1.0:
+                return None
+            u = 1.0 / (1.0 - pe ** 2) * e2
+            # the plant under u + d(t)
+            sb = sin(x2)
+            t1 = half_l2m * x4 * (2.0 * x3 + x4) * sb + (
+                u + (amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t)))
+            f2 = nc * x2 - d * x4 - half_l2m * x3 * x3 * sb
+            k = 36.0 / (l2m * (16.0 - 9.0 * cb * cb))
+            a12 = -1.0 / 3.0 - 0.5 * cb
+            return np.array([x3, x4, k * (t1 / 3.0 + a12 * f2),
+                             k * (a12 * t1 + (5.0 / 3.0 + cb) * f2), *tail])
+
+        return kernel
 
     def row(self, ts: np.ndarray, states: np.ndarray) -> np.ndarray:
         """The output samples at times ``ts`` of ``states`` (one state per row),

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,9 @@ def test_non_object_json_is_exit_1(tmp_path):
     ("x0.alpha", "0.1"),
     ("disturbance.amp1", None),
     ("t_end", True),
+    # l^2 m outside the floats: l**2 raises OverflowError, or l^2 m is 0
+    ("params.l", 1e200),
+    ("params.l", 1e-200),
 ])
 def test_invalid_field_is_exit_1(tmp_path, path, value):
     data = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=1.0).to_dict()
@@ -225,10 +229,19 @@ def test_failed_case_study_writes_no_file(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+# SHA-256 of every seed-0 case-study output; the CSV hashes are the
+# benchmark's PINNED_CSV_SHA256
+CASE_STUDY_SHA256 = {
+    "lin.csv": "5455cc04bf251bc16ef6670f432a354b839bc15e1955fd199edd81b89dfe8741",
+    "hg.csv": "8dcc1da5f0d7f4fd608c26f91f0c7c1478cd46d662ef4b0dd48562bfd637d908",
+    "summary.json": "0557d20a5e81088f5293bc0203e56d4b579d930fa81affd0e2e87e90d6714db5",
+}
+
+
 def test_case_study_outputs(tmp_path, capsys):
     assert main(["case-study", "--out-dir", str(tmp_path)]) == 0
-    for name in ("lin.csv", "hg.csv", "summary.json"):
-        assert (tmp_path / name).exists()
+    for name, sha256 in CASE_STUDY_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256, name
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["lin"]["funnel_invariant"] is True
     assert summary["hg"]["funnel_invariant"] is True

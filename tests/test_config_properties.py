@@ -43,19 +43,22 @@ def integrators(draw):
     return IntegratorConfig(draw(positive), draw(floats(MIN_ABS_TOL, 1e6)), max_step, min_step)
 
 
-def has_split(params):
+def split_params(m, l, c, d):
+    """ManipulatorParams(m, l, c, d) if they are valid and split hyperbolically, else None."""
     try:
+        params = ManipulatorParams(m=m, l=l, c=c, d=d)
         eigensplit(params)
     except ConfigError:
-        return False
-    return True
+        return None
+    return params
 
 
 configs = st.builds(
     ScenarioConfig,
-    # half of the draws (m = 2.2e-309, say) have no hyperbolic split in floats
-    params=st.builds(ManipulatorParams, m=positive, l=positive, c=positive,
-                     d=nonnegative).filter(has_split),
+    # half of the draws (m = 2.2e-309, say) have no positive l^2 m or no
+    # hyperbolic split in floats
+    params=st.builds(split_params, positive, positive, positive,
+                     nonnegative).filter(lambda params: params is not None),
     x0=st.builds(PlantState, floats(), floats(), floats(), floats()),
     ref=transitions(),
     funnels=st.tuples(*[st.builds(FunnelSpec, nonnegative, positive, positive)] * 3),

@@ -20,6 +20,13 @@ class TestParams:
         with pytest.raises(ConfigError):
             ManipulatorParams(**bad)
 
+    @pytest.mark.parametrize("bad", [dict(l=1e200),  # l**2 raises OverflowError
+                                     dict(l=1e-200), dict(m=1e-320, l=1e-5),  # l^2 m is 0
+                                     dict(m=1e300, l=1e10)])  # l^2 m is inf
+    def test_l2m_outside_the_floats_rejected(self, bad):
+        with pytest.raises(ConfigError, match="l\\^2 m must be finite and > 0"):
+            ManipulatorParams(**bad)
+
 
 class TestMassMatrix:
     def test_beta_zero(self):

@@ -1,20 +1,25 @@
 """Closed-loop harness: configs, integration, CSV, guards, sweep."""
+import collections
 import dataclasses
 import functools
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from funneltrack import sim
+from funneltrack.bif import phi_inverse
 from funneltrack.errors import (ConfigError, DomainError, FunnelViolation, IntegrationError,
                                 SimulationError)
 from funneltrack.funnel import FunnelSpec, cascade, cascade_margins, observer_rhs, phi_eval
 from funneltrack.linid import psi, ynew_derivatives
-from funneltrack.model import (DOMAIN_COS_LIMIT, ManipulatorParams, PlantState,
-                               output, plant_rhs)
+from funneltrack.model import ManipulatorParams, PlantState, output, plant_rhs
 from funneltrack.reference import TransitionRef, yref_eval
 from funneltrack.sim import (OBSERVER_COLUMNS, ClosedLoop, DisturbanceSpec,
                              IntegratorConfig, ScenarioConfig, case_study_config,
@@ -71,18 +76,17 @@ class TestConfig:
 
 def composed(loop, t, state):
     """(rhs, row) of ``loop`` at (t, state), composed from the public layer
-    functions on numpy scalars; the oracle for ``ClosedLoop``."""
+    functions on numpy scalars; the oracle for ``ClosedLoop``.  A controller
+    error comes from the layers, stamped with t and the state."""
     cfg, lin = loop.cfg, loop.lin
     x = state[:4]
-    if math.cos(x[1]) <= DOMAIN_COS_LIMIT:
-        raise DomainError("outside", t=t, state=state.copy())
-    if cfg.mode == "hg":
-        y_new, y1, y2 = psi(lin, x), state[5], state[6]
-    else:
-        y_new, y1, y2 = ynew_derivatives(lin, x)
     try:
+        if cfg.mode == "hg":
+            y_new, y1, y2 = psi(lin, x), state[5], state[6]
+        else:
+            y_new, y1, y2 = ynew_derivatives(lin, x)
         out = cascade(cfg.funnels, t, y_new, y1, y2, *loop.new_ref.eval(t))
-    except FunnelViolation as exc:
+    except SimulationError as exc:
         exc.t, exc.state = t, state.copy()
         raise
     deriv = plant_rhs(cfg.params, x, out.u + disturbance(cfg.disturbance, t))
@@ -175,6 +179,18 @@ class TestClosedLoopRhs:
                 assert np.array_equal(loop.rhs(t, state), want_rhs)
                 assert np.array_equal(rows[i], want_row)
 
+    def test_a_dropped_loop_is_freed_without_the_cycle_collector(self):
+        # the right-hand-side kernel holds no reference to its loop; a sweep
+        # builds a loop per point, each with its reference's spline tables
+        gc.disable()
+        try:
+            loop = ClosedLoop(case_study_config("hg"))
+            ref = weakref.ref(loop)
+            del loop
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_row_computes_no_dynamics(self, case_lin, case_hg, monkeypatch):
         def no_dynamics(*args):
             raise AssertionError("an output row evaluated the dynamics")
@@ -214,6 +230,159 @@ class TestClosedLoopRhs:
             assert got.level == want.level == level
             assert (got.state is None and want.state is None
                     or np.array_equal(got.state, want.state))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value, or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared whole below, whatever its type
+        return exc
+
+
+def assert_same_outcome(loop, t, state):
+    """``loop.rhs`` at (t, state) gives the bits of ``composed``, or raises as
+    it does: the same type, message, level, time and state."""
+    got = outcome(loop.rhs, t, state)
+    want = outcome(lambda: composed(loop, t, state)[0])
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, SimulationError):
+            assert got.level == want.level and got.t == want.t
+            assert np.array_equal(got.state, want.state, equal_nan=True)
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == np.array(want).tobytes()
+
+
+def placed_state(loop, t, beta, y, y_dot, margins, zeta1):
+    """A state at time t with the funnel margins phi_i e_i near ``margins``.
+
+    It reads y_new's targets (y_new, y1, y2) off the margins through the
+    cascade's algebra, up to the first margin past 1.  In hg mode y and y_dot
+    are kept, and the observer's estimates are y1 and y2; in lin mode y and
+    y_dot are set so that the ladder gives y1 and y2.  ``phi_inverse`` then
+    makes the plant state with this beta and the eta2 that gives y_new."""
+    lin, observer = loop.lin, loop.observer
+    (phi0, phi0_dot), (phi1, _), (phi2, _) = [phi_eval(f, t) for f in loop.specs]
+    r0, r1, r2 = loop.new_ref.eval(t)
+    lam2, p2 = lin.lambda2, lin.p2
+    e0 = margins[0] / phi0
+    y_new, y1, y2 = r0 + e0, lam2 * (r0 + e0) + lam2 * p2 * y, 0.0
+    if abs(margins[0]) < 1.0:
+        k0 = 1.0 / (1.0 - margins[0] ** 2)
+        e1 = margins[1] / phi1
+        e0_1 = e1 - k0 * e0
+        y1 = r1 + e0_1
+        if abs(margins[1]) < 1.0:
+            k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
+            k1 = 1.0 / (1.0 - margins[1] ** 2)
+            y2 = r2 + margins[2] / phi2 - k0 * e0_1 - k0_1 * e0 - k1 * e1
+    if not observer:
+        y = (y1 - lam2 * y_new) / (lam2 * p2)
+        y_dot = (y2 - lam2 * y1) / (lam2 * p2)
+    w0, w1 = lin.unstable_row
+    x = phi_inverse([y, y_dot, beta, (y_new + p2 * y - w0 * beta) / w1]).tolist()
+    return np.array(x + [y_new + zeta1, y1, y2] * observer)
+
+
+def bounded(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kernel_cases(draw):
+    """The ClosedLoop of a drawn scenario in each mode, and (t, state) points to
+    evaluate both at.
+
+    The reference window starts before 0, at 0 or after it, or is a step
+    (tf == t0); t lies at t0, before it, in the window, at tf or after it;
+    and the states sit inside the funnels, near a wall or past one, or
+    outside cos(beta) > 2/3, or have a NaN angle."""
+    t0 = draw(st.sampled_from((-0.3, 0.0, 0.4)) | bounded(-1.0, 1.0))
+    tf = t0 + draw(st.sampled_from((0.0, 0.5, 1.0)) | bounded(0.05, 1.0))
+    cfg = ScenarioConfig(
+        params=ManipulatorParams(draw(bounded(0.3, 3.0)), draw(bounded(0.3, 3.0)),
+                                 draw(bounded(0.1, 5.0)), draw(bounded(0.0, 2.0))),
+        ref=TransitionRef(draw(bounded(-0.5, 0.5)), draw(bounded(-0.5, 0.5)), t0, tf),
+        funnels=tuple(FunnelSpec(draw(bounded(0.0, 3.0)), draw(bounded(0.1, 3.0)),
+                                 draw(bounded(0.01, 1.0))) for _ in range(3)),
+        observer_gains=(draw(bounded(1.0, 1e3)), draw(bounded(1.0, 1e5)),
+                        draw(bounded(1.0, 1e6))),
+        disturbance=DisturbanceSpec(draw(bounded(-2.0, 2.0)), draw(bounded(0.0, 10.0)),
+                                    draw(bounded(-2.0, 2.0)), draw(bounded(0.0, 10.0))))
+    loops = [ClosedLoop(dataclasses.replace(cfg, mode=mode)) for mode in ("lin", "hg")]
+    t_lo, t_hi = max(0.0, t0), max(0.0, tf)
+    window = bounded(t_lo, max(t_lo, t_hi))
+    times = st.sampled_from((t_lo, t_hi)) | bounded(0.0, t_lo) | bounded(t_hi, t_hi + 2.0) | window
+    points = []
+    for _ in range(draw(st.integers(1, 10))):
+        t = draw(window | times)
+        margins = [draw(bounded(-1.05, 1.05) | bounded(0.99, 1.0)) for _ in range(3)]
+        placed = (t, draw(bounded(-0.8, 0.8)), draw(bounded(-1.0, 1.0)), draw(bounded(-3.0, 3.0)),
+                  margins, draw(bounded(-0.1, 0.1)))
+        beta = None  # now and then NaN, or past the domain's edge at 0.841
+        if draw(st.integers(0, 9)) == 0:
+            beta = draw(st.sampled_from((math.nan, -0.9, 0.9)))
+        points.append((placed, beta))
+    return loops, points
+
+
+class TestKernelMatchesLayers:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kernel_cases())
+    def test_rhs_equals_the_layer_composition(self, case):
+        loops, points = case
+        for loop in loops:
+            for placed, beta in points:
+                t, state = placed[0], placed_state(loop, *placed)
+                if beta is not None:
+                    state[1] = beta
+                assert_same_outcome(loop, t, state)
+
+    # the state entry stepped: alpha for funnel 0; in lin the velocities, in hg
+    # the observer's estimates for funnels 1 and 2
+    @pytest.mark.parametrize("mode, level, entry", [("lin", 0, 0), ("lin", 1, 2), ("lin", 2, 3),
+                                                    ("hg", 0, 0), ("hg", 1, 5), ("hg", 2, 6)])
+    def test_each_gain_squares_as_the_layers_do(self, mode, level, entry):
+        # pow(pe, 2) and pe * pe differ in the last bit at about one pe in
+        # 500 near 0.99: step one state entry by a relative 1e-12 until the
+        # margin pe at this level is such a value, and compare there
+        loop, t = ClosedLoop(case_study_config(mode)), 1.0
+        margins = [0.99 if i == level else 0.5 for i in range(3)]
+        state = placed_state(loop, t, 0.2, 0.1, 0.3, margins, 0.0)
+        for _ in range(20_000):
+            e = loop.evaluate(t, state.tolist())[2 + level]
+            pe = phi_eval(loop.specs[level], t)[0] * e
+            if pe ** 2 != pe * pe:
+                break
+            state[entry] += 1e-12 * (1.0 + abs(state[entry]))
+        else:
+            pytest.skip("this C library's pow(pe, 2) is pe * pe near the wall")
+        assert 0.9 < abs(pe) < 1.0
+        assert_same_outcome(loop, t, state)
+
+    @pytest.mark.parametrize("amp1", np.linspace(0.0, 3.0, 8)[4:].tolist())
+    def test_last_states_before_a_pinned_funnel_stop(self, amp1, monkeypatch):
+        # the violating points of the amp1 sweep of the hg case study: each
+        # rides a funnel wall until the step size underflows, where a gain's
+        # square decides the last bits
+        hg = case_study_config("hg")
+        cfg = dataclasses.replace(hg, disturbance=dataclasses.replace(hg.disturbance, amp1=amp1))
+        calls = collections.deque(maxlen=1000)
+        rhs = ClosedLoop.rhs
+
+        def recorded(self, t, state):
+            calls.append((t, state.copy()))
+            return rhs(self, t, state)
+
+        monkeypatch.setattr(ClosedLoop, "rhs", recorded)
+        with pytest.raises(FunnelViolation) as stop:
+            integrate(cfg)
+        monkeypatch.undo()
+        assert stop.value.level == 2 and isinstance(stop.value.__cause__, IntegrationError)
+        loop = ClosedLoop(cfg)
+        for t, state in calls:
+            assert_same_outcome(loop, t, state)
 
 
 class TestCaseStudyRuns:
