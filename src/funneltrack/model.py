@@ -17,6 +17,7 @@ the observer's derivative to it where it composes the right-hand side from
 the layers.
 """
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,11 +83,15 @@ def libm(fn, x, *args):
     samples, and an array must give each sample's bits.  numpy's ``+ - * /``
     round as Python floats do, but its vectorised cos, exp and power need not
     match the C library that ``math`` and float ``**`` call; so those calls
-    stay scalar, mapped over the entries here.  The layer functions test
-    ``type(x) is float`` first and call ``fn`` directly on one float.
+    stay scalar, mapped over the entries here in one C-level pass: ``map``
+    feeds the Python floats of ``x`` and the repeated ``args`` to ``fn``, and
+    ``np.fromiter`` writes each result into the float64 array, with no list
+    between.  The layer functions test ``type(x) is float`` first and call
+    ``fn`` directly on one float.
     """
     if isinstance(x, np.ndarray):
-        return np.array([fn(v, *args) for v in x.ravel().tolist()]).reshape(x.shape)
+        values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
+        return np.fromiter(values, float, x.size).reshape(x.shape)
     return fn(x, *args)
 
 

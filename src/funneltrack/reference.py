@@ -180,9 +180,9 @@ class BoundedReference:
             panels = panels.tolist()
             decay = math.exp(-self.lam2 * self._h)
             vals = np.empty(n + 1)
-            vals[-1] = self.final_value
+            vals[-1] = v = float(self.final_value)  # carried as a float, never read back
             for i in range(n - 1, -1, -1):
-                vals[i] = panels[i] + decay * vals[i + 1]
+                vals[i] = v = panels[i] + decay * v
             # the arrays for samples at once; the tuples for one float t,
             # which then indexes no array
             self._knot_array, self._coeff_array = ts, _not_a_knot(ts, vals)

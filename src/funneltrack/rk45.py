@@ -4,6 +4,13 @@ Dormand-Prince pair: the 5th-order solution is propagated, the embedded
 4th-order difference drives a PI step controller, and the quartic
 interpolant serves dense output on an arbitrary sampling grid.
 
+The per-step work off the right-hand side is done in the fewest calls that
+keep every bit.  The error norm runs on Python floats in ``np.mean``'s
+summation order.  Dense output is evaluated in batches of about
+``_DENSE_BATCH`` samples across accepted steps: one stacked ``np.matmul``
+makes one gemv per sample, the call a per-sample ``Qd.dot`` makes, and the
+interpolant is linear in the stages, so batching moves no bit.
+
 Guards: exceptions listed in ``guards`` raised by the right-hand side
 (funnel or domain violations) reject the trial step and bisect it; if the
 step underflows ``min_step`` the guard exception propagates as raised,
@@ -59,15 +66,61 @@ class SolveResult:
     nfev: int = 0
 
 
-def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    """RMS of ``err`` over the mixed scale: ``np.mean`` without its wrapper."""
-    scale = np.abs(y0)
-    np.maximum(scale, np.abs(y1), out=scale)
-    scale *= rel_tol
-    scale += abs_tol
-    ratio = err / scale
-    ratio *= ratio
-    return math.sqrt(np.add.reduce(ratio) / ratio.size)
+# samples per stacked evaluation of the dense output: enough to amortise the
+# call, few enough to keep its temporaries in cache
+_DENSE_BATCH = 256
+
+
+def _add_reduce(a: list) -> float:
+    """Sum of the floats ``a`` in ``np.add.reduce``'s order for a contiguous
+    float64 array (numpy's pairwise summation): sequential below 8 entries,
+    eight lanes up to 128, and the two halves, split at a multiple of 8, above."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(a[:half]) + _add_reduce(a[half:])
+    if n < 8:
+        total = 0.0
+        for v in a:
+            total += v
+        return total
+    lanes = a[:8]
+    rest = n - n % 8
+    for i in range(8, rest, 8):
+        for j in range(8):
+            lanes[j] += a[i + j]
+    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+    for v in a[rest:]:
+        total += v
+    return total
+
+
+def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
+    """RMS of ``err`` over the mixed scale, bit for bit ``np.sqrt(np.mean((err /
+    (abs_tol + rel_tol * np.maximum(abs(y0), abs(y1)))) ** 2))``, on Python floats.
+
+    ``np.maximum`` passes a NaN of either side on, and float ``+ * /``
+    round as numpy's do (a division overflows to inf here without numpy's
+    warning); the squares are summed in ``np.add.reduce``'s order."""
+    squares = []
+    for e, a, b in zip(err.tolist(), y0.tolist(), y1.tolist()):
+        a, b = abs(a), abs(b)
+        r = e / ((a if a >= b or a != a else b) * rel_tol + abs_tol)
+        squares.append(r * r)
+    return math.sqrt(_add_reduce(squares) / len(squares))
+
+
+def _dense_block(steps: list, powers: list) -> np.ndarray:
+    """Interpolated states of the pending samples, one row each: ``steps``
+    holds each step's ``(Qd, h, y, samples)``, ``powers`` each sample's
+    theta**1..4.  One gemv per sample through a stacked matmul, then
+    ``*= h`` and ``+= y`` per row, as ``y + h * Qd.dot(powers)`` rounds."""
+    Qds, hs, ys, counts = zip(*steps)
+    v = np.matmul(np.repeat(np.array(Qds), counts, axis=0), np.array(powers)[:, :, None])[:, :, 0]
+    v *= np.repeat(hs, counts)[:, None]
+    v += np.repeat(np.array(ys), counts, axis=0)
+    return v
 
 
 # 1/sqrt(float max): below it (f/abs_tol)**2 of a unit-size derivative
@@ -144,7 +197,8 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     y = np.asarray(y0, dtype=float).copy()
 
     sample_ts = [t0]
-    sample_ys = [y.copy()]
+    blocks = [y[None].copy()]  # the sampled states, in blocks of rows
+    steps, powers = [], []  # dense samples not yet evaluated, see _dense_block
     next_k = 1  # next sample index on the uniform grid
 
     K = np.empty((7, y.size))
@@ -200,17 +254,19 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         if sample_step is not None:
             t_target = t0 + next_k * sample_step
             if t_target <= t + h + 1e-14:
-                Qd = K.T @ _P  # (dim, 4)
+                count = 0
                 while t_target <= t + h + 1e-14:
                     t_emit = t_end if abs(t_target - t_end) < 1e-12 else t_target
                     theta = min(1.0, (t_emit - t) / h)
-                    v = Qd.dot(np.array([theta, theta**2, theta**3, theta**4]))
-                    v *= h
-                    v += y
+                    powers.append((theta, theta**2, theta**3, theta**4))
                     sample_ts.append(t_emit)
-                    sample_ys.append(v)
+                    count += 1
                     next_k += 1
                     t_target = t0 + next_k * sample_step
+                steps.append((K.T @ _P, h, y, count))  # Qd is (dim, 4)
+                if len(powers) >= _DENSE_BATCH:
+                    blocks.append(_dense_block(steps, powers))
+                    steps, powers = [], []
 
         t += h
         y = y_new
@@ -218,7 +274,7 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         naccept += 1
         if sample_step is None:
             sample_ts.append(t)
-            sample_ys.append(y)
+            blocks.append(y[None])
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -226,8 +282,10 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         err_prev = max(err, 1e-4)
         h *= factor
 
+    if steps:
+        blocks.append(_dense_block(steps, powers))
     if sample_ts[-1] < t_end - 1e-14:
         sample_ts.append(t_end)
-        sample_ys.append(y.copy())
-    return SolveResult(np.array(sample_ts), np.array(sample_ys), naccept=naccept,
+        blocks.append(y[None])
+    return SolveResult(np.array(sample_ts), np.concatenate(blocks), naccept=naccept,
                        nreject=nreject, nguard=nguard, nfev=nfev)

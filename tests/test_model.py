@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from funneltrack.errors import ConfigError, DomainError
-from funneltrack.model import (ManipulatorParams, generalized_forces,
+from funneltrack.model import (ManipulatorParams, generalized_forces, libm,
                                mass_matrix, output, plant_rhs)
 from funneltrack.sim import ClosedLoop, ScenarioConfig
 
@@ -67,6 +67,36 @@ class TestForcesAndDynamics:
     def test_unit_torque_at_rest(self):
         assert_allclose(plant_rhs(P, np.zeros(4), 1.0),
                         [0.0, 0.0, 12 / 7, -30 / 7], atol=1e-13)
+
+
+class TestLibm:
+    """``libm`` gives, in the input's shape, each entry's scalar-call bits."""
+
+    # NaN, +-inf, subnormals and signed zeros; cos raises on inf (tested below)
+    SPECIAL = [math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 0.0, -0.0]
+    FINITE = [math.nan, 5e-324, -2.2e-308, 0.0, -0.0]
+
+    @pytest.mark.parametrize("shape", [(0,), (7,), (3, 10), ()])
+    @pytest.mark.parametrize("fn, args, special", [
+        (math.exp, (), SPECIAL), (math.cos, (), FINITE), (pow, (5,), SPECIAL),
+        (pow, (2,), SPECIAL), (math.atan2, (0.5,), SPECIAL)])
+    def test_bitwise_the_scalar_calls(self, shape, fn, args, special):
+        rng = np.random.default_rng(len(shape))
+        x = np.asarray(rng.standard_normal(shape) * 3.0)
+        x.flat[: len(special)] = special[: x.size]
+        out = libm(fn, x, *args)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape
+        expected = [fn(v, *args) for v in x.ravel().tolist()]
+        assert np.array(expected, dtype=float).tobytes() == out.tobytes()
+
+    def test_a_float_is_one_scalar_call(self):
+        assert libm(pow, 1.5, 5) == 1.5**5 and libm(math.exp, -0.0) == 1.0
+
+    @pytest.mark.parametrize("fn, x, error", [(math.exp, 1000.0, OverflowError),
+                                              (math.cos, math.inf, ValueError)])
+    def test_an_exception_from_fn_propagates(self, fn, x, error):
+        with pytest.raises(error):
+            libm(fn, np.array([0.0, x, 1.0]))
 
 
 class TestOutput:

@@ -363,10 +363,10 @@ def crossing_wall(t, y):
     return np.array([1.0])
 
 
-def case_hg():
-    loop = ClosedLoop(case_study_config("hg"))
+def case_study(mode, t_end):
+    loop = ClosedLoop(case_study_config(mode))
     intg = loop.cfg.integrator
-    return loop.rhs, (0.0, 0.5), loop.initial_state(), dict(
+    return loop.rhs, (0.0, t_end), loop.initial_state(), dict(
         rel_tol=intg.rel_tol, abs_tol=intg.abs_tol, max_step=intg.max_step,
         min_step=intg.min_step, sample_step=SAMPLE_STEP, guards=(FunnelViolation, DomainError))
 
@@ -375,7 +375,10 @@ class TestBitwiseReference:
     """``rk45.solve`` does the reference's float operations in the same order."""
 
     @pytest.mark.parametrize("problem, rejects", [
-        pytest.param(case_hg, False, id="case-hg"),
+        pytest.param(lambda: case_study("hg", 0.5), False, id="case-hg"),
+        # 3001 samples at about 6.6 per step: eleven full dense-output batches
+        # and a partial one at the end
+        pytest.param(lambda: case_study("lin", 3.0), False, id="case-lin"),
         pytest.param(lambda: (van_der_pol(8.0), (0.0, 20.0), np.array([2.0, 0.0]),
                               dict(rel_tol=1e-6, abs_tol=1e-9, sample_step=0.01)),
                      True, id="van-der-pol-rejections"),
@@ -393,6 +396,12 @@ class TestBitwiseReference:
         assert len(new_calls) == res.nfev and same_calls(new_calls, ref_calls)
         assert (res.nreject > 0) == rejects
 
+    def test_sampled_states_are_one_float64_array(self):
+        f, t_span, y0, kwargs = case_study("lin", 0.3)
+        res = rk45.solve(f, t_span, y0, **kwargs)
+        assert type(res.y) is np.ndarray and res.y.dtype == np.float64
+        assert res.y.shape == (301, y0.size) and res.y.flags.c_contiguous
+
     def test_same_guard_bisection(self):
         kwargs = dict(rel_tol=1e-9, abs_tol=1e-12, min_step=1e-12, guards=(FunnelViolation,))
         raised = []
@@ -407,10 +416,13 @@ class TestBitwiseReference:
         assert new_calls and same_calls(new_calls, ref_calls)
 
 
-@pytest.mark.parametrize("dim", range(1, 10))
+# numpy sums below 8 entries in sequence, up to 128 in eight lanes and above
+# that in halves: 1..300 covers each rule and the edges 8, 16, 127-129 and 256;
+# past the solver's usual dimensions fewer draws keep the suite quick
+@pytest.mark.parametrize("dim", range(1, 301))
 def test_error_norm_is_bitwise_the_mean_formula(dim):
     rng = np.random.default_rng(dim)
-    for k in range(200):
+    for k in range(200 if dim < 10 else 24):
         err, y0, y1 = rng.standard_normal((3, dim)) * 10.0 ** rng.integers(-12, 3, (3, dim))
         if k % 4 == 1:
             err[rng.integers(dim)] = math.nan
