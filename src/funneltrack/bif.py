@@ -33,7 +33,7 @@ def _require_domain(cb, label: str, value):
     """Raise DomainError unless cos(label) = ``cb`` > 2/3, naming the first
     sample outside when ``cb`` and ``value`` are arrays."""
     inside = cb > DOMAIN_COS_LIMIT  # a NaN is outside too
-    if inside is not True and not np.all(inside):
+    if not np.all(inside):
         at = np.argmin(inside)
         raise DomainError(f"cos({label}) = {np.ravel(cb)[at]:.6f} is not > 2/3 "
                           f"at {label} = {np.ravel(value)[at]:.6f}")
@@ -43,7 +43,7 @@ def phi_forward(x) -> BifCoords:
     """Transform plant coordinates to (y, ydot, eta1, eta2), of one state or
     of the states of many samples (``states.T``)."""
     x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
-    cb = math.cos(x2) if type(x2) is float else libm(math.cos, x2)
+    cb = libm(math.cos, x2)
     _require_domain(cb, "beta", x2)
     w2 = 1.0 / 3.0 + 0.5 * cb
     return BifCoords(x1 + 0.5 * x2, x3 + 0.5 * x4, x2, w2 * x3 + x4 / 3.0)

@@ -38,8 +38,7 @@ class FunnelSpec:
 
 def phi_eval(f: FunnelSpec, t: float) -> tuple[float, float]:
     """Funnel function and its derivative at time t >= 0, a float or an array."""
-    z = -f.b * t
-    decay = f.a * (math.exp(z) if type(z) is float else libm(math.exp, z))
+    decay = f.a * libm(math.exp, -f.b * t)
     phi = 1.0 / (decay + f.eps)
     return phi, f.b * decay * phi * phi
 
@@ -64,11 +63,11 @@ def gain(phi: float, e: float, *, level=None) -> float:
     naming the first sample there for arrays."""
     pe = phi * e
     outside = abs(pe) >= 1.0
-    if outside is not False and np.any(outside):
+    if np.any(outside):
         at = np.argmax(outside)
         raise FunnelViolation(f"funnel boundary reached at level {level}: "
                               f"phi*|e| = {np.ravel(abs(pe))[at]:#.7g} >= 1", level=level)
-    return 1.0 / (1.0 - (pe ** 2 if type(pe) is float else libm(pow, pe, 2)))
+    return 1.0 / (1.0 - libm(pow, pe, 2))
 
 
 def cascade(specs, t: float, y_new: float, y_new_1: float, y_new_2: float,

@@ -86,8 +86,8 @@ def libm(fn, x, *args):
     stay scalar, mapped over the entries here in one C-level pass: ``map``
     feeds the Python floats of ``x`` and the repeated ``args`` to ``fn``, and
     ``np.fromiter`` writes each result into the float64 array, with no list
-    between.  The layer functions test ``type(x) is float`` first and call
-    ``fn`` directly on one float.
+    between.  Any other ``x`` is one direct call, so no caller tests for a
+    float first.
     """
     if isinstance(x, np.ndarray):
         values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))

@@ -90,7 +90,7 @@ def _rise(r: TransitionRef, tau, t5):
 def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
     """Reference value and derivative at time t, a float or an array; a step
     (tf == t0) is yf from t0 on."""
-    if type(t) is not float and isinstance(t, np.ndarray):
+    if isinstance(t, np.ndarray):
         rising = (r.t0 < t) & (t < r.tf)
         if not rising.all():  # the held samples here, the rising ones below
             y, ydot = np.where(t >= r.tf, r.yf, r.y0), np.zeros(t.shape)
@@ -103,7 +103,7 @@ def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
         return r.y0, 0.0
     T = r.tf - r.t0
     tau = (t - r.t0) / T
-    t5 = tau**5 if type(tau) is float else libm(pow, tau, 5)
+    t5 = libm(pow, tau, 5)
     return _rise(r, tau, t5), t5 / tau * _horner(tau, _SLOPE_COEFFS) * (r.yf - r.y0) / T
 
 
@@ -203,7 +203,7 @@ class BoundedReference:
     def value(self, t: float) -> float:
         """Bounded solution at time t >= 0, a float or an array."""
         ref = self.ref
-        if type(t) is not float and isinstance(t, np.ndarray):
+        if isinstance(t, np.ndarray):
             gridded = (self.t_lo <= t) & (t < ref.tf)
             if not gridded.all():  # the other samples here, the gridded ones below
                 out = np.full(t.shape, self.final_value)
@@ -236,7 +236,7 @@ class BoundedReference:
     def eval(self, t: float) -> tuple[float, float, float]:
         """Value and first two derivatives of the auxiliary reference at t, a
         float or an array."""
-        if type(t) is not float and isinstance(t, np.ndarray):
+        if isinstance(t, np.ndarray):
             moving = t < self.ref.tf
             if not moving.all():  # the samples from tf on here, the others below
                 out = np.zeros((3, t.size))

@@ -5,8 +5,9 @@ Dormand-Prince pair: the 5th-order solution is propagated, the embedded
 interpolant serves dense output on an arbitrary sampling grid.
 
 The per-step work off the right-hand side is done in the fewest calls that
-keep every bit.  The error norm runs on Python floats in ``np.mean``'s
-summation order.  Dense output is evaluated in batches of about
+keep every bit.  The error norm runs on Python floats and sums its squares in
+sequence, equal to the ``np.mean`` formula below 8 entries, which covers every
+size this package integrates.  Dense output is evaluated in batches of about
 ``_DENSE_BATCH`` samples across accepted steps: one stacked ``np.matmul``
 makes one gemv per sample, the call a per-sample ``Qd.dot`` makes, and the
 interpolant is linear in the stages, so batching moves no bit.
@@ -71,44 +72,20 @@ class SolveResult:
 _DENSE_BATCH = 256
 
 
-def _add_reduce(a: list) -> float:
-    """Sum of the floats ``a`` in ``np.add.reduce``'s order for a contiguous
-    float64 array (numpy's pairwise summation): sequential below 8 entries,
-    eight lanes up to 128, and the two halves, split at a multiple of 8, above."""
-    n = len(a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _add_reduce(a[:half]) + _add_reduce(a[half:])
-    if n < 8:
-        total = 0.0
-        for v in a:
-            total += v
-        return total
-    lanes = a[:8]
-    rest = n - n % 8
-    for i in range(8, rest, 8):
-        for j in range(8):
-            lanes[j] += a[i + j]
-    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-    for v in a[rest:]:
-        total += v
-    return total
-
-
 def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
-    """RMS of ``err`` over the mixed scale, bit for bit ``np.sqrt(np.mean((err /
-    (abs_tol + rel_tol * np.maximum(abs(y0), abs(y1)))) ** 2))``, on Python floats.
-
-    ``np.maximum`` passes a NaN of either side on, and float ``+ * /``
-    round as numpy's do (a division overflows to inf here without numpy's
-    warning); the squares are summed in ``np.add.reduce``'s order."""
-    squares = []
+    """RMS of ``err`` over the mixed scale, on Python floats, with the squares
+    summed in sequence.  Below 8 entries, which covers every size this package
+    integrates (4 or 7), that is bit for bit ``np.sqrt(np.mean((err / (abs_tol +
+    rel_tol * np.maximum(abs(y0), abs(y1)))) ** 2))``: numpy's pairwise sum is
+    sequential there, ``np.maximum`` passes a NaN of either side on, and float
+    ``+ * /`` round as numpy's do (a division overflows to inf here without
+    numpy's warning)."""
+    total = 0.0
     for e, a, b in zip(err.tolist(), y0.tolist(), y1.tolist()):
         a, b = abs(a), abs(b)
         r = e / ((a if a >= b or a != a else b) * rel_tol + abs_tol)
-        squares.append(r * r)
-    return math.sqrt(_add_reduce(squares) / len(squares))
+        total += r * r
+    return math.sqrt(total / err.size)
 
 
 def _dense_block(steps: list, powers: list) -> np.ndarray:

@@ -56,22 +56,6 @@ class TestGain:
         assert exc.value.t is None
         assert exc.value.level == 2
 
-    def test_array_matches_each_float(self):
-        # margins phi |e| near 1, where 1 - (phi e)**2 keeps the last bit of
-        # the square; numpy's x * x differs from the C library's pow(x, 2) there
-        rng = np.random.default_rng(5)
-        phi = rng.uniform(1.0, 60.0, 4000)
-        e = rng.choice([-1.0, 1.0], 4000) * rng.uniform(0.9, 0.99999, 4000) / phi
-        assert gain(phi, e).tolist() == [gain(p, x) for p, x in zip(phi.tolist(), e.tolist())]
-        # an array names its first sample outside, as that sample alone does,
-        # however far out
-        for phi_out in (2.0, 1e200):
-            with pytest.raises(FunnelViolation) as one:
-                gain(phi_out, 0.7, level=2)
-            with pytest.raises(FunnelViolation) as many:
-                gain(np.array([0.5, phi_out, 3.0]), np.array([0.1, 0.7, 0.9]), level=2)
-            assert str(many.value) == str(one.value)
-
     def test_monotone_blowup(self):
         ks = [gain(1.0, e) for e in (0.0, 0.5, 0.9, 0.99, 0.9999)]
         assert all(b > a for a, b in zip(ks, ks[1:]))
