@@ -254,8 +254,7 @@ def reference_forward_agreement():
     lin, bref = _bounded_reference()
     # forward integration amplifies errors by exp(lam2 t), hence the loose band
     res = rk45.solve(
-        lambda t, x: np.array([lin.lambda2 * x[0]
-                               + lin.lambda2 * lin.p2 * reference.yref_eval(_REF, t)[0]]),
+        lambda t, x: [lin.lambda2 * x[0] + lin.lambda2 * lin.p2 * reference.yref_eval(_REF, t)[0]],
         (0.0, 3.0), np.array([bref.value(0.0)]),
         rel_tol=1e-13, abs_tol=1e-15, max_step=0.01, sample_step=0.01)
     fwd = max(abs(y[0] - bref.value(t)) for t, y in zip(res.t, res.y))
@@ -315,7 +314,7 @@ def check_observer_linearity():
 def check_observer_convergence():
     """Driven by y_new(t) = sin t, the observer's derivative estimates
     settle onto cos t and -sin t after 0.5 s."""
-    res = rk45.solve(lambda t, z: np.array(observer_rhs(_GAINS, z, math.sin(t))),
+    res = rk45.solve(lambda t, z: observer_rhs(_GAINS, z, math.sin(t)),
                      (0.0, 3.0), np.zeros(3), rel_tol=1e-9, abs_tol=1e-12,
                      max_step=0.01, sample_step=1e-2)
     late = res.t >= 0.5

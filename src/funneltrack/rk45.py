@@ -139,7 +139,7 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * span, max_step)
     try:
-        f1 = f(t0 + h0, y0 + h0 * f0)
+        f1 = np.asarray(f(t0 + h0, y0 + h0 * f0))
     except guards:
         return h0
     d2 = _rms((f1 - f0) / scale) / h0
@@ -154,6 +154,9 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
           min_step=MIN_STEP, sample_step=None, guards=()) -> SolveResult:
     """Integrate y' = f(t, y) over a finite ``t_span`` with t0 < t_end, with dense sampling.
 
+    ``f(t, y)`` takes a float ``t`` and a float64 array ``y`` of ``dim``
+    entries and returns any sequence of ``dim`` floats: a list, a tuple or
+    an array, whose values the solver copies into its stage array.
     ``check_settings`` states which tolerances and step settings run; it
     raises ConfigError, a ValueError, before f is called.  ``sample_step``
     emits interpolated states on the uniform grid t0 + k * sample_step (the

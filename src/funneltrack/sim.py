@@ -12,8 +12,8 @@ configurations produce bit-identical CSV files.
 import dataclasses
 import json
 import math
+import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import cos, exp, sin
 
@@ -30,6 +30,9 @@ from .reference import (_SLOPE_COEFFS, _TRANSITION_COEFFS, BoundedReference, Tra
                         yref_eval)
 
 SAMPLE_STEP = 1e-3
+# rows per ``%`` in Trajectory.write_csv: few enough that a block's Python
+# floats stay small next to the array, enough to amortise the call
+_CSV_BLOCK = 256
 
 BASE_COLUMNS = ("t", "alpha", "beta", "alpha_dot", "beta_dot", "y", "y_ref",
                 *CascadeOutput._fields)
@@ -172,10 +175,15 @@ class Trajectory:
         return self["t"]
 
     def write_csv(self, path):
+        """The header, then each row's values with ``%.17g``, formatted
+        ``_CSV_BLOCK`` rows per ``%`` so that only one block of the array is
+        held as Python floats at a time."""
         fmt = ",".join(["%.17g"] * len(self.columns)) + "\n"
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
-            fh.writelines(fmt % tuple(row) for row in self.data.tolist())
+            for i in range(0, len(self.data), _CSV_BLOCK):
+                block = self.data[i:i + _CSV_BLOCK]
+                fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 class ClosedLoop:
@@ -217,22 +225,23 @@ class ClosedLoop:
             exc.t, exc.state = t, np.array(xs)
             raise
 
-    def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
-        """State derivative: the plant under the controller's input plus the
-        disturbance and, in ``hg`` mode, the observer.  The kernel bound at
-        construction computes it (``_bind_kernel``), and the layer functions
-        where the kernel returns None."""
+    def rhs(self, t: float, state: np.ndarray) -> list:
+        """State derivative, a list of Python floats: the plant under the
+        controller's input plus the disturbance and, in ``hg`` mode, the
+        observer.  The kernel bound at construction computes it
+        (``_bind_kernel``), and the layer functions where the kernel returns
+        None."""
         deriv = self._kernel(t, state)
         return self._rhs_layers(t, state) if deriv is None else deriv
 
-    def _rhs_layers(self, t: float, state: np.ndarray) -> np.ndarray:
+    def _rhs_layers(self, t: float, state: np.ndarray) -> list:
         """``rhs`` composed from the layer functions."""
         xs = state.tolist()
         out = self.evaluate(t, xs)
         deriv = plant_rhs(self.params, xs, out.u + disturbance(self.dist, t))
         if self.observer:
             deriv.extend(observer_rhs(self.gains, xs[4:], out.y_new))
-        return np.array(deriv)
+        return deriv
 
     def _bind_kernel(self):
         """``rhs`` as one pass of float arithmetic over this scenario's constants.
@@ -329,8 +338,8 @@ class ClosedLoop:
             f2 = nc * x2 - d * x4 - half_l2m * x3 * x3 * sb
             k = 36.0 / (l2m * (16.0 - 9.0 * cb * cb))
             a12 = -1.0 / 3.0 - 0.5 * cb
-            return np.array([x3, x4, k * (t1 / 3.0 + a12 * f2),
-                             k * (a12 * t1 + (5.0 / 3.0 + cb) * f2), *tail])
+            return [x3, x4, k * (t1 / 3.0 + a12 * f2),
+                    k * (a12 * t1 + (5.0 / 3.0 + cb) * f2), *tail]
 
         return kernel
 
@@ -466,6 +475,9 @@ def run_sweep(cfg: ScenarioConfig, dotted_field: str, start: float, stop: float,
     jobs = [(float(v), _replace_field(cfg, dotted_field, float(v)))
             for v in np.linspace(start, stop, n)]
     if parallel and n > 1:
-        with ProcessPoolExecutor() as pool:
+        # imported here, so that a single run does not load multiprocessing;
+        # under fork the pool starts all its workers at the first submit
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) as pool:
             return list(pool.map(_sweep_worker, jobs))
     return [_sweep_worker(job) for job in jobs]

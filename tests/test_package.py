@@ -23,6 +23,18 @@ def test_importing_the_root_loads_no_layer_and_no_numpy():
     assert run.returncode == 0, run.stderr
 
 
+def test_a_single_run_loads_no_process_pool():
+    # only a parallel sweep needs multiprocessing: about 16 ms and 2 MiB to import
+    code = ("import sys\n"
+            "from funneltrack import cli, sim\n"
+            "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def read_names(tree: ast.AST) -> set:
     """Names a module reads."""
     return {node.id for node in ast.walk(tree)

@@ -41,6 +41,14 @@ def van_der_pol(mu):
     return lambda t, y: np.array([y[1], mu * (1 - y[0] ** 2) * y[1] - y[0]])
 
 
+def van_der_pol_list(mu):
+    """``van_der_pol`` returning a list of Python floats."""
+    def f(t, y):
+        y0, y1 = y.tolist()
+        return [y1, mu * (1 - y0 ** 2) * y1 - y0]
+    return f
+
+
 def test_matches_scipy_on_nonlinear_system():
     f = van_der_pol(1.0)
     y0 = np.array([2.0, 0.0])
@@ -283,7 +291,7 @@ def reference_solve(f, t_span, y0, *, rel_tol, abs_tol, max_step=math.inf,
     y = np.asarray(y0, dtype=float).copy()
     ts, ys = [t0], [y.copy()]
     next_k = 1
-    f_curr = f(t0, y)
+    f_curr = np.asarray(f(t0, y))
     h = rk45._initial_step(f, t0, y, f_curr, t_end, rel_tol, abs_tol, max_step, guards)
     stats = {"nfev": 2, "naccept": 0, "nreject": 0, "nguard": 0}
     t, err_prev = t0, 1e-4
@@ -382,6 +390,10 @@ class TestBitwiseReference:
         pytest.param(lambda: (van_der_pol(8.0), (0.0, 20.0), np.array([2.0, 0.0]),
                               dict(rel_tol=1e-6, abs_tol=1e-9, sample_step=0.01)),
                      True, id="van-der-pol-rejections"),
+        # f may return any sequence of floats: here a list of Python floats
+        pytest.param(lambda: (van_der_pol_list(8.0), (0.0, 20.0), np.array([2.0, 0.0]),
+                              dict(rel_tol=1e-6, abs_tol=1e-9, sample_step=0.01)),
+                     True, id="list-returning-f"),
         pytest.param(lambda: (lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
                               np.array([1.0, 0.0]), dict(rel_tol=1e-12, abs_tol=1e-14)),
                      False, id="no-sample-step"),

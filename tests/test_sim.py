@@ -5,7 +5,10 @@ import functools
 import gc
 import json
 import math
+import os
+import tracemalloc
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from funneltrack.linid import psi, ynew_derivatives
 from funneltrack.model import ManipulatorParams, PlantState, output, plant_rhs
 from funneltrack.reference import TransitionRef, yref_eval
 from funneltrack.sim import (OBSERVER_COLUMNS, ClosedLoop, DisturbanceSpec,
-                             IntegratorConfig, ScenarioConfig, case_study_config,
+                             IntegratorConfig, ScenarioConfig, Trajectory, case_study_config,
                              disturbance, integrate, run_sweep, summarize)
 
 
@@ -134,7 +137,7 @@ class TestClosedLoopRhs:
             state = loop.initial_state()
             out = loop.evaluate(0.0, state.tolist())
             assert out.u == 0.0 and out.y_new == 0.0
-            assert loop.rhs(0.0, state).tolist() == [0.0] * len(state)
+            assert loop.rhs(0.0, state) == [0.0] * len(state)
 
     def test_case_study_start_is_finite_and_moderate(self):
         cfg = case_study_config("lin")
@@ -241,17 +244,20 @@ def outcome(fn, *args):
 
 
 def assert_same_outcome(loop, t, state):
-    """``loop.rhs`` at (t, state) gives the bits of ``composed``, or raises as
-    it does: the same type, message, level, time and state."""
-    got = outcome(loop.rhs, t, state)
+    """``loop.rhs`` at (t, state), and the layer path it falls back on, give
+    the bits of ``composed`` as a list of Python floats, or raise as it does:
+    the same type, message, level, time and state."""
     want = outcome(lambda: composed(loop, t, state)[0])
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
-        if isinstance(want, SimulationError):
-            assert got.level == want.level and got.t == want.t
-            assert np.array_equal(got.state, want.state, equal_nan=True)
-    else:
-        assert isinstance(got, np.ndarray) and got.tobytes() == np.array(want).tobytes()
+    for rhs in (loop.rhs, loop._rhs_layers):
+        got = outcome(rhs, t, state)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            if isinstance(want, SimulationError):
+                assert got.level == want.level and got.t == want.t
+                assert np.array_equal(got.state, want.state, equal_nan=True)
+        else:
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def placed_state(loop, t, beta, y, y_dot, margins, zeta1):
@@ -454,6 +460,35 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
+    # no rows, one, a block less one, a block, a block and one, the case study
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 3001])
+    def test_blocks_write_the_bytes_of_one_row_at_a_time(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        data = rng.standard_normal((rows, 9)) * 10.0 ** rng.integers(-300, 300, (rows, 9))
+        if rows:
+            special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+            data.flat[rng.choice(data.size, len(special), replace=False)] = special
+        traj = Trajectory(columns=tuple(f"c{i}" for i in range(9)), data=data, solver={})
+        fmt = ",".join(["%.17g"] * 9) + "\n"
+        want = "c0,c1,c2,c3,c4,c5,c6,c7,c8\n" + "".join(fmt % tuple(r) for r in data.tolist())
+        path = tmp_path / "blocks.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("repeat", [1, 4])
+    def test_writer_holds_a_block_not_the_table(self, tmp_path, case_hg, repeat):
+        # the hg case study (3001 x 19) and a table four times as long: the
+        # whole table as Python floats takes about 2 MiB, and 8 MiB
+        traj = case_hg.traj
+        traj = dataclasses.replace(traj, data=np.concatenate([traj.data] * repeat))
+        tracemalloc.start()
+        try:
+            traj.write_csv(tmp_path / "hg.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
 
 def _stop_configs():
     base, hg = case_study_config("lin"), case_study_config("hg")
@@ -629,6 +664,25 @@ class TestSweep:
         serial = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 2, parallel=False)
         parallel = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 2, parallel=True)
         assert json.dumps(serial) == json.dumps(parallel)
+
+    @pytest.mark.parametrize("cpus, workers", [(64, 2), (None, 1)])
+    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch, cpus, workers):
+        # under fork the pool starts every worker it may have at the first
+        # submit, so a cap above the point count forks idle processes; the
+        # recorder never starts more workers than the sweep has points
+        requested = []
+
+        class Recorder(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                requested.append(max_workers)
+                super().__init__(min(max_workers or 1, 2), **kwargs)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=0.1)
+        rows = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 2)
+        assert requested == [workers]
+        assert [r["status"] for r in rows] == ["ok", "ok"]
 
     def test_failed_point_is_a_status_row(self, monkeypatch):
         for exc, t, level in [
