@@ -11,10 +11,10 @@ from a ``linid.LinData``.  Its only bounded solution is the backward
 convolution integral; forward integration amplifies roundoff by
 exp(lam2 t), so ``checks`` uses it as a cross-check only.
 ``BoundedReference`` is the one route to that solution: closed forms
-where y_ref is constant, and over the window a uniform grid for cheap
-in-loop evaluation, through a not-a-knot cubic spline whose tridiagonal
-solve is done here (``_not_a_knot``).  Its value at 0 is the bounded
-initial value.  The package needs numpy only.
+where y_ref is constant, and over the window a not-a-knot cubic spline on
+the knots of ``_grid``, solved here (``_not_a_knot``): one knot array, one
+coefficient array, one lookup.  Its value at 0 is the bounded initial
+value.  The package needs numpy only.
 """
 import math
 from dataclasses import dataclass
@@ -34,6 +34,8 @@ _GRID_STEP = 1e-3
 # most spline intervals a transition window may need: a build of this many
 # takes about 0.5 s and 37 MiB on a 2-vCPU x86-64, linear in the count
 MAX_INTERVALS = 100_000
+# least knot gap (1000 gaps span 1 ns): closer knots repeat, or c3 ~ 1 / gap**2 overflows
+_MIN_KNOT_GAP = 1e-12
 # 10-point Gauss-Legendre nodes and weights on [-1, 1]: the floats of
 # numpy.polynomial.legendre.leggauss(10), written out so that a build does not
 # import numpy.polynomial (about 5 ms per process)
@@ -60,18 +62,25 @@ class TransitionRef:
         require_finite(self)
         if self.tf < self.t0:
             raise ConfigError(f"transition needs tf >= t0, got [{self.t0}, {self.tf}]")
-        t_lo = max(0.0, self.t0)
-        if self.tf > t_lo and _intervals(t_lo, self.tf) > MAX_INTERVALS:
-            raise ConfigError(f"transition window [{t_lo}, {self.tf}] needs more than "
-                              f"{MAX_INTERVALS} spline intervals of {_GRID_STEP} s")
+        _grid(max(0.0, self.t0), self.tf)
 
 
-def _intervals(t_lo: float, tf: float) -> float:
-    """Spline intervals of the bounded reference on [t_lo, tf], t_lo < tf: one
-    per _GRID_STEP, and at least 1000, since with fewer a short window's spline
-    is off by up to 3e-5 p2 abs(yf - y0) midway between knots.  A whole float,
-    so that a window too long for the float division reads inf, not an error."""
-    return max(1000.0, round((tf - t_lo) / _GRID_STEP, 0))
+def _grid(t_lo: float, tf: float) -> np.ndarray:
+    """Knots of the bounded reference's spline on [t_lo, tf], empty if tf <= t_lo:
+    one interval per _GRID_STEP, and at least 1000, since with fewer a short
+    window's spline is off by up to 3e-5 p2 abs(yf - y0) midway between knots.
+    A ConfigError past MAX_INTERVALS, or for knots under _MIN_KNOT_GAP apart."""
+    if tf <= t_lo:
+        return np.empty(0)
+    n = max(1000.0, round((tf - t_lo) / _GRID_STEP, 0))  # a float: inf for too long a window
+    if n > MAX_INTERVALS:
+        raise ConfigError(f"transition window [{t_lo}, {tf}] needs more than "
+                          f"{MAX_INTERVALS} spline intervals of {_GRID_STEP} s")
+    ts = np.linspace(t_lo, tf, int(n) + 1)
+    if (np.diff(ts) < _MIN_KNOT_GAP).any():
+        raise ConfigError(f"transition window [{t_lo}, {tf}] puts knots under "
+                          f"{_MIN_KNOT_GAP} s apart")
+    return ts
 
 
 def _horner(tau, coeffs):
@@ -156,7 +165,7 @@ class BoundedReference:
     From ``tf`` on it is -p2 yf.  On [max(0, t0), tf] grid values come from
     a backward one-interval recurrence (all exponentials decay in that
     direction) with Gauss-Legendre panels, wrapped in a not-a-knot cubic
-    spline (``_not_a_knot``, at least 1001 knots).  Before that it decays
+    spline (``_not_a_knot``, on the knots of ``_grid``).  Before that it decays
     analytically from the first knot value, or from -p2 yf if there is no
     grid.  Derivatives are recovered through the ODE relations, so the
     first-derivative residual vanishes by construction.
@@ -168,10 +177,10 @@ class BoundedReference:
         self.p2 = lin.p2
         self.final_value = -lin.p2 * ref.yf
         self.t_lo = max(0.0, ref.t0)
-        self._h = self._knots = self._coeffs = None  # no grid on an empty window
-        if ref.tf > self.t_lo:
-            n = int(_intervals(self.t_lo, ref.tf))
-            ts = np.linspace(self.t_lo, ref.tf, n + 1)
+        self._knots = ts = _grid(self.t_lo, ref.tf)
+        self._h, self._coeffs = None, np.empty((4, 0))  # no spline on an empty window
+        if len(ts):
+            n = len(ts) - 1
             self._h = ts[1] - ts[0]
             gauss = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
             # a few hundred panels per array pass keep the temporaries small
@@ -183,11 +192,7 @@ class BoundedReference:
             vals[-1] = v = float(self.final_value)  # carried as a float, never read back
             for i in range(n - 1, -1, -1):
                 vals[i] = v = panels[i] + decay * v
-            # the arrays for samples at once; the tuples for one float t,
-            # which then indexes no array
-            self._knot_array, self._coeff_array = ts, _not_a_knot(ts, vals)
-            self._knots = ts.tolist()
-            self._coeffs = list(zip(*self._coeff_array.tolist()))
+            self._coeffs = _not_a_knot(ts, vals)
 
     def _panels(self, ts: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
         """Convolution integral over each interval of ``ts`` by Gauss-Legendre
@@ -202,40 +207,34 @@ class BoundedReference:
 
     def value(self, t: float) -> float:
         """Bounded solution at time t >= 0, a float or an array."""
-        ref = self.ref
-        if isinstance(t, np.ndarray):
-            gridded = (self.t_lo <= t) & (t < ref.tf)
-            if not gridded.all():  # the other samples here, the gridded ones below
-                out = np.full(t.shape, self.final_value)
-                early = (t < self.t_lo) & (t < ref.tf)
-                out[early] = self._before_grid(t[early])
-                if gridded.any():
-                    out[gridded] = self.value(t[gridded])
-                return out
-            knots = self._knot_array
-            i = np.minimum(len(knots) - 2, ((t - self.t_lo) / self._h).astype(int))
-            c3, c2, c1, c0 = self._coeff_array[:, i]
-        else:
-            if t >= ref.tf:
+        if not isinstance(t, np.ndarray):
+            if t >= self.ref.tf:
                 return self.final_value
             if t < self.t_lo:
                 return self._before_grid(t)
-            knots = self._knots
-            i = min(len(knots) - 2, int((t - self.t_lo) / self._h))
-            c3, c2, c1, c0 = self._coeffs[i]
-        dt = t - knots[i]
+            return self.value(np.array([t])).item()
+        gridded = (self.t_lo <= t) & (t < self.ref.tf)
+        if not gridded.all():  # the other samples here, the gridded ones below
+            out = np.full(t.shape, self.final_value)
+            early = (t < self.t_lo) & (t < self.ref.tf)
+            out[early] = self._before_grid(t[early])
+            if gridded.any():
+                out[gridded] = self.value(t[gridded])
+            return out
+        i = np.minimum(len(self._knots) - 2, ((t - self.t_lo) / self._h).astype(int))
+        c3, c2, c1, c0 = self._coeffs[:, i]
+        dt = t - self._knots[i]
         return ((c3 * dt + c2) * dt + c1) * dt + c0
 
     def _before_grid(self, t):
         """``value`` at t < max(0, t0), where y_ref is y0: decay from the first
         knot value, or from -p2 yf without a grid (a negative exponent, so stable)."""
-        start = self._coeffs[0][3] if self._coeffs else self.final_value
+        start = self._coeffs[3, 0].item() if self._coeffs.size else self.final_value
         decay = libm(math.exp, self.lam2 * (t - self.t_lo))
         return -self.p2 * self.ref.y0 * (1.0 - decay) + decay * start
 
     def eval(self, t: float) -> tuple[float, float, float]:
-        """Value and first two derivatives of the auxiliary reference at t, a
-        float or an array."""
+        """Value and first two derivatives of the reference at t, a float or an array."""
         if isinstance(t, np.ndarray):
             moving = t < self.ref.tf
             if not moving.all():  # the samples from tf on here, the others below

@@ -248,10 +248,10 @@ class ClosedLoop:
 
         After the reference starts (``t > t0`` and ``t >= t_lo``) and inside
         every funnel, it performs each operation of ``_rhs_layers`` -- ``psi``,
-        the ladder or the observer's estimates, ``BoundedReference.eval`` (the
-        spline and the rising y_ref before tf, the call itself from tf on),
-        ``cascade``, ``disturbance``, ``plant_rhs`` and ``observer_rhs`` -- on
-        the same operands in the same order, and so returns its bits.  At and
+        the ladder or the observer's estimates, ``BoundedReference.eval`` (on a
+        float copy of the spline before tf, its constants from tf on), ``cascade``,
+        ``disturbance``, ``plant_rhs`` and ``observer_rhs`` -- on the same operands
+        in the same order, and so returns its bits without reference calls.  At and
         before t0, and at the layers' own guard conditions (``not cos(beta) >
         2/3``, ``abs(phi_i e_i) >= 1`` at levels 0, 1 and 2), it returns None,
         and ``rhs`` calls ``_rhs_layers``, which raises the stamped controller
@@ -268,9 +268,9 @@ class ClosedLoop:
         span, dy = tf - t0, ref.yf - y0
         c5, c6, c7, c8, c9 = _TRANSITION_COEFFS
         s5, s6, s7, s8, s9 = _SLOPE_COEFFS
-        new_ref = self.new_ref
-        t_lo, knots, coeffs, h = new_ref.t_lo, new_ref._knots, new_ref._coeffs, new_ref._h
-        last = len(knots) - 2 if knots else 0  # no knots: the window is empty
+        bref = self.new_ref
+        t_lo, h, final, last = bref.t_lo, bref._h, bref.final_value, len(bref._knots) - 2
+        knots, coeffs = bref._knots.tolist(), list(zip(*bref._coeffs.tolist()))
         l2m, nc, d = p.l2m, -p.c, p.d
         half_l2m = 0.5 * l2m
         amp1, freq1, amp2, freq2 = dist.amp1, dist.freq1, dist.amp2, dist.freq2
@@ -307,8 +307,8 @@ class ClosedLoop:
                              * dy / span)
                 r1 = lam2 * r0 + lam2p2 * y_ref
                 r2 = lam2 * r1 + lam2p2 * y_ref_dot
-            else:
-                r0, r1, r2 = new_ref.eval(t)
+            else:  # BoundedReference.eval's values from tf on
+                r0, r1, r2 = final, 0.0, 0.0
             # the cascade, each funnel tested before its gain squares
             decay = a0 * exp(nb0 * t)
             phi0 = 1.0 / (decay + eps0)

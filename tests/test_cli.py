@@ -113,6 +113,22 @@ def test_invalid_field_is_exit_1(tmp_path, path, value):
     assert not out.exists()
 
 
+# windows of 1 ns or less: linspace repeats knots, which the spline's solve
+# divides by, or spaces them so closely that its coefficients overflow
+@pytest.mark.parametrize("t0, tf", [(1.0, 1.0000000000000002), (1.0, 1.0000000000001),
+                                    (0.0, 5e-324), (1000.0, 1000.0000000001)])
+def test_window_too_short_for_the_spline_is_exit_1(tmp_path, capsys, t0, tf):
+    data = ScenarioConfig(t_end=0.5).to_dict()
+    data["ref"].update(t0=t0, tf=tf)
+    cfg = tmp_path / "short-window.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: transition window [") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_usage_error_is_exit_1():
     assert main(["simulate"]) == 1  # --config missing
 
@@ -264,7 +280,7 @@ def test_sweep_bad_spec_is_exit_1(short_config):
 
 @pytest.mark.parametrize("vary", ["funnels.3.a=0:1:2", "funnels.x.a=0:1:2",
                                   "params.bogus=0:1:2", "t_end=1:-1:3",
-                                  "disturbance.amp1=0:1:0"])
+                                  "disturbance.amp1=0:1:0", "ref.tf=0.5:5e-324:2"])
 def test_sweep_invalid_point_is_exit_1_before_any_run(tmp_path, short_config,
                                                       monkeypatch, vary):
     from funneltrack import sim

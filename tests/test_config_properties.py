@@ -6,7 +6,7 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from funneltrack.cli import main
@@ -34,7 +34,10 @@ nonnegative = floats(0.0, 1e6)
 @st.composite
 def transitions(draw):
     t0, tf = sorted((draw(floats(0.0, 10.0)), draw(floats(0.0, 10.0))))
-    return TransitionRef(draw(floats()), draw(floats()), t0, tf)
+    try:
+        return TransitionRef(draw(floats()), draw(floats()), t0, tf)
+    except ConfigError:  # a window of about 1 ns or less
+        reject()
 
 
 @st.composite

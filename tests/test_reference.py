@@ -1,8 +1,11 @@
 """Transition polynomial and the bounded auxiliary reference."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -11,6 +14,7 @@ from funneltrack.errors import ConfigError
 from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams
 from funneltrack.reference import BoundedReference, TransitionRef, yref_eval
+from test_config_properties import transitions
 
 LIN = eigensplit(ManipulatorParams())
 REF = TransitionRef(y0=0.0, yf=math.pi / 4, t0=0.0, tf=3.0)
@@ -46,13 +50,13 @@ def quad_value(lin, r, t, epsabs=1e-10):
 
 def knot_values(b):
     """The spline's knot values: c0 of each interval, then -p2 yf at tf."""
-    return [c[3] for c in b._coeffs] + [b.final_value]
+    return [*b._coeffs[3].tolist(), b.final_value]
 
 
 def assert_closed_form_without_window(b, ref):
     """A reference whose window has no part after 0 builds no spline: it is
     -p2 yf from tf on, and a pure decay from -p2 yf before a step at t0 > 0."""
-    assert b._coeffs is None
+    assert b._coeffs.size == 0
     for t in (0.0, 0.5 * ref.t0, ref.t0, 1.0, ref.tf + 1.0):
         if t < 0.0:
             continue  # value is defined for t >= 0
@@ -196,7 +200,7 @@ class TestBoundedReference:
         if ref.tf <= max(0.0, ref.t0):
             assert_closed_form_without_window(b, ref)
             return
-        assert np.array_equal(b._coeffs, CubicSpline(b._knots, knot_values(b)).c.T)
+        assert np.array_equal(b._coeffs, CubicSpline(b._knots, knot_values(b)).c)
 
     @pytest.mark.parametrize("ref", [TransitionRef(0.0, 0.5, 0.0, 0.002),
                                      TransitionRef(0.0, 0.5, 0.0, 0.0064),
@@ -209,7 +213,7 @@ class TestBoundedReference:
         b = BoundedReference(LIN, ref)
         assert len(b._knots) == 1001
         scale = LIN.p2 * max(abs(ref.y0), abs(ref.yf))
-        mids = 0.5 * (np.array(b._knots[:-1]) + np.array(b._knots[1:]))
+        mids = 0.5 * (b._knots[:-1] + b._knots[1:])
         for t in mids[::25].tolist():
             want = quad_value(LIN, ref, t, epsabs=1e-14)
             assert b.value(t) == pytest.approx(want, abs=1e-12 * scale), t
@@ -237,3 +241,25 @@ class TestBoundedReference:
         want = quad(lambda s: -math.exp(lam2 * (-2.0 - s)) * lam2 * p2 * yref_eval(ref, s)[0],
                     -2.0, 2.0, epsabs=1e-12)[0] - p2 * ref.yf * math.exp(lam2 * (-2.0 - 2.0))
         assert got == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def ulp_windows(draw):
+    """(y0, yf, t0, tf) with a window k ulps long, k = 1 .. 10**4: in [0.5, 1)
+    and [1000, 1024) the k ulps stay in t0's binade, so t0 + k ulp(t0) is exact."""
+    t0 = draw(st.sampled_from((0.5, 1.0, 1000.0)))
+    return 0.0, 1.0, t0, t0 + draw(st.integers(1, 10_000)) * math.ulp(t0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ulp_windows() | transitions().map(dataclasses.astuple))
+def test_every_valid_window_builds_a_finite_spline(fields):
+    # a window whose knots would lie under 1 ps apart is a ConfigError; every
+    # other builds a spline on increasing knots with finite coefficients
+    try:
+        ref = TransitionRef(*fields)
+    except ConfigError as exc:
+        assert str(exc).startswith("transition window [")
+        return
+    b = BoundedReference(LIN, ref)
+    assert (b._knots[:-1] < b._knots[1:]).all() and np.isfinite(b._coeffs).all()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from funneltrack import sim
+from funneltrack import reference, sim
 from funneltrack.bif import phi_inverse
 from funneltrack.errors import (ConfigError, DomainError, FunnelViolation, IntegrationError,
                                 SimulationError)
@@ -193,6 +193,24 @@ class TestClosedLoopRhs:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_kernel_calls_no_reference_code(self, monkeypatch):
+        # inside the funnels, in the window, at tf and after it, the kernel
+        # gives its bits with every reference evaluation raising
+        loop = ClosedLoop(ROW_CONFIGS[2])
+        tf = loop.cfg.ref.tf
+        points = [(t, placed_state(loop, t, 0.1, 0.05, 0.1, [0.3, -0.2, 0.4], 0.0))
+                  for t in (0.25, 0.5, 0.999, tf, tf + 1e-9, 1.2)]
+        want = [loop.rhs(t, state) for t, state in points]
+
+        def no_reference(*args):
+            raise AssertionError("the kernel evaluated the reference")
+
+        for owner, name in ((sim.BoundedReference, "eval"), (sim.BoundedReference, "value"),
+                            (sim, "yref_eval"), (reference, "yref_eval")):
+            monkeypatch.setattr(owner, name, no_reference)
+        got = [loop.rhs(t, state) for t, state in points]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_row_computes_no_dynamics(self, case_lin, case_hg, monkeypatch):
         def no_dynamics(*args):
