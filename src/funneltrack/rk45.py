@@ -5,12 +5,17 @@ Dormand-Prince pair: the 5th-order solution is propagated, the embedded
 interpolant serves dense output on an arbitrary sampling grid.
 
 The per-step work off the right-hand side is done in the fewest calls that
-keep every bit.  The error norm runs on Python floats and sums its squares in
-sequence, equal to the ``np.mean`` formula below 8 entries, which covers every
-size this package integrates.  Dense output is evaluated in batches of about
-``_DENSE_BATCH`` samples across accepted steps: one stacked ``np.matmul``
-makes one gemv per sample, the call a per-sample ``Qd.dot`` makes, and the
-interpolant is linear in the stages, so batching moves no bit.
+keep every bit.  The stage sums are BLAS gemv calls, scaled in place by the
+step size as a 0-d array.  The error norm runs on Python floats: it scales
+the estimate by the step size and sums its squares in sequence, equal to the
+``np.mean`` formula below 8 entries, which covers every size this package
+integrates, and the accepted state's floats serve the next step's norm.
+Dense output is evaluated in batches of about ``_DENSE_BATCH`` samples
+across accepted steps, each of which keeps a copy of its stages: one stacked
+``np.matmul`` forms every step's ``Qd = K.T @ _P`` with the BLAS call that
+product makes alone, and a second makes one gemv per sample, the call a
+per-sample ``Qd.dot`` makes; the interpolant is linear in the stages, so
+batching moves no bit.
 
 Guards: exceptions listed in ``guards`` raised by the right-hand side
 (funnel or domain violations) reject the trial step and bisect it; if the
@@ -72,29 +77,33 @@ class SolveResult:
 _DENSE_BATCH = 256
 
 
-def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
-    """RMS of ``err`` over the mixed scale, on Python floats, with the squares
-    summed in sequence.  Below 8 entries, which covers every size this package
-    integrates (4 or 7), that is bit for bit ``np.sqrt(np.mean((err / (abs_tol +
+def _error_norm(err, h, y0, y1, rel_tol, abs_tol) -> float:
+    """RMS of ``h * err`` over the mixed scale, on Python floats, with the
+    squares summed in sequence; ``err``, ``y0`` and ``y1`` are sequences of
+    floats.  Below 8 entries, which covers every size this package integrates
+    (4 or 7), that is bit for bit ``np.sqrt(np.mean((h * err / (abs_tol +
     rel_tol * np.maximum(abs(y0), abs(y1)))) ** 2))``: numpy's pairwise sum is
     sequential there, ``np.maximum`` passes a NaN of either side on, and float
-    ``+ * /`` round as numpy's do (a division overflows to inf here without
-    numpy's warning)."""
+    ``+ * /`` round as numpy's do (an overflow gives inf here without numpy's
+    warning)."""
     total = 0.0
-    for e, a, b in zip(err.tolist(), y0.tolist(), y1.tolist()):
+    for e, a, b in zip(err, y0, y1):
+        e *= h
         a, b = abs(a), abs(b)
         r = e / ((a if a >= b or a != a else b) * rel_tol + abs_tol)
         total += r * r
-    return math.sqrt(total / err.size)
+    return math.sqrt(total / len(err))
 
 
 def _dense_block(steps: list, powers: list) -> np.ndarray:
     """Interpolated states of the pending samples, one row each: ``steps``
-    holds each step's ``(Qd, h, y, samples)``, ``powers`` each sample's
-    theta**1..4.  One gemv per sample through a stacked matmul, then
-    ``*= h`` and ``+= y`` per row, as ``y + h * Qd.dot(powers)`` rounds."""
-    Qds, hs, ys, counts = zip(*steps)
-    v = np.matmul(np.repeat(np.array(Qds), counts, axis=0), np.array(powers)[:, :, None])[:, :, 0]
+    holds each step's ``(K, h, y, samples)``, ``powers`` each sample's
+    theta**1..4.  One stacked matmul forms every step's ``Qd = K.T @ _P``
+    with that product's own BLAS call, and a second one a gemv per sample;
+    then ``*= h`` and ``+= y`` per row, as ``y + h * Qd.dot(powers)`` rounds."""
+    Ks, hs, ys, counts = zip(*steps)
+    Qds = np.matmul(np.array(Ks).transpose(0, 2, 1), _P)
+    v = np.matmul(np.repeat(Qds, counts, axis=0), np.array(powers)[:, :, None])[:, :, 0]
     v *= np.repeat(hs, counts)[:, None]
     v += np.repeat(np.array(ys), counts, axis=0)
     return v
@@ -190,9 +199,10 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     nfev, naccept, nreject, nguard = 2, 0, 0, 0
     # per stage: node, tableau row, the stages it combines, the stage it fills
     stages = [(float(_C[i + 1]), a_row, K[: i + 1], K[i + 1]) for i, a_row in enumerate(_A)]
-    K6 = K[:6]
+    K6, K_first, K_last = K[:6], K[0], K[6]
 
     t = t0
+    ys = y.tolist()  # y as floats, for the error norm
     err_prev = 1e-4
     while t < t_end:
         h = min(h, max_step, t_end - t)
@@ -201,16 +211,17 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
                                    t=t, state=y.copy())
         # K[0] holds f(t, y): set from the last stage of an accepted step only,
         # so a retry after a rejection starts from the same first stage (FSAL)
+        h_arr = np.array(h)  # a 0-d operand skips numpy's scalar discovery
         try:
             for c, a_row, K_prev, K_next in stages:
                 v = a_row.dot(K_prev)
-                v *= h
+                v *= h_arr
                 v += y
-                K_next[:] = f(t + c * h, v)
+                K_next[...] = f(t + c * h, v)
             y_new = _B.dot(K6)
-            y_new *= h
+            y_new *= h_arr
             y_new += y
-            K[6] = f(t + h, y_new)
+            K_last[...] = f(t + h, y_new)
         except guards:
             nfev += 1  # at least the failing evaluation
             nguard += 1
@@ -220,9 +231,8 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
             continue
         nfev += 6
 
-        err_est = _E.dot(K)
-        err_est *= h
-        err = _error_norm(err_est, y, y_new, rel_tol, abs_tol)
+        ys_new = y_new.tolist()
+        err = _error_norm(_E.dot(K).tolist(), h, ys, ys_new, rel_tol, abs_tol)
         if not math.isfinite(err):
             err = 2.0  # treat as a rejected step
         if err > 1.0:
@@ -243,14 +253,14 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
                     count += 1
                     next_k += 1
                     t_target = t0 + next_k * sample_step
-                steps.append((K.T @ _P, h, y, count))  # Qd is (dim, 4)
+                steps.append((K.copy(), h, y, count))
                 if len(powers) >= _DENSE_BATCH:
                     blocks.append(_dense_block(steps, powers))
                     steps, powers = [], []
 
         t += h
-        y = y_new
-        K[0] = K[6]
+        y, ys = y_new, ys_new
+        K_first[...] = K_last
         naccept += 1
         if sample_step is None:
             sample_ts.append(t)

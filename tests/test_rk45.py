@@ -1,4 +1,5 @@
 """Adaptive Runge-Kutta pair: accuracy, dense output, guards."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -371,8 +372,10 @@ def crossing_wall(t, y):
     return np.array([1.0])
 
 
-def case_study(mode, t_end):
-    loop = ClosedLoop(case_study_config(mode))
+def case_study(mode, t_end, **disturbance):
+    cfg = case_study_config(mode)
+    cfg = dataclasses.replace(cfg, disturbance=dataclasses.replace(cfg.disturbance, **disturbance))
+    loop = ClosedLoop(cfg)
     intg = loop.cfg.integrator
     return loop.rhs, (0.0, t_end), loop.initial_state(), dict(
         rel_tol=intg.rel_tol, abs_tol=intg.abs_tol, max_step=intg.max_step,
@@ -427,6 +430,53 @@ class TestBitwiseReference:
         assert t_new == t_ref and state_new is None and state_ref is None
         assert new_calls and same_calls(new_calls, ref_calls)
 
+    # the hg case study with amp1 = 3.0 leaves its funnels at t = 1.0585, with
+    # a dense-output batch pending: at its own tolerances the step size
+    # underflows before any evaluation crosses a wall, and at rel_tol 1e-4 an
+    # evaluation crosses and the guard bisects the step down to min_step
+    @pytest.mark.parametrize("tols, raised", [
+        pytest.param({}, IntegrationError, id="step-underflow"),
+        pytest.param({"rel_tol": 1e-4, "abs_tol": 1e-7}, FunnelViolation, id="guard-bisection"),
+    ])
+    def test_same_stop_on_a_violating_case_study(self, tols, raised):
+        f, t_span, y0, kwargs = case_study("hg", 3.0, amp1=3.0)
+        kwargs.update(tols)
+        stops = []
+        for solver in (rk45.solve, reference_solve):
+            calls = []
+            with pytest.raises(raised) as exc:
+                solver(logged(f, calls), t_span, y0, **kwargs)
+            stops.append((type(exc.value), exc.value.t, exc.value.state, calls))
+        (type_new, t_new, state_new, new_calls), (type_ref, t_ref, state_ref, ref_calls) = stops
+        assert type_new is type_ref and t_new == t_ref and 1.0 < t_new < 1.1
+        assert state_new.shape == (7,) and np.array_equal(state_new, state_ref)
+        assert same_calls(new_calls, ref_calls)
+
+
+# dense output of steps collected as solve collects them: one stage array,
+# overwritten by every step, whose copy each step keeps; the oracle takes each
+# step's Qd = K.T @ _P while K still holds that step's stages, then each
+# sample's y + h * Qd.dot(powers)
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+@pytest.mark.parametrize("samples", [1, 255, 256, 257])
+def test_dense_block_is_bitwise_the_per_step_product(dim, samples):
+    rng = np.random.default_rng(1000 * dim + samples)
+    K = np.empty((7, dim))
+    steps, powers, expected = [], [], []
+    while len(powers) < samples:
+        K[...] = rng.standard_normal((7, dim)) * 10.0 ** rng.integers(-6, 4, (7, dim))
+        h, y = float(10.0 ** rng.uniform(-8, -1)), rng.standard_normal(dim)
+        count = min(int(rng.integers(1, 14)), samples - len(powers))
+        Qd = K.T @ rk45._P
+        for theta in np.sort(rng.uniform(0.0, 1.0, count)).tolist():
+            p = (theta, theta**2, theta**3, theta**4)
+            powers.append(p)
+            expected.append(y + h * Qd.dot(p))
+        steps.append((K.copy(), h, y, count))
+    block = rk45._dense_block(steps, powers)
+    assert block.shape == (samples, dim) and block.dtype == np.float64
+    assert np.array_equal(block, np.array(expected))
+
 
 def sequential_error_norm(err, y0, y1, rel_tol, abs_tol):
     """``reference_error_norm`` with the squares summed one after another."""
@@ -436,13 +486,15 @@ def sequential_error_norm(err, y0, y1, rel_tol, abs_tol):
     return math.sqrt(total / err.size)
 
 
-# the step norm sums its squares in sequence, for any dimension; below 8
-# entries numpy's pairwise sum is sequential too, so there it is also the
-# np.mean formula bit for bit (the package integrates 4 or 7 states); past
-# the solver's usual dimensions fewer draws keep the suite quick
+# the step norm sums the squares of h * err in sequence, for any dimension;
+# below 8 entries numpy's pairwise sum is sequential too, so there it is also
+# the np.mean formula bit for bit (the package integrates 4 or 7 states); past
+# the solver's usual dimensions fewer draws keep the suite quick; the step
+# sizes come from a generator of their own, so err, y0 and y1 are the draws
+# of the norm without h
 @pytest.mark.parametrize("dim", range(1, 301))
 def test_error_norm_is_bitwise_the_mean_formula(dim):
-    rng = np.random.default_rng(dim)
+    rng, h_rng = np.random.default_rng(dim), np.random.default_rng([dim, 1])
     for k in range(200 if dim < 10 else 24):
         err, y0, y1 = rng.standard_normal((3, dim)) * 10.0 ** rng.integers(-12, 3, (3, dim))
         if k % 4 == 1:
@@ -451,10 +503,11 @@ def test_error_norm_is_bitwise_the_mean_formula(dim):
             err[rng.integers(dim)] = math.inf
         elif k % 4 == 3:
             y1[rng.integers(dim)] = math.nan
-        new = rk45._error_norm(err, y0, y1, 1e-9, 1e-12)
-        refs = [sequential_error_norm(err, y0, y1, 1e-9, 1e-12)]
+        h = float(10.0 ** h_rng.uniform(-9, 0))
+        new = rk45._error_norm(err.tolist(), h, y0.tolist(), y1.tolist(), 1e-9, 1e-12)
+        refs = [sequential_error_norm(err * h, y0, y1, 1e-9, 1e-12)]
         if dim < 8:
-            refs.append(reference_error_norm(err, y0, y1, 1e-9, 1e-12))
+            refs.append(reference_error_norm(err * h, y0, y1, 1e-9, 1e-12))
         assert type(new) is float
         for ref in refs:
             assert new == ref or (math.isnan(new) and math.isnan(ref))
