@@ -59,10 +59,10 @@ class CascadeOutput(NamedTuple):
 
 def gain(phi: float, e: float, *, level=None) -> float:
     """Funnel gain 1/(1 - phi^2 e^2), of floats or arrays.  It exists only
-    inside the funnel, so phi |e| >= 1 raises before anything is squared,
-    naming the first sample there for arrays."""
+    inside the funnel, so unless phi |e| < 1 (a NaN is outside) it raises
+    before anything is squared, naming the first sample there for arrays."""
     pe = phi * e
-    outside = abs(pe) >= 1.0
+    outside = np.logical_not(abs(pe) < 1.0)
     if np.any(outside):
         at = np.argmax(outside)
         raise FunnelViolation(f"funnel boundary reached at level {level}: "

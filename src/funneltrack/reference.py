@@ -98,9 +98,11 @@ def _rise(r: TransitionRef, tau, t5):
 
 def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
     """Reference value and derivative at time t, a float or an array; a step
-    (tf == t0) is yf from t0 on."""
+    (tf == t0) is yf from t0 on.  It holds y0 up to t0 and just past it, where
+    tau = (t - t0) / (tf - t0) underflows to 0."""
     if isinstance(t, np.ndarray):
         rising = (r.t0 < t) & (t < r.tf)
+        rising[rising] = (t[rising] - r.t0) / (r.tf - r.t0) != 0.0
         if not rising.all():  # the held samples here, the rising ones below
             y, ydot = np.where(t >= r.tf, r.yf, r.y0), np.zeros(t.shape)
             if rising.any():
@@ -108,7 +110,7 @@ def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
             return y, ydot
     elif t >= r.tf:
         return r.yf, 0.0
-    elif t <= r.t0:
+    elif t <= r.t0 or (t - r.t0) / (r.tf - r.t0) == 0.0:
         return r.y0, 0.0
     T = r.tf - r.t0
     tau = (t - r.t0) / T

@@ -140,13 +140,14 @@ def _rms(z) -> float:
 
 
 def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
-    """Hairer-style starting step; a guarded probe hands its step to solve's bisection."""
+    """Hairer-style starting step; a guarded probe hands its step to solve's bisection.
+    On a span whose tenth underflows to 0 the probe's cap is the span itself."""
     span = t_end - t0
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, 0.1 * span, max_step)
+    h0 = min(h0, 0.1 * span or span, max_step)
     try:
         f1 = np.asarray(f(t0 + h0, y0 + h0 * f0))
     except guards:
@@ -168,11 +169,13 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     an array, whose values the solver copies into its stage array.
     ``check_settings`` states which tolerances and step settings run; it
     raises ConfigError, a ValueError, before f is called.  ``sample_step``
-    emits interpolated states on the uniform grid t0 + k * sample_step (the
-    endpoint is always included); ``None`` records t0 and the end of every
-    accepted step.  ``guards`` is a tuple of exception types treated as
-    state-constraint violations (see module docstring); their bisection
-    stops below ``min_step``.  No step is shorter than ``min_step`` except
+    emits interpolated states on the uniform grid t0 + k * sample_step, a
+    grid time within 1e-12 of t_end taken as t_end; ``None`` records t0 and
+    the end of every accepted step.  Either way the samples end at t_end: a
+    span that ends past the last grid time, however briefly, appends t_end
+    with the last accepted state.  ``guards`` is a tuple of exception types
+    treated as state-constraint violations (see module docstring); their
+    bisection stops below ``min_step``.  No step is shorter than ``min_step`` except
     the last one, cut short to end at ``t_end``; a step size that falls
     below it anywhere else (the first, or after a rejected or an accepted
     step) raises IntegrationError, and so does an initial step size that
@@ -274,7 +277,7 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
 
     if steps:
         blocks.append(_dense_block(steps, powers))
-    if sample_ts[-1] < t_end - 1e-14:
+    if sample_ts[-1] < t_end:
         sample_ts.append(t_end)
         blocks.append(y[None])
     return SolveResult(np.array(sample_ts), np.concatenate(blocks), naccept=naccept,

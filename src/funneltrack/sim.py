@@ -60,6 +60,8 @@ def disturbance(spec: DisturbanceSpec, t: float) -> float:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """``rk45.solve``'s tolerance and step-size keywords, which it takes whole."""
+
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_step: float = 0.05
@@ -191,16 +193,12 @@ class ClosedLoop:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.params = cfg.params
         self.lin: LinData = eigensplit(cfg.params)
         self.new_ref = BoundedReference(self.lin, cfg.ref)
         self.observer = cfg.mode == "hg"
         # the one place the variants differ: where y_new's derivatives come from
         self.derivatives = observer_derivatives if self.observer else ynew_derivatives
         self.columns = BASE_COLUMNS + (OBSERVER_COLUMNS if self.observer else ())
-        self.specs = cfg.funnels
-        self.gains = cfg.observer_gains
-        self.dist = cfg.disturbance
         self._kernel = self._bind_kernel()
 
     def initial_state(self) -> np.ndarray:
@@ -220,7 +218,8 @@ class ClosedLoop:
         outside cos(beta) > 2/3, FunnelViolation at a funnel boundary), with
         this t and state attached."""
         try:
-            return cascade(self.specs, t, *self.derivatives(self.lin, xs), *self.new_ref.eval(t))
+            return cascade(self.cfg.funnels, t, *self.derivatives(self.lin, xs),
+                           *self.new_ref.eval(t))
         except SimulationError as exc:
             exc.t, exc.state = t, np.array(xs)
             raise
@@ -236,30 +235,31 @@ class ClosedLoop:
 
     def _rhs_layers(self, t: float, state: np.ndarray) -> list:
         """``rhs`` composed from the layer functions."""
-        xs = state.tolist()
+        cfg, xs = self.cfg, state.tolist()
         out = self.evaluate(t, xs)
-        deriv = plant_rhs(self.params, xs, out.u + disturbance(self.dist, t))
+        deriv = plant_rhs(cfg.params, xs, out.u + disturbance(cfg.disturbance, t))
         if self.observer:
-            deriv.extend(observer_rhs(self.gains, xs[4:], out.y_new))
+            deriv.extend(observer_rhs(cfg.observer_gains, xs[4:], out.y_new))
         return deriv
 
     def _bind_kernel(self):
         """``rhs`` as one pass of float arithmetic over this scenario's constants.
 
-        After the reference starts (``t > t0`` and ``t >= t_lo``) and inside
-        every funnel, it performs each operation of ``_rhs_layers`` -- ``psi``,
-        the ladder or the observer's estimates, ``BoundedReference.eval`` (on a
-        float copy of the spline before tf, its constants from tf on), ``cascade``,
-        ``disturbance``, ``plant_rhs`` and ``observer_rhs`` -- on the same operands
-        in the same order, and so returns its bits without reference calls.  At and
-        before t0, and at the layers' own guard conditions (``not cos(beta) >
-        2/3``, ``abs(phi_i e_i) >= 1`` at levels 0, 1 and 2), it returns None,
-        and ``rhs`` calls ``_rhs_layers``, which raises the stamped controller
-        error there.  The kernel holds no reference to the loop, so a loop is
-        freed as soon as it is dropped.
+        From ``t_lo`` on and inside every funnel, it performs each operation of
+        ``_rhs_layers`` -- ``psi``, the ladder or the observer's estimates,
+        ``BoundedReference.eval`` (on a float copy of the spline before tf, its
+        constants from tf on), ``cascade``, ``disturbance``, ``plant_rhs`` and
+        ``observer_rhs`` -- on the same operands in the same order, and so
+        returns its bits without reference calls.  Before ``t_lo``, where tau =
+        (t - t0) / (tf - t0) is 0 before tf (at t0 or just past it, where y_ref
+        holds y0), and at the layers' guards (``not cos(beta) > 2/3``, ``not
+        phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included), it returns
+        None, and ``rhs`` calls ``_rhs_layers``, which raises the stamped
+        controller error at a guard.  The kernel holds no reference to the
+        loop, so a loop is freed as soon as it is dropped.
         """
-        observer, ref, p, dist = self.observer, self.cfg.ref, self.params, self.dist
-        (a0, b0, eps0), (a1, b1, eps1), (a2, b2, eps2) = [(f.a, f.b, f.eps) for f in self.specs]
+        cfg, observer, ref = self.cfg, self.observer, self.cfg.ref
+        (a0, b0, eps0), (a1, b1, eps1), (a2, b2, eps2) = [(f.a, f.b, f.eps) for f in cfg.funnels]
         nb0, nb1, nb2 = -b0, -b1, -b2
         w0, w1 = self.lin.unstable_row
         lam2, p2 = self.lin.lambda2, self.lin.p2
@@ -271,16 +271,16 @@ class ClosedLoop:
         bref = self.new_ref
         t_lo, h, final, last = bref.t_lo, bref._h, bref.final_value, len(bref._knots) - 2
         knots, coeffs = bref._knots.tolist(), list(zip(*bref._coeffs.tolist()))
-        l2m, nc, d = p.l2m, -p.c, p.d
+        l2m, nc, d = cfg.params.l2m, -cfg.params.c, cfg.params.d
         half_l2m = 0.5 * l2m
-        amp1, freq1, amp2, freq2 = dist.amp1, dist.freq1, dist.amp2, dist.freq2
-        g1, g2, g3 = self.gains
+        amp1, freq1, amp2, freq2 = dataclasses.astuple(cfg.disturbance)
+        g1, g2, g3 = cfg.observer_gains
 
         def kernel(t, state):
             xs = state.tolist()
             x1, x2, x3, x4 = xs[:4]
             cb = cos(x2)
-            if not (cb > DOMAIN_COS_LIMIT and t > t0 and t >= t_lo):
+            if not (cb > DOMAIN_COS_LIMIT and t >= t_lo):
                 return None
             # y_new = psi(x) and its derivatives, from the observer or the ladder
             y = x1 + 0.5 * x2
@@ -301,6 +301,8 @@ class ClosedLoop:
                 dt = t - knots[i]
                 r0 = ((q3 * dt + q2) * dt + q1) * dt + q0
                 tau = (t - t0) / span
+                if tau == 0.0:
+                    return None
                 t5 = tau ** 5
                 y_ref = y0 + t5 * ((((c9 * tau + c8) * tau + c7) * tau + c6) * tau + c5) * dy
                 y_ref_dot = (t5 / tau * ((((s9 * tau + s8) * tau + s7) * tau + s6) * tau + s5)
@@ -317,18 +319,18 @@ class ClosedLoop:
             phi2 = 1.0 / (a2 * exp(nb2 * t) + eps2)
             e0, e0_1, e0_2 = y_new - r0, y1 - r1, y2 - r2
             pe = phi0 * e0
-            if abs(pe) >= 1.0:
+            if not abs(pe) < 1.0:  # a NaN too
                 return None
             k0 = 1.0 / (1.0 - pe ** 2)
             k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
             e1 = e0_1 + k0 * e0
             pe = phi1 * e1
-            if abs(pe) >= 1.0:
+            if not abs(pe) < 1.0:
                 return None
             k1 = 1.0 / (1.0 - pe ** 2)
             e2 = e0_2 + k0 * e0_1 + k0_1 * e0 + k1 * e1
             pe = phi2 * e2
-            if abs(pe) >= 1.0:
+            if not abs(pe) < 1.0:
                 return None
             u = 1.0 / (1.0 - pe ** 2) * e2
             # the plant under u + d(t)
@@ -368,13 +370,9 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     """Run one scenario and sample it on the uniform output grid."""
     loop = ClosedLoop(cfg)
     y0 = loop.initial_state()
-    intg = cfg.integrator
     try:
-        result = rk45.solve(loop.rhs, (0.0, cfg.t_end), y0,
-                            rel_tol=intg.rel_tol, abs_tol=intg.abs_tol,
-                            max_step=intg.max_step, min_step=intg.min_step,
-                            sample_step=SAMPLE_STEP,
-                            guards=(SimulationError,))
+        result = rk45.solve(loop.rhs, (0.0, cfg.t_end), y0, **dataclasses.asdict(cfg.integrator),
+                            sample_step=SAMPLE_STEP, guards=(SimulationError,))
     except IntegrationError as exc:
         # near a funnel wall the gains blow up and the step size underflows
         # before any evaluation crosses; report that as the violation it is
@@ -402,7 +400,7 @@ def summarize(cfg: ScenarioConfig, traj: Trajectory) -> dict:
     return {
         "mode": cfg.mode,
         "y_final": y_final,
-        "final_tracking_error": abs(y_final - yref_eval(cfg.ref, traj.t[-1])[0]),
+        "final_tracking_error": abs(y_final - float(traj["y_ref"][-1])),
         "max_abs_u": float(np.max(np.abs(traj["u"]))),
         "max_abs_beta": float(np.max(np.abs(traj["beta"]))),
         "max_funnel_margins": [float(margins[i, j]) for j, i in enumerate(worst)],

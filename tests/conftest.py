@@ -4,6 +4,7 @@ import time
 import pytest
 
 from funneltrack import checks
+from funneltrack.funnel import cascade_margins
 from funneltrack.sim import case_study_config, integrate
 
 
@@ -13,6 +14,11 @@ class CaseStudyRun:
         start = time.perf_counter()
         self.traj = integrate(cfg)
         self.wall_seconds = time.perf_counter() - start
+
+
+def margins_of(run):
+    """phi_i |e_i| of each sample of a case-study run, shape (n, 3)."""
+    return cascade_margins(run.cfg.funnels, run.traj.t, [run.traj[c] for c in ("e0", "e1", "e2")])
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ frozen values of those quantities.
 import math
 
 import numpy as np
-from funneltrack.funnel import cascade_margins
+
+from conftest import margins_of
 from funneltrack.model import BETA_MAX
 
 
@@ -24,10 +25,6 @@ def run_checks(check_results, *names):
     results = [(name, *check_results[name]) for name in names]
     return (all(ok for _, ok, _ in results),
             "; ".join(f"{name}: {detail}" for name, _, detail in results))
-
-
-def margins_of(run):
-    return cascade_margins(run.cfg.funnels, run.traj.t, [run.traj[c] for c in ("e0", "e1", "e2")])
 
 
 class TestCriterion1FunnelInvariance:

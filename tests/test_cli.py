@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ from funneltrack.funnel import FunnelSpec
 from funneltrack.model import PlantState
 from funneltrack.reference import TransitionRef
 from funneltrack.sim import ScenarioConfig, case_study_config
+from test_config_properties import with_leaf
 
 
 @pytest.fixture
@@ -101,13 +103,8 @@ def test_non_object_json_is_exit_1(tmp_path):
 ])
 def test_invalid_field_is_exit_1(tmp_path, path, value):
     data = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=1.0).to_dict()
-    *parents, leaf = path.split(".")
-    node = data
-    for key in parents:
-        node = node[int(key)] if isinstance(node, list) else node[key]
-    node[int(leaf) if isinstance(node, list) else leaf] = value
     cfg = tmp_path / "invalid.json"
-    cfg.write_text(json.dumps(data))
+    cfg.write_text(json.dumps(with_leaf(data, path, value)))
     out = tmp_path / "never.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
@@ -126,6 +123,38 @@ def test_window_too_short_for_the_spline_is_exit_1(tmp_path, capsys, t0, tf):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: transition window [") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# horizons whose tenth underflows (the starting step) and whose tau = t / 3
+# underflows at the evaluations inside the step (the rising reference), and
+# one shorter than 1e-14 s (the end sample)
+@pytest.mark.parametrize("mode", ["lin", "hg"])
+@pytest.mark.parametrize("t_end", [5e-324, 2e-323, 1e-15])
+def test_shortest_horizon_ends_with_its_end_sample(tmp_path, capsys, mode, t_end):
+    cfg = tmp_path / "short-horizon.json"
+    dataclasses.replace(case_study_config(mode), t_end=t_end).write_json(cfg)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]] == [0.0, t_end]
+
+
+# phi_0'(0) = b a phi_0(0)**2 overflows to inf, so k0's derivative takes
+# inf * 0 = NaN at the zero scenario's start, and e2, k2 and u are NaN
+NAN_GAIN_FUNNELS = [{"a": 1e-10, "b": 1e300, "eps": 1e-10},
+                    {"a": 1.5, "b": 0.8, "eps": 0.001}, {"a": 60.0, "b": 0.2, "eps": 0.001}]
+
+
+@pytest.mark.parametrize("mode", ["lin", "hg"])
+def test_nan_error_is_a_funnel_violation(tmp_path, capsys, mode):
+    cfg = tmp_path / "nan-gain.json"
+    cfg.write_text(json.dumps({"funnels": NAN_GAIN_FUNNELS, "mode": mode, "t_end": 0.5}))
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("funnel violation at t = 0.000000: ") and err.count("\n") == 1
+    assert "at level 2: phi*|e| = nan" in err
     assert not out.exists()
 
 

@@ -21,6 +21,9 @@ SPECS = (FunnelSpec(1.5, 0.8, 0.001), FunnelSpec(60.0, 0.2, 0.001), FunnelSpec(0
 REFS = (TransitionRef(0.1, math.pi / 4, -0.5, 1.0), TransitionRef(0.0, math.pi / 4, 0.0, 1.5),
         TransitionRef(0.2, -0.3, 0.4, 1.2))
 BOUNDED = tuple(BoundedReference(LIN, r) for r in REFS)
+# the case study's window: tau = t / 3 underflows to 0 at 5e-324, not at 1e-323
+RISE = BoundedReference(LIN, TransitionRef(0.0, math.pi / 4, 0.0, 3.0))
+JUST_PAST_T0 = np.array([0.0, 5e-324, 1e-323, 1.5])
 
 
 def ref_times(r, rng):
@@ -58,6 +61,8 @@ def cases():
         "yref_eval": [(lambda t, r=r: yref_eval(r, t), (ref_times(r, rng),)) for r in REFS],
         "value": [(b.value, (ref_times(b.ref, rng),)) for b in BOUNDED],
         "eval": [(b.eval, (ref_times(b.ref, rng),)) for b in BOUNDED],
+        "tau-underflow": [(lambda t: yref_eval(RISE.ref, t), (JUST_PAST_T0,)),
+                          (RISE.eval, (JUST_PAST_T0,))],
     }
 
 
@@ -95,6 +100,8 @@ REJECTED = {
                      [0.5, 2.0, 3.0]),
     "gain-far-outside": (FunnelViolation, lambda p: gain(p, 0.7 + 0.0 * p, level=2),
                          [0.5, 1e200, 3.0]),
+    "gain-nan": (FunnelViolation, lambda p: gain(p, 0.7 + 0.0 * p, level=2),
+                 [0.5, math.nan, 3.0]),
     "phi_forward-outside": (DomainError, lambda b: phi_forward([0.0 * b, b, 0.0 * b, b]),
                             [0.2, 1.2, math.pi]),
     "phi_forward-nan": (DomainError, lambda b: phi_forward([0.0 * b, b, 0.0 * b, b]),

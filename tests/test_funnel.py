@@ -50,6 +50,11 @@ class TestGain:
             gain(1e200, 1.0, level=1)
         assert str(far.value) == "funnel boundary reached at level 1: phi*|e| = 1.000000e+200 >= 1"
 
+    def test_nan_is_outside(self):
+        # a NaN fails phi |e| < 1, as a NaN angle fails cos(beta) > 2/3
+        with pytest.raises(FunnelViolation):
+            gain(1.0, math.nan, level=2)
+
     def test_violation_carries_diagnostics(self):
         with pytest.raises(FunnelViolation) as exc:
             gain(2.0, 0.7, level=2)

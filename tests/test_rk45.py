@@ -246,6 +246,18 @@ def test_last_step_may_be_shorter_than_min_step():
     assert res.t.tolist() == [0.0, 1e-9]
 
 
+# a span whose tenth underflows to 0, and one shorter than 1e-14 s
+SHORT_SPANS = [(0.0, 5e-324), (0.0, 1e-15)]
+
+
+@pytest.mark.parametrize("sample_step", [None, 1e-3])
+@pytest.mark.parametrize("t_span", SHORT_SPANS, ids=lambda t_span: str(t_span[1]))
+def test_shortest_span_keeps_its_end_sample(t_span, sample_step):
+    res = rk45.solve(lambda t, y: -y, t_span, [1.0], sample_step=sample_step)
+    assert res.t.tolist() == list(t_span) and res.naccept == 1
+    assert res.y[-1, 0] == pytest.approx(math.exp(-t_span[1]), rel=1e-15)
+
+
 def test_no_sample_step_records_every_accepted_step():
     res = rk45.solve(lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
                      np.array([1.0, 0.0]), rel_tol=1e-12, abs_tol=1e-14)
@@ -346,7 +358,7 @@ def reference_solve(f, t_span, y0, *, rel_tol, abs_tol, max_step=math.inf,
                                                * err ** -rk45._ALPHA * err_prev ** rk45._BETA))
         err_prev = max(err, 1e-4)
         h *= factor
-    if ts[-1] < t_end - 1e-14:
+    if ts[-1] < t_end:
         ts.append(t_end)
         ys.append(y.copy())
     return np.array(ts), np.array(ys), stats
@@ -376,10 +388,9 @@ def case_study(mode, t_end, **disturbance):
     cfg = case_study_config(mode)
     cfg = dataclasses.replace(cfg, disturbance=dataclasses.replace(cfg.disturbance, **disturbance))
     loop = ClosedLoop(cfg)
-    intg = loop.cfg.integrator
     return loop.rhs, (0.0, t_end), loop.initial_state(), dict(
-        rel_tol=intg.rel_tol, abs_tol=intg.abs_tol, max_step=intg.max_step,
-        min_step=intg.min_step, sample_step=SAMPLE_STEP, guards=(FunnelViolation, DomainError))
+        **dataclasses.asdict(cfg.integrator), sample_step=SAMPLE_STEP,
+        guards=(FunnelViolation, DomainError))
 
 
 class TestBitwiseReference:
@@ -400,6 +411,11 @@ class TestBitwiseReference:
         pytest.param(lambda: (lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
                               np.array([1.0, 0.0]), dict(rel_tol=1e-12, abs_tol=1e-14)),
                      False, id="no-sample-step"),
+        *(pytest.param(lambda t_span=t_span, step=step: (
+            lambda t, y: np.array([y[1], -y[0]]), t_span, np.array([1.0, 0.0]),
+            dict(rel_tol=1e-9, abs_tol=1e-12, sample_step=step)),
+            False, id=f"span-{t_span[1]}-sample_step-{step}")
+          for t_span in SHORT_SPANS for step in (None, 1e-3)),
     ])
     def test_same_samples_statistics_and_evaluations(self, problem, rejects):
         f, t_span, y0, kwargs = problem()

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from conftest import margins_of
 from funneltrack import reference, sim
 from funneltrack.bif import phi_inverse
 from funneltrack.errors import (ConfigError, DomainError, FunnelViolation, IntegrationError,
@@ -105,11 +106,6 @@ def states_of(traj):
     """The sampled closed-loop states (plant, then observer) of a trajectory."""
     names = ("alpha", "beta", "alpha_dot", "beta_dot") + OBSERVER_COLUMNS
     return traj.data[:, [traj.columns.index(c) for c in names if c in traj.columns]]
-
-
-def margins_of(run):
-    """phi_i |e_i| of each sample of a case-study run, shape (n, 3)."""
-    return cascade_margins(run.cfg.funnels, run.traj.t, [run.traj[c] for c in ("e0", "e1", "e2")])
 
 
 def raised(fn, *args):
@@ -287,7 +283,7 @@ def placed_state(loop, t, beta, y, y_dot, margins, zeta1):
     y_dot are set so that the ladder gives y1 and y2.  ``phi_inverse`` then
     makes the plant state with this beta and the eta2 that gives y_new."""
     lin, observer = loop.lin, loop.observer
-    (phi0, phi0_dot), (phi1, _), (phi2, _) = [phi_eval(f, t) for f in loop.specs]
+    (phi0, phi0_dot), (phi1, _), (phi2, _) = [phi_eval(f, t) for f in loop.cfg.funnels]
     r0, r1, r2 = loop.new_ref.eval(t)
     lam2, p2 = lin.lambda2, lin.p2
     e0 = margins[0] / phi0
@@ -376,13 +372,24 @@ class TestKernelMatchesLayers:
         state = placed_state(loop, t, 0.2, 0.1, 0.3, margins, 0.0)
         for _ in range(20_000):
             e = loop.evaluate(t, state.tolist())[2 + level]
-            pe = phi_eval(loop.specs[level], t)[0] * e
+            pe = phi_eval(loop.cfg.funnels[level], t)[0] * e
             if pe ** 2 != pe * pe:
                 break
             state[entry] += 1e-12 * (1.0 + abs(state[entry]))
         else:
             pytest.skip("this C library's pow(pe, 2) is pe * pe near the wall")
         assert 0.9 < abs(pe) < 1.0
+        assert_same_outcome(loop, t, state)
+
+    # a NaN error is not inside its funnel: the kernel hands it to the layers,
+    # which raise at the first level the NaN reaches
+    @pytest.mark.parametrize("mode, entry, level", [("lin", 2, 0), ("hg", 5, 1), ("hg", 6, 2)])
+    def test_nan_error_is_outside_the_funnel(self, mode, entry, level):
+        loop, t = ClosedLoop(case_study_config(mode)), 1.0
+        state = placed_state(loop, t, 0.2, 0.1, 0.3, [0.5, 0.5, 0.5], 0.0)
+        state[entry] = math.nan
+        stop = raised(loop.rhs, t, state)
+        assert type(stop) is FunnelViolation and stop.level == level
         assert_same_outcome(loop, t, state)
 
     @pytest.mark.parametrize("amp1", np.linspace(0.0, 3.0, 8)[4:].tolist())
