@@ -42,7 +42,7 @@ class DomainError(SimulationError, ValueError):
 
 
 class FunnelViolation(SimulationError):
-    """A cascaded error reached its funnel boundary (phi*|e| >= 1).
+    """A cascaded error reached its funnel boundary (not phi*|e| < 1).
 
     This signals loss of the control guarantee; the simulator aborts
     rather than clamping.

@@ -66,7 +66,7 @@ def gain(phi: float, e: float, *, level=None) -> float:
     if np.any(outside):
         at = np.argmax(outside)
         raise FunnelViolation(f"funnel boundary reached at level {level}: "
-                              f"phi*|e| = {np.ravel(abs(pe))[at]:#.7g} >= 1", level=level)
+                              f"phi*|e| = {np.ravel(abs(pe))[at]:#.7g}, not < 1", level=level)
     return 1.0 / (1.0 - libm(pow, pe, 2))
 
 

@@ -6,7 +6,9 @@ interpolant serves dense output on an arbitrary sampling grid.
 
 The per-step work off the right-hand side is done in the fewest calls that
 keep every bit.  The stage sums are BLAS gemv calls, scaled in place by the
-step size as a 0-d array.  The error norm runs on Python floats: it scales
+step size as a 0-d array, or, with ``stage_parts``, handed to ``f`` unscaled
+with the step size and the start state's floats, for ``f`` to form the state
+in the same roundings (see ``solve``).  The error norm runs on Python floats: it scales
 the estimate by the step size and sums its squares in sequence, equal to the
 ``np.mean`` formula below 8 entries, which covers every size this package
 integrates, and the accepted state's floats serve the next step's norm.
@@ -161,12 +163,22 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
 
 
 def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
-          min_step=MIN_STEP, sample_step=None, guards=()) -> SolveResult:
+          min_step=MIN_STEP, sample_step=None, guards=(), stage_parts=False) -> SolveResult:
     """Integrate y' = f(t, y) over a finite ``t_span`` with t0 < t_end, with dense sampling.
 
     ``f(t, y)`` takes a float ``t`` and a float64 array ``y`` of ``dim``
     entries and returns any sequence of ``dim`` floats: a list, a tuple or
-    an array, whose values the solver copies into its stage array.
+    an array, whose values the solver copies into its stage array.  With
+    ``stage_parts`` the five intermediate stages of each step reach ``f`` as
+    the tuple ``(increment, h, base)`` instead: ``increment`` the stage
+    sum, a float64 array; ``h`` the step size, a float; ``base`` the step's
+    start state, a list of floats.  The state they stand for is
+    ``increment * h + base``, each entry rounded after the product and
+    after the sum, which a per-entry ``q * h + b`` on floats gives; ``f``
+    must neither keep ``increment`` nor change ``base``, the solver's own
+    list.  The first call, the initial-step probe and each step's last
+    stage still pass an array, and the samples, statistics and calls are
+    those of the default path, bit for bit.
     ``check_settings`` states which tolerances and step settings run; it
     raises ConfigError, a ValueError, before f is called.  ``sample_step``
     emits interpolated states on the uniform grid t0 + k * sample_step, a
@@ -216,11 +228,15 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         # so a retry after a rejection starts from the same first stage (FSAL)
         h_arr = np.array(h)  # a 0-d operand skips numpy's scalar discovery
         try:
-            for c, a_row, K_prev, K_next in stages:
-                v = a_row.dot(K_prev)
-                v *= h_arr
-                v += y
-                K_next[...] = f(t + c * h, v)
+            if stage_parts:
+                for c, a_row, K_prev, K_next in stages:
+                    K_next[...] = f(t + c * h, (a_row.dot(K_prev), h, ys))
+            else:
+                for c, a_row, K_prev, K_next in stages:
+                    v = a_row.dot(K_prev)
+                    v *= h_arr
+                    v += y
+                    K_next[...] = f(t + c * h, v)
             y_new = _B.dot(K6)
             y_new *= h_arr
             y_new += y

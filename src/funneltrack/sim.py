@@ -188,13 +188,30 @@ class Trajectory:
                 fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
+# the eigensplit and bounded reference of the last ClosedLoop built in this
+# process, under the repr of its params and ref, which tells every float
+# apart (-0.0 from 0.0 too) where == does not: a sweep's points that share
+# them build the reference once per process
+_reference = (None, None, None)
+
+
+def _split_and_reference(params: ManipulatorParams,
+                         ref: TransitionRef) -> tuple[LinData, BoundedReference]:
+    """(eigensplit(params), BoundedReference) of this pair, from the one-entry cache."""
+    global _reference
+    key = repr((params, ref))
+    if _reference[0] != key:
+        lin = eigensplit(params)
+        _reference = (key, lin, BoundedReference(lin, ref))
+    return _reference[1:]
+
+
 class ClosedLoop:
     """Assembled plant + controller right-hand side for one scenario."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.lin: LinData = eigensplit(cfg.params)
-        self.new_ref = BoundedReference(self.lin, cfg.ref)
+        self.lin, self.new_ref = _split_and_reference(cfg.params, cfg.ref)
         self.observer = cfg.mode == "hg"
         # the one place the variants differ: where y_new's derivatives come from
         self.derivatives = observer_derivatives if self.observer else ynew_derivatives
@@ -224,14 +241,23 @@ class ClosedLoop:
             exc.t, exc.state = t, np.array(xs)
             raise
 
-    def rhs(self, t: float, state: np.ndarray) -> list:
+    def rhs(self, t: float, state: np.ndarray | tuple) -> list:
         """State derivative, a list of Python floats: the plant under the
         controller's input plus the disturbance and, in ``hg`` mode, the
-        observer.  The kernel bound at construction computes it
-        (``_bind_kernel``), and the layer functions where the kernel returns
-        None."""
+        observer.  ``state`` is a float64 array, or the parts ``(increment,
+        h, base)`` of one that ``rk45.solve(..., stage_parts=True)`` hands
+        over: the state ``increment * h + base``, each entry rounded after
+        the product and after the sum.  The kernel bound at construction
+        computes it (``_bind_kernel``), and the layer functions where the
+        kernel returns None, on the state formed as an array first, so that
+        a controller error carries the state's bytes either way."""
         deriv = self._kernel(t, state)
-        return self._rhs_layers(t, state) if deriv is None else deriv
+        if deriv is not None:
+            return deriv
+        if type(state) is tuple:
+            increment, h, base = state
+            state = increment * h + np.array(base)
+        return self._rhs_layers(t, state)
 
     def _rhs_layers(self, t: float, state: np.ndarray) -> list:
         """``rhs`` composed from the layer functions."""
@@ -243,22 +269,29 @@ class ClosedLoop:
         return deriv
 
     def _bind_kernel(self):
-        """``rhs`` as one pass of float arithmetic over this scenario's constants.
+        """``rhs`` as one pass of float arithmetic over this scenario's
+        constants: a kernel for the mode, ``hg`` or ``lin``, that takes
+        ``rhs``'s arguments.
 
         From ``t_lo`` on and inside every funnel, it performs each operation of
         ``_rhs_layers`` -- ``psi``, the ladder or the observer's estimates,
         ``BoundedReference.eval`` (on a float copy of the spline before tf, its
         constants from tf on), ``cascade``, ``disturbance``, ``plant_rhs`` and
         ``observer_rhs`` -- on the same operands in the same order, and so
-        returns its bits without reference calls.  Before ``t_lo``, where tau =
-        (t - t0) / (tf - t0) is 0 before tf (at t0 or just past it, where y_ref
-        holds y0), and at the layers' guards (``not cos(beta) > 2/3``, ``not
-        phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included), it returns
-        None, and ``rhs`` calls ``_rhs_layers``, which raises the stamped
-        controller error at a guard.  The kernel holds no reference to the
-        loop, so a loop is freed as soon as it is dropped.
+        returns its bits without reference calls.  A stage's parts are formed
+        as ``q * h + b`` per entry, which rounds as numpy's ``*= h`` and
+        ``+= base`` do.  The terms of t alone (the reference, the funnels'
+        phi and the disturbance) are computed once per float t and reused
+        while the calls keep that t, as a step's last two stages do; t = 0
+        is never reused, since -0.0 == 0.0.  Before ``t_lo``, where tau =
+        (t - t0) / (tf - t0) is 0 before tf (at t0 or just past it, where
+        y_ref holds y0), and at the layers' guards (``not cos(beta) > 2/3``,
+        ``not phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included), it
+        returns None, and ``rhs`` calls ``_rhs_layers``, which raises the
+        stamped controller error at a guard.  The kernel holds no reference
+        to the loop, so a loop is freed as soon as it is dropped.
         """
-        cfg, observer, ref = self.cfg, self.observer, self.cfg.ref
+        cfg, ref = self.cfg, self.cfg.ref
         (a0, b0, eps0), (a1, b1, eps1), (a2, b2, eps2) = [(f.a, f.b, f.eps) for f in cfg.funnels]
         nb0, nb1, nb2 = -b0, -b1, -b2
         w0, w1 = self.lin.unstable_row
@@ -269,32 +302,22 @@ class ClosedLoop:
         c5, c6, c7, c8, c9 = _TRANSITION_COEFFS
         s5, s6, s7, s8, s9 = _SLOPE_COEFFS
         bref = self.new_ref
-        t_lo, h, final, last = bref.t_lo, bref._h, bref.final_value, len(bref._knots) - 2
+        t_lo, gap, final, last = bref.t_lo, bref._h, bref.final_value, len(bref._knots) - 2
         knots, coeffs = bref._knots.tolist(), list(zip(*bref._coeffs.tolist()))
         l2m, nc, d = cfg.params.l2m, -cfg.params.c, cfg.params.d
         half_l2m = 0.5 * l2m
         amp1, freq1, amp2, freq2 = dataclasses.astuple(cfg.disturbance)
         g1, g2, g3 = cfg.observer_gains
+        memo = (math.nan,)  # the last t and its terms, see terms_at
 
-        def kernel(t, state):
-            xs = state.tolist()
-            x1, x2, x3, x4 = xs[:4]
-            cb = cos(x2)
-            if not (cb > DOMAIN_COS_LIMIT and t >= t_lo):
+        def terms_at(t):
+            """(t, r0, r1, r2, phi0, phi0_dot, phi1, phi2, d(t)): the bounded
+            reference's ladder, the funnels and the disturbance at t, or None
+            where the layers take over."""
+            if not t >= t_lo:
                 return None
-            # y_new = psi(x) and its derivatives, from the observer or the ladder
-            y = x1 + 0.5 * x2
-            y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * y
-            if observer:
-                y1, y2 = xs[5], xs[6]
-                err = y_new - xs[4]
-                tail = (g1 * err + y1, g2 * err + y2, g3 * err)
-            else:
-                y1 = lam2 * y_new + lam2p2 * y
-                y2 = lam2 * y1 + lam2p2 * (x3 + 0.5 * x4)
-                tail = ()
             if t < tf:  # the bounded reference's spline, and y_ref rising through the ladder
-                i = int((t - t_lo) / h)
+                i = int((t - t_lo) / gap)
                 if i > last:
                     i = last
                 q3, q2, q1, q0 = coeffs[i]
@@ -311,12 +334,37 @@ class ClosedLoop:
                 r2 = lam2 * r1 + lam2p2 * y_ref_dot
             else:  # BoundedReference.eval's values from tf on
                 r0, r1, r2 = final, 0.0, 0.0
-            # the cascade, each funnel tested before its gain squares
             decay = a0 * exp(nb0 * t)
             phi0 = 1.0 / (decay + eps0)
-            phi0_dot = b0 * decay * phi0 * phi0
-            phi1 = 1.0 / (a1 * exp(nb1 * t) + eps1)
-            phi2 = 1.0 / (a2 * exp(nb2 * t) + eps2)
+            return (t, r0, r1, r2, phi0, b0 * decay * phi0 * phi0,
+                    1.0 / (a1 * exp(nb1 * t) + eps1), 1.0 / (a2 * exp(nb2 * t) + eps2),
+                    amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t))
+
+        # the two kernels differ only in the state they take and in where
+        # y_new's derivatives come from: a shared body would branch on the
+        # mode or cost a call
+        def hg(t, state):
+            nonlocal memo
+            if type(state) is tuple:
+                increment, h, (b1, b2, b3, b4, b5, b6, b7) = state
+                q1, q2, q3, q4, q5, q6, q7 = increment.tolist()
+                x1, x2, x3, x4 = q1 * h + b1, q2 * h + b2, q3 * h + b3, q4 * h + b4
+                zeta1, y1, y2 = q5 * h + b5, q6 * h + b6, q7 * h + b7
+            else:
+                x1, x2, x3, x4, zeta1, y1, y2 = state.tolist()
+            cb = cos(x2)
+            if not cb > DOMAIN_COS_LIMIT:
+                return None
+            terms = memo
+            if t != terms[0] or not t:
+                terms = terms_at(t)
+                if terms is None:
+                    return None
+                memo = terms
+            _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
+            # y_new = psi(x), its derivatives the observer's estimates
+            y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * (x1 + 0.5 * x2)
+            # the cascade, each funnel tested before its gain squares
             e0, e0_1, e0_2 = y_new - r0, y1 - r1, y2 - r2
             pe = phi0 * e0
             if not abs(pe) < 1.0:  # a NaN too
@@ -335,15 +383,63 @@ class ClosedLoop:
             u = 1.0 / (1.0 - pe ** 2) * e2
             # the plant under u + d(t)
             sb = sin(x2)
-            t1 = half_l2m * x4 * (2.0 * x3 + x4) * sb + (
-                u + (amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t)))
+            t1 = half_l2m * x4 * (2.0 * x3 + x4) * sb + (u + dist)
             f2 = nc * x2 - d * x4 - half_l2m * x3 * x3 * sb
             k = 36.0 / (l2m * (16.0 - 9.0 * cb * cb))
             a12 = -1.0 / 3.0 - 0.5 * cb
-            return [x3, x4, k * (t1 / 3.0 + a12 * f2),
-                    k * (a12 * t1 + (5.0 / 3.0 + cb) * f2), *tail]
+            err = y_new - zeta1
+            return [x3, x4, k * (t1 / 3.0 + a12 * f2), k * (a12 * t1 + (5.0 / 3.0 + cb) * f2),
+                    g1 * err + y1, g2 * err + y2, g3 * err]
 
-        return kernel
+        def lin(t, state):
+            nonlocal memo
+            if type(state) is tuple:
+                increment, h, (b1, b2, b3, b4) = state
+                q1, q2, q3, q4 = increment.tolist()
+                x1, x2, x3, x4 = q1 * h + b1, q2 * h + b2, q3 * h + b3, q4 * h + b4
+            else:
+                x1, x2, x3, x4 = state.tolist()
+            cb = cos(x2)
+            if not cb > DOMAIN_COS_LIMIT:
+                return None
+            terms = memo
+            if t != terms[0] or not t:
+                terms = terms_at(t)
+                if terms is None:
+                    return None
+                memo = terms
+            _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
+            # y_new = psi(x) and its derivatives from the ladder
+            y = x1 + 0.5 * x2
+            y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * y
+            y1 = lam2 * y_new + lam2p2 * y
+            y2 = lam2 * y1 + lam2p2 * (x3 + 0.5 * x4)
+            # the cascade, each funnel tested before its gain squares
+            e0, e0_1, e0_2 = y_new - r0, y1 - r1, y2 - r2
+            pe = phi0 * e0
+            if not abs(pe) < 1.0:  # a NaN too
+                return None
+            k0 = 1.0 / (1.0 - pe ** 2)
+            k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
+            e1 = e0_1 + k0 * e0
+            pe = phi1 * e1
+            if not abs(pe) < 1.0:
+                return None
+            k1 = 1.0 / (1.0 - pe ** 2)
+            e2 = e0_2 + k0 * e0_1 + k0_1 * e0 + k1 * e1
+            pe = phi2 * e2
+            if not abs(pe) < 1.0:
+                return None
+            u = 1.0 / (1.0 - pe ** 2) * e2
+            # the plant under u + d(t)
+            sb = sin(x2)
+            t1 = half_l2m * x4 * (2.0 * x3 + x4) * sb + (u + dist)
+            f2 = nc * x2 - d * x4 - half_l2m * x3 * x3 * sb
+            k = 36.0 / (l2m * (16.0 - 9.0 * cb * cb))
+            a12 = -1.0 / 3.0 - 0.5 * cb
+            return [x3, x4, k * (t1 / 3.0 + a12 * f2), k * (a12 * t1 + (5.0 / 3.0 + cb) * f2)]
+
+        return hg if self.observer else lin
 
     def row(self, ts: np.ndarray, states: np.ndarray) -> np.ndarray:
         """The output samples at times ``ts`` of ``states`` (one state per row),
@@ -372,7 +468,7 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     y0 = loop.initial_state()
     try:
         result = rk45.solve(loop.rhs, (0.0, cfg.t_end), y0, **dataclasses.asdict(cfg.integrator),
-                            sample_step=SAMPLE_STEP, guards=(SimulationError,))
+                            sample_step=SAMPLE_STEP, guards=(SimulationError,), stage_parts=True)
     except IntegrationError as exc:
         # near a funnel wall the gains blow up and the step size underflows
         # before any evaluation crosses; report that as the violation it is
@@ -474,8 +570,13 @@ def run_sweep(cfg: ScenarioConfig, dotted_field: str, start: float, stop: float,
             for v in np.linspace(start, stop, n)]
     if parallel and n > 1:
         # imported here, so that a single run does not load multiprocessing;
-        # under fork the pool starts all its workers at the first submit
+        # under fork the pool starts all its workers at the first submit, so
+        # it has no more than the points or the CPUs this process may run on
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) as pool:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:  # macOS and Windows: every CPU of the machine
+            cpus = os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
             return list(pool.map(_sweep_worker, jobs))
     return [_sweep_worker(job) for job in jobs]

@@ -1,6 +1,7 @@
 """Shared fixtures: the case-study runs and the checks are expensive, so run them once."""
 import time
 
+import numpy as np
 import pytest
 
 from funneltrack import checks
@@ -19,6 +20,16 @@ class CaseStudyRun:
 def margins_of(run):
     """phi_i |e_i| of each sample of a case-study run, shape (n, 3)."""
     return cascade_margins(run.cfg.funnels, run.traj.t, [run.traj[c] for c in ("e0", "e1", "e2")])
+
+
+def formed(y):
+    """A copy of the state array ``y``, or the array that the stage parts
+    ``(increment, h, base)`` of ``rk45.solve(..., stage_parts=True)`` stand
+    for, formed as the default path forms it: ``*= h``, then ``+= base``."""
+    if type(y) is tuple:
+        increment, h, base = y
+        return increment * h + np.array(base)
+    return y.copy()
 
 
 @pytest.fixture(scope="session")

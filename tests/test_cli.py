@@ -154,7 +154,7 @@ def test_nan_error_is_a_funnel_violation(tmp_path, capsys, mode):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("funnel violation at t = 0.000000: ") and err.count("\n") == 1
-    assert "at level 2: phi*|e| = nan" in err
+    assert "at level 2: phi*|e| = nan, not < 1" in err
     assert not out.exists()
 
 

@@ -48,7 +48,7 @@ class TestGain:
         # far outside, where (phi e)**2 would overflow, the test comes first
         with pytest.raises(FunnelViolation) as far:
             gain(1e200, 1.0, level=1)
-        assert str(far.value) == "funnel boundary reached at level 1: phi*|e| = 1.000000e+200 >= 1"
+        assert str(far.value) == "funnel boundary reached at level 1: phi*|e| = 1.000000e+200, not < 1"
 
     def test_nan_is_outside(self):
         # a NaN fails phi |e| < 1, as a NaN angle fails cos(beta) > 2/3

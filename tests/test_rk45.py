@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import formed
 from funneltrack import rk45
 from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
-from funneltrack.sim import SAMPLE_STEP, ClosedLoop, IntegratorConfig, case_study_config
+from funneltrack.sim import (SAMPLE_STEP, SOLVER_STATS, ClosedLoop, IntegratorConfig,
+                             case_study_config)
 
 
 def test_exact_on_smooth_scalar():
@@ -365,11 +367,16 @@ def reference_solve(f, t_span, y0, *, rel_tol, abs_tol, max_step=math.inf,
 
 
 def logged(f, calls):
-    """``f`` that appends the (t, y) of each call to ``calls``."""
+    """``f`` that appends the (t, y) of each call to ``calls``, y as an array."""
     def g(t, y):
-        calls.append((float(t), y.copy()))
+        calls.append((float(t), formed(y)))
         return f(t, y)
     return g
+
+
+def forming(f):
+    """``f``, which takes arrays, given the array of any stage parts."""
+    return lambda t, y: f(t, formed(y))
 
 
 def same_calls(a, b):
@@ -393,30 +400,34 @@ def case_study(mode, t_end, **disturbance):
         guards=(FunnelViolation, DomainError))
 
 
+# the problems that solve and reference_solve, or solve's two stage forms, step alike
+BITWISE_PROBLEMS = [
+    pytest.param(lambda: case_study("hg", 0.5), False, id="case-hg"),
+    # 3001 samples at about 6.6 per step: eleven full dense-output batches
+    # and a partial one at the end
+    pytest.param(lambda: case_study("lin", 3.0), False, id="case-lin"),
+    pytest.param(lambda: (van_der_pol(8.0), (0.0, 20.0), np.array([2.0, 0.0]),
+                          dict(rel_tol=1e-6, abs_tol=1e-9, sample_step=0.01)),
+                 True, id="van-der-pol-rejections"),
+    # f may return any sequence of floats: here a list of Python floats
+    pytest.param(lambda: (van_der_pol_list(8.0), (0.0, 20.0), np.array([2.0, 0.0]),
+                          dict(rel_tol=1e-6, abs_tol=1e-9, sample_step=0.01)),
+                 True, id="list-returning-f"),
+    pytest.param(lambda: (lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
+                          np.array([1.0, 0.0]), dict(rel_tol=1e-12, abs_tol=1e-14)),
+                 False, id="no-sample-step"),
+    *(pytest.param(lambda t_span=t_span, step=step: (
+        lambda t, y: np.array([y[1], -y[0]]), t_span, np.array([1.0, 0.0]),
+        dict(rel_tol=1e-9, abs_tol=1e-12, sample_step=step)),
+        False, id=f"span-{t_span[1]}-sample_step-{step}")
+      for t_span in SHORT_SPANS for step in (None, 1e-3)),
+]
+
+
 class TestBitwiseReference:
     """``rk45.solve`` does the reference's float operations in the same order."""
 
-    @pytest.mark.parametrize("problem, rejects", [
-        pytest.param(lambda: case_study("hg", 0.5), False, id="case-hg"),
-        # 3001 samples at about 6.6 per step: eleven full dense-output batches
-        # and a partial one at the end
-        pytest.param(lambda: case_study("lin", 3.0), False, id="case-lin"),
-        pytest.param(lambda: (van_der_pol(8.0), (0.0, 20.0), np.array([2.0, 0.0]),
-                              dict(rel_tol=1e-6, abs_tol=1e-9, sample_step=0.01)),
-                     True, id="van-der-pol-rejections"),
-        # f may return any sequence of floats: here a list of Python floats
-        pytest.param(lambda: (van_der_pol_list(8.0), (0.0, 20.0), np.array([2.0, 0.0]),
-                              dict(rel_tol=1e-6, abs_tol=1e-9, sample_step=0.01)),
-                     True, id="list-returning-f"),
-        pytest.param(lambda: (lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
-                              np.array([1.0, 0.0]), dict(rel_tol=1e-12, abs_tol=1e-14)),
-                     False, id="no-sample-step"),
-        *(pytest.param(lambda t_span=t_span, step=step: (
-            lambda t, y: np.array([y[1], -y[0]]), t_span, np.array([1.0, 0.0]),
-            dict(rel_tol=1e-9, abs_tol=1e-12, sample_step=step)),
-            False, id=f"span-{t_span[1]}-sample_step-{step}")
-          for t_span in SHORT_SPANS for step in (None, 1e-3)),
-    ])
+    @pytest.mark.parametrize("problem, rejects", BITWISE_PROBLEMS)
     def test_same_samples_statistics_and_evaluations(self, problem, rejects):
         f, t_span, y0, kwargs = problem()
         new_calls, ref_calls = [], []
@@ -467,6 +478,65 @@ class TestBitwiseReference:
         assert type_new is type_ref and t_new == t_ref and 1.0 < t_new < 1.1
         assert state_new.shape == (7,) and np.array_equal(state_new, state_ref)
         assert same_calls(new_calls, ref_calls)
+
+
+def stage_forms(f):
+    """(f, stage_parts) pairs that must step alike: the default path, then
+    stage parts formed into arrays for f and, where f is ``ClosedLoop.rhs``,
+    handed to f as they are."""
+    forms = [(f, False), (forming(f), True)]
+    if isinstance(getattr(f, "__self__", None), ClosedLoop):
+        forms.append((f, True))
+    return forms
+
+
+class TestStageParts:
+    """``solve(..., stage_parts=True)`` takes the default path's steps, bit for bit."""
+
+    @pytest.mark.parametrize("problem, rejects", BITWISE_PROBLEMS)
+    def test_same_samples_statistics_and_evaluations(self, problem, rejects):
+        f, t_span, y0, kwargs = problem()
+        runs = []
+        for g, stage_parts in stage_forms(f):
+            calls = []
+            res = rk45.solve(logged(g, calls), t_span, y0, stage_parts=stage_parts, **kwargs)
+            runs.append((res, calls))
+        (plain, plain_calls), *others = runs
+        for res, calls in others:
+            assert res.t.tobytes() == plain.t.tobytes() and res.y.tobytes() == plain.y.tobytes()
+            assert all(getattr(res, k) == getattr(plain, k) for k in SOLVER_STATS)
+            assert same_calls(calls, plain_calls)
+
+    def test_same_guard_bisection(self):
+        kwargs = dict(rel_tol=1e-9, abs_tol=1e-12, min_step=1e-12, guards=(FunnelViolation,))
+        stops = []
+        for g, stage_parts in stage_forms(crossing_wall):
+            calls = []
+            with pytest.raises(FunnelViolation) as exc:
+                rk45.solve(logged(g, calls), (0.0, 2.0), np.array([0.0]),
+                           stage_parts=stage_parts, **kwargs)
+            stops.append((exc.value.t, calls))
+        (t_plain, plain_calls), (t_parts, parts_calls) = stops
+        assert t_parts == t_plain and plain_calls and same_calls(parts_calls, plain_calls)
+
+    @pytest.mark.parametrize("tols, raised", [
+        pytest.param({}, IntegrationError, id="step-underflow"),
+        pytest.param({"rel_tol": 1e-4, "abs_tol": 1e-7}, FunnelViolation, id="guard-bisection"),
+    ])
+    def test_same_stop_on_a_violating_case_study(self, tols, raised):
+        f, t_span, y0, kwargs = case_study("hg", 3.0, amp1=3.0)
+        kwargs.update(tols)
+        stops = []
+        for g, stage_parts in stage_forms(f):
+            calls = []
+            with pytest.raises(raised) as exc:
+                rk45.solve(logged(g, calls), t_span, y0, stage_parts=stage_parts, **kwargs)
+            stops.append((exc.value, calls))
+        (plain, plain_calls), *others = stops
+        for stop, calls in others:
+            assert type(stop) is type(plain) and str(stop) == str(plain)
+            assert stop.t == plain.t and stop.state.tobytes() == plain.state.tobytes()
+            assert same_calls(calls, plain_calls)
 
 
 # dense output of steps collected as solve collects them: one stage array,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import margins_of
+from conftest import formed, margins_of
 from funneltrack import reference, sim
 from funneltrack.bif import phi_inverse
 from funneltrack.errors import (ConfigError, DomainError, FunnelViolation, IntegrationError,
@@ -257,6 +257,16 @@ def outcome(fn, *args):
         return exc
 
 
+def outcome_bits(got):
+    """An outcome of ``rhs`` as comparable data: each float's ``float.hex``,
+    or the exception's type, message, level, time and state bytes."""
+    if isinstance(got, Exception):
+        state = getattr(got, "state", None)
+        return (type(got), str(got), getattr(got, "level", None), getattr(got, "t", None),
+                None if state is None else state.tobytes())
+    return [v.hex() for v in got]
+
+
 def assert_same_outcome(loop, t, state):
     """``loop.rhs`` at (t, state), and the layer path it falls back on, give
     the bits of ``composed`` as a list of Python floats, or raise as it does:
@@ -403,7 +413,7 @@ class TestKernelMatchesLayers:
         rhs = ClosedLoop.rhs
 
         def recorded(self, t, state):
-            calls.append((t, state.copy()))
+            calls.append((t, formed(state)))
             return rhs(self, t, state)
 
         monkeypatch.setattr(ClosedLoop, "rhs", recorded)
@@ -414,6 +424,74 @@ class TestKernelMatchesLayers:
         loop = ClosedLoop(cfg)
         for t, state in calls:
             assert_same_outcome(loop, t, state)
+
+    # stage parts (increment, h, base) as rk45.solve(..., stage_parts=True)
+    # hands them over, with base entries of either zero, subnormals and NaN
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kernel_cases(), st.data())
+    def test_stage_parts_give_the_bits_of_the_formed_state(self, case, data):
+        loops, points = case
+        special = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, math.nan))
+        for loop in loops:
+            for placed, beta in points:
+                t, state = placed[0], placed_state(loop, *placed)
+                if beta is not None:
+                    state[1] = beta
+                h = data.draw(bounded(1e-8, 0.05))
+                base = np.array([data.draw(special | st.just(v)) for v in state.tolist()])
+                increment = np.array([data.draw(st.sampled_from((0.0, -0.0)) | st.just(v))
+                                      for v in ((state - base) / h).tolist()])
+                got = outcome(loop.rhs, t, (increment, h, base.tolist()))
+                want = outcome(ClosedLoop(loop.cfg).rhs, t, increment * h + base)
+                assert outcome_bits(got) == outcome_bits(want)
+
+    # the kernel keeps the terms of the last t it saw: a call reuses them at
+    # that t only, with any state and either form of it
+    @pytest.mark.parametrize("mode", ["lin", "hg"])
+    def test_terms_of_t_hold_for_that_t_alone(self, mode):
+        loop = ClosedLoop(case_study_config(mode))
+        t1, t2 = 1.0, 1.0 + 2.0 ** -40
+        s1 = placed_state(loop, t1, 0.2, 0.1, 0.3, [0.5, -0.4, 0.3], 0.0)
+        s2 = placed_state(loop, t2, -0.1, 0.05, -0.2, [-0.3, 0.2, 0.6], 0.01)
+        h = 1e-3
+        parts = ((s2 - s1) / h, h, s1.tolist())
+        calls = [(t1, s1), (t2, s2), (t1, s2), (t2, s1), (t1, s1),  # alternating
+                 (t1, s2), (t1, s1),  # t repeated, the state new
+                 (t2, parts), (t2, s1), (t1, parts), (t1, s2)]  # stage parts between
+        for t, state in calls:
+            got = outcome(loop.rhs, t, state)
+            assert not isinstance(got, Exception)
+            assert outcome_bits(got) == outcome_bits(outcome(ClosedLoop(loop.cfg).rhs, t, state))
+
+    def test_terms_of_either_zero_time_are_its_own(self):
+        # -0.0 == 0.0, but past tf, with amp2 = -0.0, the disturbance is a
+        # zero of t's sign, and alpha'' carries it where u = -0.0
+        cfg = ScenarioConfig(ref=TransitionRef(0.0, -0.0, -1.0, -0.5), mode="hg",
+                             disturbance=DisturbanceSpec(1.0, 1.0, -0.0, 0.0))
+        state = np.array([0.0, -0.0, 0.0, 0.0, 0.0, -0.0, -0.0])
+        loop = ClosedLoop(cfg)
+        got = [outcome_bits(loop.rhs(t, state)) for t in (0.0, -0.0, 0.0)]
+        assert got == [outcome_bits(ClosedLoop(cfg).rhs(t, state)) for t in (0.0, -0.0, 0.0)]
+        assert got[0] != got[1]
+
+
+class TestReferenceCache:
+    def test_loops_of_one_config_share_one_reference(self):
+        a, b = ClosedLoop(case_study_config("hg")), ClosedLoop(case_study_config("lin"))
+        assert a.new_ref is b.new_ref and a.lin is b.lin
+
+    def test_equal_configs_of_other_bits_get_their_own_bytes(self, monkeypatch):
+        # equal, and equal in hash, but y_ref and y_bar_ref differ in the sign
+        # of zero from tf on
+        pos = ScenarioConfig(ref=TransitionRef(0.0, 0.0, 0.0, 0.5), t_end=1.0)
+        neg = dataclasses.replace(pos, ref=TransitionRef(0.0, -0.0, 0.0, 0.5))
+        assert pos == neg and hash(pos) == hash(neg)
+        cached = [integrate(cfg).data.tobytes() for cfg in (pos, neg, pos)]
+        built = []
+        for cfg in (pos, neg, pos):
+            monkeypatch.setattr(sim, "_reference", (None, None, None))
+            built.append(integrate(cfg).data.tobytes())
+        assert cached == built and built[0] != built[1]
 
 
 class TestCaseStudyRuns:
@@ -685,15 +763,22 @@ class TestSweep:
         assert all(r["solver"]["naccept"] > 0 for r in rows)
 
     def test_parallel_matches_serial(self):
+        # more points than workers: a worker reuses its reference
         cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=0.5)
-        serial = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 2, parallel=False)
-        parallel = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 2, parallel=True)
+        serial = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 4, parallel=False)
+        parallel = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 4, parallel=True)
         assert json.dumps(serial) == json.dumps(parallel)
 
-    @pytest.mark.parametrize("cpus, workers", [(64, 2), (None, 1)])
-    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch, cpus, workers):
+    # the CPUs this process may run on (None: a platform without
+    # sched_getaffinity), and the machine's count
+    @pytest.mark.parametrize("mask, cpus, workers", [
+        pytest.param(None, 64, 2, id="64-2"), pytest.param(None, None, 1, id="None-1"),
+        pytest.param(set(range(64)), 64, 2, id="mask-64-64-2"),
+        pytest.param({3}, 64, 1, id="mask-1-64-1")])
+    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch, mask, cpus, workers):
         # under fork the pool starts every worker it may have at the first
-        # submit, so a cap above the point count forks idle processes; the
+        # submit, so a cap above the point count, or above the CPUs a
+        # taskset or cpuset leaves the process, forks idle processes; the
         # recorder never starts more workers than the sweep has points
         requested = []
 
@@ -704,6 +789,10 @@ class TestSweep:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if mask is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
         cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=0.1)
         rows = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 2)
         assert requested == [workers]
