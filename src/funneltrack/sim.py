@@ -280,16 +280,16 @@ class ClosedLoop:
         ``observer_rhs`` -- on the same operands in the same order, and so
         returns its bits without reference calls.  A stage's parts are formed
         as ``q * h + b`` per entry, which rounds as numpy's ``*= h`` and
-        ``+= base`` do.  The terms of t alone (the reference, the funnels'
-        phi and the disturbance) are computed once per float t and reused
-        while the calls keep that t, as a step's last two stages do; t = 0
-        is never reused, since -0.0 == 0.0.  Before ``t_lo``, where tau =
-        (t - t0) / (tf - t0) is 0 before tf (at t0 or just past it, where
-        y_ref holds y0), and at the layers' guards (``not cos(beta) > 2/3``,
-        ``not phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included), it
-        returns None, and ``rhs`` calls ``_rhs_layers``, which raises the
-        stamped controller error at a guard.  The kernel holds no reference
-        to the loop, so a loop is freed as soon as it is dropped.
+        ``+= base`` do.  ``terms_at`` keeps the terms of t alone (the
+        reference, the funnels' phi and the disturbance) of the last t for
+        the calls that keep it, as a step's last two stages do; t = 0 is
+        never reused, since -0.0 == 0.0.  Before ``t_lo``, where tau = (t -
+        t0) / (tf - t0) is 0 before tf (at t0 or just past it, where y_ref
+        holds y0), and at the layers' guards (``not cos(beta) > 2/3``, ``not
+        phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included), it returns
+        None, and ``rhs`` calls ``_rhs_layers``, which raises the stamped
+        controller error at a guard.  The kernel holds no reference to the
+        loop, so a loop is freed as soon as it is dropped.
         """
         cfg, ref = self.cfg, self.cfg.ref
         (a0, b0, eps0), (a1, b1, eps1), (a2, b2, eps2) = [(f.a, f.b, f.eps) for f in cfg.funnels]
@@ -313,7 +313,10 @@ class ClosedLoop:
         def terms_at(t):
             """(t, r0, r1, r2, phi0, phi0_dot, phi1, phi2, d(t)): the bounded
             reference's ladder, the funnels and the disturbance at t, or None
-            where the layers take over."""
+            where the layers take over; the last tuple again at its own t."""
+            nonlocal memo
+            if t == memo[0] and t:
+                return memo
             if not t >= t_lo:
                 return None
             if t < tf:  # the bounded reference's spline, and y_ref rising through the ladder
@@ -336,15 +339,15 @@ class ClosedLoop:
                 r0, r1, r2 = final, 0.0, 0.0
             decay = a0 * exp(nb0 * t)
             phi0 = 1.0 / (decay + eps0)
-            return (t, r0, r1, r2, phi0, b0 * decay * phi0 * phi0,
+            memo = (t, r0, r1, r2, phi0, b0 * decay * phi0 * phi0,
                     1.0 / (a1 * exp(nb1 * t) + eps1), 1.0 / (a2 * exp(nb2 * t) + eps2),
                     amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t))
+            return memo
 
         # the two kernels differ only in the state they take and in where
         # y_new's derivatives come from: a shared body would branch on the
         # mode or cost a call
         def hg(t, state):
-            nonlocal memo
             if type(state) is tuple:
                 increment, h, (b1, b2, b3, b4, b5, b6, b7) = state
                 q1, q2, q3, q4, q5, q6, q7 = increment.tolist()
@@ -355,12 +358,9 @@ class ClosedLoop:
             cb = cos(x2)
             if not cb > DOMAIN_COS_LIMIT:
                 return None
-            terms = memo
-            if t != terms[0] or not t:
-                terms = terms_at(t)
-                if terms is None:
-                    return None
-                memo = terms
+            terms = terms_at(t)
+            if terms is None:
+                return None
             _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
             # y_new = psi(x), its derivatives the observer's estimates
             y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * (x1 + 0.5 * x2)
@@ -392,7 +392,6 @@ class ClosedLoop:
                     g1 * err + y1, g2 * err + y2, g3 * err]
 
         def lin(t, state):
-            nonlocal memo
             if type(state) is tuple:
                 increment, h, (b1, b2, b3, b4) = state
                 q1, q2, q3, q4 = increment.tolist()
@@ -402,12 +401,9 @@ class ClosedLoop:
             cb = cos(x2)
             if not cb > DOMAIN_COS_LIMIT:
                 return None
-            terms = memo
-            if t != terms[0] or not t:
-                terms = terms_at(t)
-                if terms is None:
-                    return None
-                memo = terms
+            terms = terms_at(t)
+            if terms is None:
+                return None
             _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
             # y_new = psi(x) and its derivatives from the ladder
             y = x1 + 0.5 * x2

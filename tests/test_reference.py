@@ -233,6 +233,16 @@ class TestBoundedReference:
             want = quad_value(LIN, ref, t, epsabs=1e-14)
             assert b.value(t) == pytest.approx(want, abs=1e-12 * scale), (ref, t)
 
+    def test_one_ulp_before_tf_is_on_the_last_interval(self):
+        # there the interval index (t - t_lo) / h rounds up to the interval
+        # count, past the last interval, and value clamps it back
+        ref = TransitionRef(0.0, 0.5, 1.291323856929842, 2.8254626662376747)
+        b = BoundedReference(LIN, ref)
+        t = math.nextafter(ref.tf, -math.inf)
+        assert int((t - b.t_lo) / b._h) == len(b._knots) - 1
+        want = quad_value(LIN, ref, t, epsabs=1e-14)
+        assert b.value(t) == pytest.approx(want, abs=1e-12 * LIN.p2 * 0.5)
+
     def test_early_start_before_window(self):
         ref = TransitionRef(y0=0.3, yf=0.7, t0=1.0, tf=2.0)
         b = BoundedReference(LIN, ref)

@@ -13,8 +13,7 @@ from scipy.integrate import solve_ivp
 from conftest import formed
 from funneltrack import rk45
 from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
-from funneltrack.sim import (SAMPLE_STEP, SOLVER_STATS, ClosedLoop, IntegratorConfig,
-                             case_study_config)
+from funneltrack.sim import SAMPLE_STEP, ClosedLoop, IntegratorConfig, case_study_config
 
 
 def test_exact_on_smooth_scalar():
@@ -374,14 +373,15 @@ def logged(f, calls):
     return g
 
 
-def forming(f):
-    """``f``, which takes arrays, given the array of any stage parts."""
-    return lambda t, y: f(t, formed(y))
+def same_bits(a, b):
+    """Two arrays of one shape hold the same bytes, -0.0 apart from 0.0; a
+    call, so that a failing assert prints no diff of the bytes."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def same_calls(a, b):
     """Two logs of ``logged`` hold the same evaluations, bit for bit."""
-    return len(a) == len(b) and all(ta == tb and np.array_equal(ya, yb)
+    return len(a) == len(b) and all(ta == tb and same_bits(ya, yb)
                                     for (ta, ya), (tb, yb) in zip(a, b))
 
 
@@ -400,7 +400,7 @@ def case_study(mode, t_end, **disturbance):
         guards=(FunnelViolation, DomainError))
 
 
-# the problems that solve and reference_solve, or solve's two stage forms, step alike
+# the problems that reference_solve and each of solve's stage forms step alike
 BITWISE_PROBLEMS = [
     pytest.param(lambda: case_study("hg", 0.5), False, id="case-hg"),
     # 3001 samples at about 6.6 per step: eleven full dense-output batches
@@ -424,19 +424,41 @@ BITWISE_PROBLEMS = [
 ]
 
 
+def stage_forms(f):
+    """(f, stage_parts) pairs that must step alike: the default path, then
+    stage parts formed into arrays for f and, where f is ``ClosedLoop.rhs``,
+    handed to f as they are."""
+    forms = [(f, False), (lambda t, y: f(t, formed(y)), True)]
+    if isinstance(getattr(f, "__self__", None), ClosedLoop):
+        forms.append((f, True))
+    return forms
+
+
+def stopped(solver, f, raised, *args, **kwargs):
+    """The ``raised`` exception that ``solver`` stops with on ``f``, and the
+    calls it made, as ``logged`` logs them."""
+    calls = []
+    with pytest.raises(raised) as exc:
+        solver(logged(f, calls), *args, **kwargs)
+    return exc.value, calls
+
+
 class TestBitwiseReference:
-    """``rk45.solve`` does the reference's float operations in the same order."""
+    """``rk45.solve`` does the reference's float operations in the same
+    order, in each of its stage forms."""
 
     @pytest.mark.parametrize("problem, rejects", BITWISE_PROBLEMS)
     def test_same_samples_statistics_and_evaluations(self, problem, rejects):
         f, t_span, y0, kwargs = problem()
-        new_calls, ref_calls = [], []
-        res = rk45.solve(logged(f, new_calls), t_span, y0, **kwargs)
+        ref_calls = []
         ts, ys, stats = reference_solve(logged(f, ref_calls), t_span, y0, **kwargs)
-        assert np.array_equal(res.t, ts) and np.array_equal(res.y, ys)
-        assert {k: getattr(res, k) for k in stats} == stats
-        assert len(new_calls) == res.nfev and same_calls(new_calls, ref_calls)
-        assert (res.nreject > 0) == rejects
+        for g, stage_parts in stage_forms(f):
+            calls = []
+            res = rk45.solve(logged(g, calls), t_span, y0, stage_parts=stage_parts, **kwargs)
+            assert same_bits(res.t, ts) and same_bits(res.y, ys)
+            assert {k: getattr(res, k) for k in stats} == stats
+            assert len(calls) == res.nfev and same_calls(calls, ref_calls)
+            assert (res.nreject > 0) == rejects
 
     def test_sampled_states_are_one_float64_array(self):
         f, t_span, y0, kwargs = case_study("lin", 0.3)
@@ -445,22 +467,22 @@ class TestBitwiseReference:
         assert res.y.shape == (301, y0.size) and res.y.flags.c_contiguous
 
     def test_same_guard_bisection(self):
+        args = ((0.0, 2.0), np.array([0.0]))
         kwargs = dict(rel_tol=1e-9, abs_tol=1e-12, min_step=1e-12, guards=(FunnelViolation,))
-        raised = []
-        for solver in (rk45.solve, reference_solve):
-            calls = []
-            with pytest.raises(FunnelViolation) as exc:
-                solver(logged(crossing_wall, calls), (0.0, 2.0), np.array([0.0]), **kwargs)
-            raised.append((exc.value.t, exc.value.state, calls))
-        (t_new, state_new, new_calls), (t_ref, state_ref, ref_calls) = raised
-        # the solver passes the guard's exception on as raised: no state added
-        assert t_new == t_ref and state_new is None and state_ref is None
-        assert new_calls and same_calls(new_calls, ref_calls)
+        ref, ref_calls = stopped(reference_solve, crossing_wall, FunnelViolation, *args, **kwargs)
+        assert ref_calls and ref.state is None
+        for g, stage_parts in stage_forms(crossing_wall):
+            stop, calls = stopped(rk45.solve, g, FunnelViolation, *args,
+                                  stage_parts=stage_parts, **kwargs)
+            # the solver passes the guard's exception on as raised: no state added
+            assert stop.t == ref.t and stop.state is None and same_calls(calls, ref_calls)
 
     # the hg case study with amp1 = 3.0 leaves its funnels at t = 1.0585, with
     # a dense-output batch pending: at its own tolerances the step size
     # underflows before any evaluation crosses a wall, and at rel_tol 1e-4 an
-    # evaluation crosses and the guard bisects the step down to min_step
+    # evaluation crosses and the guard bisects the step down to min_step; the
+    # reference words the underflow without numbers, so the forms' messages
+    # are compared with each other
     @pytest.mark.parametrize("tols, raised", [
         pytest.param({}, IntegrationError, id="step-underflow"),
         pytest.param({"rel_tol": 1e-4, "abs_tol": 1e-7}, FunnelViolation, id="guard-bisection"),
@@ -468,75 +490,16 @@ class TestBitwiseReference:
     def test_same_stop_on_a_violating_case_study(self, tols, raised):
         f, t_span, y0, kwargs = case_study("hg", 3.0, amp1=3.0)
         kwargs.update(tols)
-        stops = []
-        for solver in (rk45.solve, reference_solve):
-            calls = []
-            with pytest.raises(raised) as exc:
-                solver(logged(f, calls), t_span, y0, **kwargs)
-            stops.append((type(exc.value), exc.value.t, exc.value.state, calls))
-        (type_new, t_new, state_new, new_calls), (type_ref, t_ref, state_ref, ref_calls) = stops
-        assert type_new is type_ref and t_new == t_ref and 1.0 < t_new < 1.1
-        assert state_new.shape == (7,) and np.array_equal(state_new, state_ref)
-        assert same_calls(new_calls, ref_calls)
-
-
-def stage_forms(f):
-    """(f, stage_parts) pairs that must step alike: the default path, then
-    stage parts formed into arrays for f and, where f is ``ClosedLoop.rhs``,
-    handed to f as they are."""
-    forms = [(f, False), (forming(f), True)]
-    if isinstance(getattr(f, "__self__", None), ClosedLoop):
-        forms.append((f, True))
-    return forms
-
-
-class TestStageParts:
-    """``solve(..., stage_parts=True)`` takes the default path's steps, bit for bit."""
-
-    @pytest.mark.parametrize("problem, rejects", BITWISE_PROBLEMS)
-    def test_same_samples_statistics_and_evaluations(self, problem, rejects):
-        f, t_span, y0, kwargs = problem()
-        runs = []
+        ref, ref_calls = stopped(reference_solve, f, raised, t_span, y0, **kwargs)
+        assert 1.0 < ref.t < 1.1 and ref.state.shape == (7,)
+        messages = set()
         for g, stage_parts in stage_forms(f):
-            calls = []
-            res = rk45.solve(logged(g, calls), t_span, y0, stage_parts=stage_parts, **kwargs)
-            runs.append((res, calls))
-        (plain, plain_calls), *others = runs
-        for res, calls in others:
-            assert res.t.tobytes() == plain.t.tobytes() and res.y.tobytes() == plain.y.tobytes()
-            assert all(getattr(res, k) == getattr(plain, k) for k in SOLVER_STATS)
-            assert same_calls(calls, plain_calls)
-
-    def test_same_guard_bisection(self):
-        kwargs = dict(rel_tol=1e-9, abs_tol=1e-12, min_step=1e-12, guards=(FunnelViolation,))
-        stops = []
-        for g, stage_parts in stage_forms(crossing_wall):
-            calls = []
-            with pytest.raises(FunnelViolation) as exc:
-                rk45.solve(logged(g, calls), (0.0, 2.0), np.array([0.0]),
-                           stage_parts=stage_parts, **kwargs)
-            stops.append((exc.value.t, calls))
-        (t_plain, plain_calls), (t_parts, parts_calls) = stops
-        assert t_parts == t_plain and plain_calls and same_calls(parts_calls, plain_calls)
-
-    @pytest.mark.parametrize("tols, raised", [
-        pytest.param({}, IntegrationError, id="step-underflow"),
-        pytest.param({"rel_tol": 1e-4, "abs_tol": 1e-7}, FunnelViolation, id="guard-bisection"),
-    ])
-    def test_same_stop_on_a_violating_case_study(self, tols, raised):
-        f, t_span, y0, kwargs = case_study("hg", 3.0, amp1=3.0)
-        kwargs.update(tols)
-        stops = []
-        for g, stage_parts in stage_forms(f):
-            calls = []
-            with pytest.raises(raised) as exc:
-                rk45.solve(logged(g, calls), t_span, y0, stage_parts=stage_parts, **kwargs)
-            stops.append((exc.value, calls))
-        (plain, plain_calls), *others = stops
-        for stop, calls in others:
-            assert type(stop) is type(plain) and str(stop) == str(plain)
-            assert stop.t == plain.t and stop.state.tobytes() == plain.state.tobytes()
-            assert same_calls(calls, plain_calls)
+            stop, calls = stopped(rk45.solve, g, raised, t_span, y0,
+                                  stage_parts=stage_parts, **kwargs)
+            assert type(stop) is type(ref) and stop.t == ref.t
+            assert same_bits(stop.state, ref.state) and same_calls(calls, ref_calls)
+            messages.add(str(stop))
+        assert len(messages) == 1
 
 
 # dense output of steps collected as solve collects them: one stage array,

@@ -268,12 +268,15 @@ def outcome_bits(got):
 
 
 def assert_same_outcome(loop, t, state):
-    """``loop.rhs`` at (t, state), and the layer path it falls back on, give
-    the bits of ``composed`` as a list of Python floats, or raise as it does:
-    the same type, message, level, time and state."""
-    want = outcome(lambda: composed(loop, t, state)[0])
-    for rhs in (loop.rhs, loop._rhs_layers):
-        got = outcome(rhs, t, state)
+    """``loop.rhs`` at (t, state), the state an array or stage parts
+    ``(increment, h, base)``, and ``rhs`` and the layer path it falls back on
+    at the array that the state forms, give the bits of ``composed`` at that
+    array as a list of Python floats, or raise as it does: the same type,
+    message, level, time and state."""
+    array = formed(state)
+    want = outcome(lambda: composed(loop, t, array)[0])
+    for rhs, arg in ((loop.rhs, state), (loop.rhs, array), (loop._rhs_layers, array)):
+        got = outcome(rhs, t, arg)
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
             if isinstance(want, SimulationError):
@@ -325,9 +328,9 @@ def kernel_cases(draw):
     evaluate both at.
 
     The reference window starts before 0, at 0 or after it, or is a step
-    (tf == t0); t lies at t0, before it, in the window, at tf or after it;
-    and the states sit inside the funnels, near a wall or past one, or
-    outside cos(beta) > 2/3, or have a NaN angle."""
+    (tf == t0); t lies at t0, before it, in the window, one ulp before tf,
+    at tf or after it; and the states sit inside the funnels, near a wall or
+    past one, or outside cos(beta) > 2/3, or have a NaN angle."""
     t0 = draw(st.sampled_from((-0.3, 0.0, 0.4)) | bounded(-1.0, 1.0))
     tf = t0 + draw(st.sampled_from((0.0, 0.5, 1.0)) | bounded(0.05, 1.0))
     cfg = ScenarioConfig(
@@ -343,7 +346,9 @@ def kernel_cases(draw):
     loops = [ClosedLoop(dataclasses.replace(cfg, mode=mode)) for mode in ("lin", "hg")]
     t_lo, t_hi = max(0.0, t0), max(0.0, tf)
     window = bounded(t_lo, max(t_lo, t_hi))
-    times = st.sampled_from((t_lo, t_hi)) | bounded(0.0, t_lo) | bounded(t_hi, t_hi + 2.0) | window
+    below_tf = max(t_lo, math.nextafter(t_hi, -math.inf))  # on the spline's last interval
+    times = (st.sampled_from((t_lo, below_tf, t_hi)) | bounded(0.0, t_lo)
+             | bounded(t_hi, t_hi + 2.0) | window)
     points = []
     for _ in range(draw(st.integers(1, 10))):
         t = draw(window | times)
@@ -358,16 +363,37 @@ def kernel_cases(draw):
 
 
 class TestKernelMatchesLayers:
+    # each state handed over as stage parts (increment, h, base), as
+    # rk45.solve(..., stage_parts=True) hands them over, with base entries of
+    # either zero, subnormals and NaN
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(kernel_cases())
-    def test_rhs_equals_the_layer_composition(self, case):
+    @given(kernel_cases(), st.data())
+    def test_rhs_equals_the_layer_composition(self, case, data):
         loops, points = case
+        special = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, math.nan))
         for loop in loops:
             for placed, beta in points:
                 t, state = placed[0], placed_state(loop, *placed)
                 if beta is not None:
                     state[1] = beta
-                assert_same_outcome(loop, t, state)
+                h = data.draw(bounded(1e-8, 0.05))
+                base = np.array([data.draw(special | st.just(v)) for v in state.tolist()])
+                increment = np.array([data.draw(st.sampled_from((0.0, -0.0)) | st.just(v))
+                                      for v in ((state - base) / h).tolist()])
+                assert_same_outcome(loop, t, (increment, h, base.tolist()))
+
+    # one ulp before tf the spline's interval index rounds up to the interval
+    # count, and the kernel clamps it back to the last interval; funnels this
+    # wide hold any other interval's value too, so the kernel answers itself
+    @pytest.mark.parametrize("mode", ["lin", "hg"])
+    def test_one_ulp_before_tf_is_on_the_last_interval(self, mode):
+        cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.5, 1.291323856929842, 2.8254626662376747),
+                             funnels=(FunnelSpec(0.0, 1.0, 100.0),) * 3, mode=mode)
+        loop, t = ClosedLoop(cfg), math.nextafter(cfg.ref.tf, -math.inf)
+        assert int((t - loop.new_ref.t_lo) / loop.new_ref._h) == len(loop.new_ref._knots) - 1
+        state = placed_state(loop, t, 0.2, 0.1, 0.3, [0.5, 0.5, 0.5], 0.0)
+        assert loop._kernel(t, state) is not None
+        assert_same_outcome(loop, t, state)
 
     # the state entry stepped: alpha for funnel 0; in lin the velocities, in hg
     # the observer's estimates for funnels 1 and 2
@@ -413,7 +439,11 @@ class TestKernelMatchesLayers:
         rhs = ClosedLoop.rhs
 
         def recorded(self, t, state):
-            calls.append((t, formed(state)))
+            if type(state) is tuple:  # stage parts, kept as handed over
+                increment, h, base = state
+                calls.append((t, (increment.copy(), h, list(base))))
+            else:
+                calls.append((t, state.copy()))
             return rhs(self, t, state)
 
         monkeypatch.setattr(ClosedLoop, "rhs", recorded)
@@ -424,26 +454,6 @@ class TestKernelMatchesLayers:
         loop = ClosedLoop(cfg)
         for t, state in calls:
             assert_same_outcome(loop, t, state)
-
-    # stage parts (increment, h, base) as rk45.solve(..., stage_parts=True)
-    # hands them over, with base entries of either zero, subnormals and NaN
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(kernel_cases(), st.data())
-    def test_stage_parts_give_the_bits_of_the_formed_state(self, case, data):
-        loops, points = case
-        special = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, math.nan))
-        for loop in loops:
-            for placed, beta in points:
-                t, state = placed[0], placed_state(loop, *placed)
-                if beta is not None:
-                    state[1] = beta
-                h = data.draw(bounded(1e-8, 0.05))
-                base = np.array([data.draw(special | st.just(v)) for v in state.tolist()])
-                increment = np.array([data.draw(st.sampled_from((0.0, -0.0)) | st.just(v))
-                                      for v in ((state - base) / h).tolist()])
-                got = outcome(loop.rhs, t, (increment, h, base.tolist()))
-                want = outcome(ClosedLoop(loop.cfg).rhs, t, increment * h + base)
-                assert outcome_bits(got) == outcome_bits(want)
 
     # the kernel keeps the terms of the last t it saw: a call reuses them at
     # that t only, with any state and either form of it
