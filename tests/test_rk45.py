@@ -444,15 +444,18 @@ def stopped(solver, f, raised, *args, **kwargs):
 
 
 class TestBitwiseReference:
-    """``rk45.solve`` does the reference's float operations in the same
-    order, in each of its stage forms."""
+    """``rk45.solve`` does the reference's float operations in the same order."""
+
+    @staticmethod
+    def forms(f):
+        return [(f, False)]
 
     @pytest.mark.parametrize("problem, rejects", BITWISE_PROBLEMS)
     def test_same_samples_statistics_and_evaluations(self, problem, rejects):
         f, t_span, y0, kwargs = problem()
         ref_calls = []
         ts, ys, stats = reference_solve(logged(f, ref_calls), t_span, y0, **kwargs)
-        for g, stage_parts in stage_forms(f):
+        for g, stage_parts in self.forms(f):
             calls = []
             res = rk45.solve(logged(g, calls), t_span, y0, stage_parts=stage_parts, **kwargs)
             assert same_bits(res.t, ts) and same_bits(res.y, ys)
@@ -462,16 +465,17 @@ class TestBitwiseReference:
 
     def test_sampled_states_are_one_float64_array(self):
         f, t_span, y0, kwargs = case_study("lin", 0.3)
-        res = rk45.solve(f, t_span, y0, **kwargs)
-        assert type(res.y) is np.ndarray and res.y.dtype == np.float64
-        assert res.y.shape == (301, y0.size) and res.y.flags.c_contiguous
+        for g, stage_parts in self.forms(f):
+            res = rk45.solve(g, t_span, y0, stage_parts=stage_parts, **kwargs)
+            assert type(res.y) is np.ndarray and res.y.dtype == np.float64
+            assert res.y.shape == (301, y0.size) and res.y.flags.c_contiguous
 
     def test_same_guard_bisection(self):
         args = ((0.0, 2.0), np.array([0.0]))
         kwargs = dict(rel_tol=1e-9, abs_tol=1e-12, min_step=1e-12, guards=(FunnelViolation,))
         ref, ref_calls = stopped(reference_solve, crossing_wall, FunnelViolation, *args, **kwargs)
         assert ref_calls and ref.state is None
-        for g, stage_parts in stage_forms(crossing_wall):
+        for g, stage_parts in self.forms(crossing_wall):
             stop, calls = stopped(rk45.solve, g, FunnelViolation, *args,
                                   stage_parts=stage_parts, **kwargs)
             # the solver passes the guard's exception on as raised: no state added
@@ -493,13 +497,20 @@ class TestBitwiseReference:
         ref, ref_calls = stopped(reference_solve, f, raised, t_span, y0, **kwargs)
         assert 1.0 < ref.t < 1.1 and ref.state.shape == (7,)
         messages = set()
-        for g, stage_parts in stage_forms(f):
+        for g, stage_parts in self.forms(f):
             stop, calls = stopped(rk45.solve, g, raised, t_span, y0,
                                   stage_parts=stage_parts, **kwargs)
             assert type(stop) is type(ref) and stop.t == ref.t
             assert same_bits(stop.state, ref.state) and same_calls(calls, ref_calls)
             messages.add(str(stop))
         assert len(messages) == 1
+
+
+class TestStageParts(TestBitwiseReference):
+    """``solve(..., stage_parts=True)`` takes the reference's steps too, bit
+    for bit, and stops with the default path's message."""
+
+    forms = staticmethod(stage_forms)
 
 
 # dense output of steps collected as solve collects them: one stage array,

@@ -362,25 +362,37 @@ def kernel_cases(draw):
     return loops, points
 
 
+def case_states(case):
+    """The (loop, t, state) triples of a ``kernel_cases`` example."""
+    loops, points = case
+    for loop in loops:
+        for placed, beta in points:
+            state = placed_state(loop, *placed)
+            if beta is not None:
+                state[1] = beta
+            yield loop, placed[0], state
+
+
 class TestKernelMatchesLayers:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kernel_cases())
+    def test_rhs_equals_the_layer_composition(self, case):
+        for loop, t, state in case_states(case):
+            assert_same_outcome(loop, t, state)
+
     # each state handed over as stage parts (increment, h, base), as
     # rk45.solve(..., stage_parts=True) hands them over, with base entries of
     # either zero, subnormals and NaN
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kernel_cases(), st.data())
-    def test_rhs_equals_the_layer_composition(self, case, data):
-        loops, points = case
+    def test_stage_parts_give_the_bits_of_the_formed_state(self, case, data):
         special = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, math.nan))
-        for loop in loops:
-            for placed, beta in points:
-                t, state = placed[0], placed_state(loop, *placed)
-                if beta is not None:
-                    state[1] = beta
-                h = data.draw(bounded(1e-8, 0.05))
-                base = np.array([data.draw(special | st.just(v)) for v in state.tolist()])
-                increment = np.array([data.draw(st.sampled_from((0.0, -0.0)) | st.just(v))
-                                      for v in ((state - base) / h).tolist()])
-                assert_same_outcome(loop, t, (increment, h, base.tolist()))
+        for loop, t, state in case_states(case):
+            h = data.draw(bounded(1e-8, 0.05))
+            base = np.array([data.draw(special | st.just(v)) for v in state.tolist()])
+            increment = np.array([data.draw(st.sampled_from((0.0, -0.0)) | st.just(v))
+                                  for v in ((state - base) / h).tolist()])
+            assert_same_outcome(loop, t, (increment, h, base.tolist()))
 
     # one ulp before tf the spline's interval index rounds up to the interval
     # count, and the kernel clamps it back to the last interval; funnels this
