@@ -424,16 +424,6 @@ BITWISE_PROBLEMS = [
 ]
 
 
-def stage_forms(f):
-    """(f, stage_parts) pairs that must step alike: the default path, then
-    stage parts formed into arrays for f and, where f is ``ClosedLoop.rhs``,
-    handed to f as they are."""
-    forms = [(f, False), (lambda t, y: f(t, formed(y)), True)]
-    if isinstance(getattr(f, "__self__", None), ClosedLoop):
-        forms.append((f, True))
-    return forms
-
-
 def stopped(solver, f, raised, *args, **kwargs):
     """The ``raised`` exception that ``solver`` stops with on ``f``, and the
     calls it made, as ``logged`` logs them."""
@@ -448,6 +438,7 @@ class TestBitwiseReference:
 
     @staticmethod
     def forms(f):
+        """The (f, stage_parts) pairs to solve with."""
         return [(f, False)]
 
     @pytest.mark.parametrize("problem, rejects", BITWISE_PROBLEMS)
@@ -485,8 +476,8 @@ class TestBitwiseReference:
     # a dense-output batch pending: at its own tolerances the step size
     # underflows before any evaluation crosses a wall, and at rel_tol 1e-4 an
     # evaluation crosses and the guard bisects the step down to min_step; the
-    # reference words the underflow without numbers, so the forms' messages
-    # are compared with each other
+    # reference words the underflow without numbers, so each form's message
+    # is compared with the default path's
     @pytest.mark.parametrize("tols, raised", [
         pytest.param({}, IntegrationError, id="step-underflow"),
         pytest.param({"rel_tol": 1e-4, "abs_tol": 1e-7}, FunnelViolation, id="guard-bisection"),
@@ -495,22 +486,27 @@ class TestBitwiseReference:
         f, t_span, y0, kwargs = case_study("hg", 3.0, amp1=3.0)
         kwargs.update(tols)
         ref, ref_calls = stopped(reference_solve, f, raised, t_span, y0, **kwargs)
+        plain, _ = stopped(rk45.solve, f, raised, t_span, y0, **kwargs)
         assert 1.0 < ref.t < 1.1 and ref.state.shape == (7,)
-        messages = set()
         for g, stage_parts in self.forms(f):
             stop, calls = stopped(rk45.solve, g, raised, t_span, y0,
                                   stage_parts=stage_parts, **kwargs)
-            assert type(stop) is type(ref) and stop.t == ref.t
+            assert type(stop) is type(ref) and stop.t == ref.t and str(stop) == str(plain)
             assert same_bits(stop.state, ref.state) and same_calls(calls, ref_calls)
-            messages.add(str(stop))
-        assert len(messages) == 1
 
 
 class TestStageParts(TestBitwiseReference):
     """``solve(..., stage_parts=True)`` takes the reference's steps too, bit
     for bit, and stops with the default path's message."""
 
-    forms = staticmethod(stage_forms)
+    @staticmethod
+    def forms(f):
+        """Stage parts formed into arrays for f and, where f is
+        ``ClosedLoop.rhs``, handed to f as they are."""
+        forms = [(lambda t, y: f(t, formed(y)), True)]
+        if isinstance(getattr(f, "__self__", None), ClosedLoop):
+            forms.append((f, True))
+        return forms
 
 
 # dense output of steps collected as solve collects them: one stage array,
