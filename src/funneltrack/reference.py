@@ -27,8 +27,8 @@ from .model import libm
 
 # ascending coefficients of the transition polynomial in tau**5 .. tau**9,
 # and of its derivative divided by tau**4
-_TRANSITION_COEFFS = (126.0, -420.0, 540.0, -315.0, 70.0)
-_SLOPE_COEFFS = tuple((k + 5) * c for k, c in enumerate(_TRANSITION_COEFFS))
+TRANSITION_COEFFS = (126.0, -420.0, 540.0, -315.0, 70.0)
+SLOPE_COEFFS = tuple((k + 5) * c for k, c in enumerate(TRANSITION_COEFFS))
 # knot spacing of the bounded reference's spline on windows of 1 s or more
 _GRID_STEP = 1e-3
 # most spline intervals a transition window may need: a build of this many
@@ -93,7 +93,7 @@ def _horner(tau, coeffs):
 
 def _rise(r: TransitionRef, tau, t5):
     """Transition value at tau in (0, 1), with t5 = tau**5 (float or array)."""
-    return r.y0 + t5 * _horner(tau, _TRANSITION_COEFFS) * (r.yf - r.y0)
+    return r.y0 + t5 * _horner(tau, TRANSITION_COEFFS) * (r.yf - r.y0)
 
 
 def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
@@ -115,7 +115,7 @@ def yref_eval(r: TransitionRef, t: float) -> tuple[float, float]:
     T = r.tf - r.t0
     tau = (t - r.t0) / T
     t5 = libm(pow, tau, 5)
-    return _rise(r, tau, t5), t5 / tau * _horner(tau, _SLOPE_COEFFS) * (r.yf - r.y0) / T
+    return _rise(r, tau, t5), t5 / tau * _horner(tau, SLOPE_COEFFS) * (r.yf - r.y0) / T
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -5,19 +5,19 @@ Dormand-Prince pair: the 5th-order solution is propagated, the embedded
 interpolant serves dense output on an arbitrary sampling grid.
 
 The per-step work off the right-hand side is done in the fewest calls that
-keep every bit.  The stage sums are BLAS gemv calls, scaled in place by the
-step size as a 0-d array, or, with ``stage_parts``, handed to ``f`` unscaled
-with the step size and the start state's floats, for ``f`` to form the state
-in the same roundings (see ``solve``).  The error norm runs on Python floats: it scales
-the estimate by the step size and sums its squares in sequence, equal to the
-``np.mean`` formula below 8 entries, which covers every size this package
-integrates, and the accepted state's floats serve the next step's norm.
-Dense output is evaluated in batches of about ``_DENSE_BATCH`` samples
-across accepted steps, each of which keeps a copy of its stages: one stacked
-``np.matmul`` forms every step's ``Qd = K.T @ _P`` with the BLAS call that
-product makes alone, and a second makes one gemv per sample, the call a
-per-sample ``Qd.dot`` makes; the interpolant is linear in the stages, so
-batching moves no bit.
+keep every bit.  The stage sums are BLAS gemv calls.  ``formed`` makes a
+stage's parts, its sum, the step size and the start state, into its state;
+with ``stage_parts``, ``f`` gets the five intermediate stages' parts as they
+are (see ``solve``).  The last stage is formed in place.  The error norm
+runs on Python floats: it scales the estimate by the step size and sums its
+squares in sequence, equal to the ``np.mean`` formula below 8 entries, which
+covers every size this package integrates, and the accepted state's floats
+serve the next step's norm.  Dense output is evaluated in batches of about
+``_DENSE_BATCH`` samples across accepted steps, each of which keeps a copy
+of its stages: one stacked ``np.matmul`` forms every step's ``Qd = K.T @
+_P`` with the BLAS call that product makes alone, and a second makes one
+gemv per sample, the call a per-sample ``Qd.dot`` makes; the interpolant is
+linear in the stages, so batching moves no bit.
 
 Guards: exceptions listed in ``guards`` raised by the right-hand side
 (funnel or domain violations) reject the trial step and bisect it; if the
@@ -131,6 +131,16 @@ def check_settings(rel_tol, abs_tol, min_step, max_step, sample_step=None) -> No
         raise ConfigError(f"sample_step must be None or finite and > 0, got {sample_step}")
 
 
+def formed(state) -> np.ndarray:
+    """The float64 array a stage state stands for: an array as it is, or for
+    stage parts ``(increment, h, base)``, ``increment * h + base``, each
+    entry rounded after the product and again after the sum."""
+    if type(state) is not tuple:
+        return state
+    increment, h, base = state
+    return increment * h + base
+
+
 def _rms(z) -> float:
     """RMS of ``z``; only where its squares overflow, that of z / max|z|, times max|z|."""
     with np.errstate(over="ignore"):
@@ -151,7 +161,7 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * span or span, max_step)
     try:
-        f1 = np.asarray(f(t0 + h0, y0 + h0 * f0))
+        f1 = np.asarray(f(t0 + h0, formed((f0, h0, y0))))
     except guards:
         return h0
     d2 = _rms((f1 - f0) / scale) / h0
@@ -172,13 +182,12 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     ``stage_parts`` the five intermediate stages of each step reach ``f`` as
     the tuple ``(increment, h, base)`` instead: ``increment`` the stage
     sum, a float64 array; ``h`` the step size, a float; ``base`` the step's
-    start state, a list of floats.  The state they stand for is
-    ``increment * h + base``, each entry rounded after the product and
-    after the sum, which a per-entry ``q * h + b`` on floats gives; ``f``
-    must neither keep ``increment`` nor change ``base``, the solver's own
-    list.  The first call, the initial-step probe and each step's last
-    stage still pass an array, and the samples, statistics and calls are
-    those of the default path, bit for bit.
+    start state, a list of floats.  They stand for the state ``formed(parts)``
+    that the default path hands ``f``, which a per-entry ``q * h + b`` on
+    floats gives too.  ``f`` must neither keep ``increment`` nor change
+    ``base``, the solver's own list.  The first call, the initial-step probe
+    and each step's last stage still pass an array, and the samples,
+    statistics and calls are those of the default path, bit for bit.
     ``check_settings`` states which tolerances and step settings run; it
     raises ConfigError, a ValueError, before f is called.  ``sample_step``
     emits interpolated states on the uniform grid t0 + k * sample_step, a
@@ -228,15 +237,10 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
         # so a retry after a rejection starts from the same first stage (FSAL)
         h_arr = np.array(h)  # a 0-d operand skips numpy's scalar discovery
         try:
-            if stage_parts:
-                for c, a_row, K_prev, K_next in stages:
-                    K_next[...] = f(t + c * h, (a_row.dot(K_prev), h, ys))
-            else:
-                for c, a_row, K_prev, K_next in stages:
-                    v = a_row.dot(K_prev)
-                    v *= h_arr
-                    v += y
-                    K_next[...] = f(t + c * h, v)
+            # the default path's parts hold h and y as arrays: the same bits, formed faster
+            for c, a_row, K_prev, K_next in stages:
+                q = a_row.dot(K_prev)
+                K_next[...] = f(t + c * h, (q, h, ys) if stage_parts else formed((q, h_arr, y)))
             y_new = _B.dot(K6)
             y_new *= h_arr
             y_new += y

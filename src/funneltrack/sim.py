@@ -26,7 +26,7 @@ from .funnel import (CascadeOutput, FunnelSpec, cascade, cascade_margins,
                      observer_derivatives, observer_rhs)
 from .linid import LinData, eigensplit, psi, ynew_derivatives
 from .model import DOMAIN_COS_LIMIT, ManipulatorParams, PlantState, output, plant_rhs
-from .reference import (_SLOPE_COEFFS, _TRANSITION_COEFFS, BoundedReference, TransitionRef,
+from .reference import (SLOPE_COEFFS, TRANSITION_COEFFS, BoundedReference, TransitionRef,
                         yref_eval)
 
 SAMPLE_STEP = 1e-3
@@ -244,20 +244,16 @@ class ClosedLoop:
     def rhs(self, t: float, state: np.ndarray | tuple) -> list:
         """State derivative, a list of Python floats: the plant under the
         controller's input plus the disturbance and, in ``hg`` mode, the
-        observer.  ``state`` is a float64 array, or the parts ``(increment,
-        h, base)`` of one that ``rk45.solve(..., stage_parts=True)`` hands
-        over: the state ``increment * h + base``, each entry rounded after
-        the product and after the sum.  The kernel bound at construction
-        computes it (``_bind_kernel``), and the layer functions where the
-        kernel returns None, on the state formed as an array first, so that
-        a controller error carries the state's bytes either way."""
+        observer.  ``state`` is a float64 array, or the stage parts that
+        ``rk45.solve(..., stage_parts=True)`` hands over for the state
+        ``rk45.formed`` makes of them.  The kernel bound at construction
+        computes it (``_bind_kernel``), forming parts per entry by that rule,
+        and the layer functions where the kernel returns None, on the formed
+        state, so that a controller error carries its bytes either way."""
         deriv = self._kernel(t, state)
         if deriv is not None:
             return deriv
-        if type(state) is tuple:
-            increment, h, base = state
-            state = increment * h + np.array(base)
-        return self._rhs_layers(t, state)
+        return self._rhs_layers(t, rk45.formed(state))
 
     def _rhs_layers(self, t: float, state: np.ndarray) -> list:
         """``rhs`` composed from the layer functions."""
@@ -279,17 +275,17 @@ class ClosedLoop:
         constants from tf on), ``cascade``, ``disturbance``, ``plant_rhs`` and
         ``observer_rhs`` -- on the same operands in the same order, and so
         returns its bits without reference calls.  A stage's parts are formed
-        as ``q * h + b`` per entry, which rounds as numpy's ``*= h`` and
-        ``+= base`` do.  ``terms_at`` keeps the terms of t alone (the
-        reference, the funnels' phi and the disturbance) of the last t for
-        the calls that keep it, as a step's last two stages do; t = 0 is
-        never reused, since -0.0 == 0.0.  Before ``t_lo``, where tau = (t -
-        t0) / (tf - t0) is 0 before tf (at t0 or just past it, where y_ref
-        holds y0), and at the layers' guards (``not cos(beta) > 2/3``, ``not
-        phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included), it returns
-        None, and ``rhs`` calls ``_rhs_layers``, which raises the stamped
-        controller error at a guard.  The kernel holds no reference to the
-        loop, so a loop is freed as soon as it is dropped.
+        as ``q * h + b`` per entry, which rounds as ``rk45.formed`` does.
+        ``terms_at`` keeps the terms of t alone (the reference, the funnels'
+        phi and the disturbance) of the last t for the calls that keep it, as
+        a step's last two stages do; t = 0 is never reused, since -0.0 == 0.0.
+        Before ``t_lo``, where tau = (t - t0) / (tf - t0) is 0 before tf (at
+        t0 or just past it, where y_ref holds y0), and at the layers' guards
+        (``not cos(beta) > 2/3``, ``not phi_i |e_i| < 1`` at levels 0, 1 and
+        2, a NaN included), it returns None, and ``rhs`` calls
+        ``_rhs_layers``, which raises the stamped controller error at a guard.
+        The kernel holds no reference to the loop, so a loop is freed as soon
+        as it is dropped.
         """
         cfg, ref = self.cfg, self.cfg.ref
         (a0, b0, eps0), (a1, b1, eps1), (a2, b2, eps2) = [(f.a, f.b, f.eps) for f in cfg.funnels]
@@ -299,8 +295,8 @@ class ClosedLoop:
         lam2p2 = lam2 * p2
         t0, tf, y0 = ref.t0, ref.tf, ref.y0
         span, dy = tf - t0, ref.yf - y0
-        c5, c6, c7, c8, c9 = _TRANSITION_COEFFS
-        s5, s6, s7, s8, s9 = _SLOPE_COEFFS
+        c5, c6, c7, c8, c9 = TRANSITION_COEFFS
+        s5, s6, s7, s8, s9 = SLOPE_COEFFS
         bref = self.new_ref
         t_lo, gap, final, last = bref.t_lo, bref._h, bref.final_value, len(bref._knots) - 2
         knots, coeffs = bref._knots.tolist(), list(zip(*bref._coeffs.tolist()))

@@ -1,6 +1,6 @@
 """The package as a whole: its root imports nothing, each module and test
-file reads what it imports and every private name it defines, and README's
-library example runs."""
+file reads what it imports and every private name it defines, no module
+imports another's private name, and README's library example runs."""
 import ast
 import os
 import pathlib
@@ -10,8 +10,8 @@ import sys
 import funneltrack
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = (sorted(pathlib.Path(funneltrack.__file__).parent.glob("*.py"))
-           + sorted((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted(pathlib.Path(funneltrack.__file__).parent.glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_importing_the_root_loads_no_layer_and_no_numpy():
@@ -97,6 +97,22 @@ def test_the_scan_finds_an_unread_private_name():
               "class _Left:\n    pass\n"
               "def public():\n    _local = _C\n    return _local\n")
     assert unread_private_names(source) == ["_B (line 1)", "_Left (line 6)", "_helper (line 4)"]
+
+
+def private_imports(source: str) -> list:
+    """Private (``_name``, not dunder) names a module imports from another."""
+    return sorted(f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_no_package_module_imports_a_private_name():
+    assert [f"{p.name}: {name}" for p in PACKAGE for name in private_imports(p.read_text())] == []
+
+
+def test_the_scan_finds_an_imported_private_name():
+    source = "from os import _exit, path\nfrom .a import (_B,\n    __all__)\nimport _thread\n"
+    assert private_imports(source) == ["_B (line 2)", "_exit (line 1)"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import formed
 from funneltrack import rk45
 from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
 from funneltrack.sim import SAMPLE_STEP, ClosedLoop, IntegratorConfig, case_study_config
@@ -368,7 +367,7 @@ def reference_solve(f, t_span, y0, *, rel_tol, abs_tol, max_step=math.inf,
 def logged(f, calls):
     """``f`` that appends the (t, y) of each call to ``calls``, y as an array."""
     def g(t, y):
-        calls.append((float(t), formed(y)))
+        calls.append((float(t), np.array(rk45.formed(y))))
         return f(t, y)
     return g
 
@@ -503,7 +502,7 @@ class TestStageParts(TestBitwiseReference):
     def forms(f):
         """Stage parts formed into arrays for f and, where f is
         ``ClosedLoop.rhs``, handed to f as they are."""
-        forms = [(lambda t, y: f(t, formed(y)), True)]
+        forms = [(lambda t, y: f(t, rk45.formed(y)), True)]
         if isinstance(getattr(f, "__self__", None), ClosedLoop):
             forms.append((f, True))
         return forms

@@ -13,12 +13,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import formed, margins_of
-from funneltrack import reference, sim
+from conftest import margins_of
+from funneltrack import reference, rk45, sim
 from funneltrack.bif import phi_inverse
 from funneltrack.errors import (ConfigError, DomainError, FunnelViolation, IntegrationError,
                                 SimulationError)
@@ -107,12 +107,6 @@ def states_of(traj):
     """The sampled closed-loop states (plant, then observer) of a trajectory."""
     names = ("alpha", "beta", "alpha_dot", "beta_dot") + OBSERVER_COLUMNS
     return traj.data[:, [traj.columns.index(c) for c in names if c in traj.columns]]
-
-
-def raised(fn, *args):
-    with pytest.raises((DomainError, FunnelViolation)) as exc:
-        fn(*args)
-    return exc.value
 
 
 # runs whose samples reach the branches the case study does not
@@ -239,15 +233,10 @@ class TestClosedLoopRhs:
         states = states_of(run.traj)
         states[i, column] += shift
         state = states[i]
-        want = raised(composed, loop, t, state)
-        from_rhs, from_row = raised(loop.rhs, t, state), raised(loop.row, run.traj.t, states)
-        assert str(from_row) == str(from_rhs)
-        for got in (from_rhs, from_row):
-            assert type(got) is type(want)
-            assert got.t == want.t == t
-            assert got.level == want.level == level
-            assert (got.state is None and want.state is None
-                    or np.array_equal(got.state, want.state))
+        want = outcome(composed, loop, t, state)
+        assert type(want) in (DomainError, FunnelViolation) and want.t == t and want.level == level
+        for got in (outcome(loop.rhs, t, state), outcome(loop.row, run.traj.t, states)):
+            assert outcome_bits(got) == outcome_bits(want)
 
 
 def outcome(fn, *args):
@@ -259,13 +248,13 @@ def outcome(fn, *args):
 
 
 def outcome_bits(got):
-    """An outcome of ``rhs`` as comparable data: each float's ``float.hex``,
-    or the exception's type, message, level, time and state bytes."""
+    """An outcome of ``rhs`` as comparable data: its values' bytes, or the
+    exception's type, message, level, time and state bytes."""
     if isinstance(got, Exception):
         state = getattr(got, "state", None)
         return (type(got), str(got), getattr(got, "level", None), getattr(got, "t", None),
                 None if state is None else state.tobytes())
-    return [v.hex() for v in got]
+    return np.array(got).tobytes()
 
 
 def assert_same_outcome(loop, t, state):
@@ -273,19 +262,23 @@ def assert_same_outcome(loop, t, state):
     ``(increment, h, base)``, and ``rhs`` and the layer path it falls back on
     at the array that the state forms, give the bits of ``composed`` at that
     array as a list of Python floats, or raise as it does: the same type,
-    message, level, time and state bytes."""
-    array = formed(state)
+    message, level, time and state bytes.  Where ``composed`` gives a value,
+    the kernel gives one too, except at the layers' own times: before
+    ``max(0, t0)``, and before tf where tau = (t - t0) / (tf - t0) is 0."""
+    array = rk45.formed(state)
     want = outcome(lambda: composed(loop, t, array)[0])
+    ref = loop.cfg.ref
+    if not (isinstance(want, Exception) or t < max(0.0, ref.t0)
+            or t < ref.tf and (t - ref.t0) / (ref.tf - ref.t0) == 0.0):
+        assert loop._kernel(t, state) is not None
     calls = [(loop.rhs, state), (loop._rhs_layers, array)]
     if type(state) is tuple:
         calls.append((loop.rhs, array))
     for rhs, arg in calls:
         got = outcome(rhs, t, arg)
-        if isinstance(want, Exception):
-            assert outcome_bits(got) == outcome_bits(want)
-        else:
-            assert type(got) is list and all(type(v) is float for v in got)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert outcome_bits(got) == outcome_bits(want)
+        assert (isinstance(got, Exception)
+                or type(got) is list and all(type(v) is float for v in got))
 
 
 def placed_state(loop, t, beta, y, y_dot, margins, zeta1):
@@ -375,7 +368,8 @@ def case_states(case):
 
 
 class TestKernelMatchesLayers:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    # a failure is reported as drawn: shrinking it took minutes, two ClosedLoops a try
+    @settings(max_examples=60, deadline=None, derandomize=True, phases=[Phase.generate])
     @given(kernel_cases())
     def test_rhs_equals_the_layer_composition(self, case):
         for loop, t, state in case_states(case):
@@ -384,7 +378,7 @@ class TestKernelMatchesLayers:
     # each state handed over as stage parts (increment, h, base), as
     # rk45.solve(..., stage_parts=True) hands them over, with base entries of
     # either zero, subnormals and NaN
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True, phases=[Phase.generate])
     @given(kernel_cases(), st.data())
     def test_stage_parts_give_the_bits_of_the_formed_state(self, case, data):
         special = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, math.nan))
@@ -405,7 +399,6 @@ class TestKernelMatchesLayers:
         loop, t = ClosedLoop(cfg), math.nextafter(cfg.ref.tf, -math.inf)
         assert int((t - loop.new_ref.t_lo) / loop.new_ref._h) == len(loop.new_ref._knots) - 1
         state = placed_state(loop, t, 0.2, 0.1, 0.3, [0.5, 0.5, 0.5], 0.0)
-        assert loop._kernel(t, state) is not None
         assert_same_outcome(loop, t, state)
 
     # the state entry stepped: alpha for funnel 0; in lin the velocities, in hg
@@ -437,7 +430,7 @@ class TestKernelMatchesLayers:
         loop, t = ClosedLoop(case_study_config(mode)), 1.0
         state = placed_state(loop, t, 0.2, 0.1, 0.3, [0.5, 0.5, 0.5], 0.0)
         state[entry] = math.nan
-        stop = raised(loop.rhs, t, state)
+        stop = outcome(loop.rhs, t, state)
         assert type(stop) is FunnelViolation and stop.level == level
         assert_same_outcome(loop, t, state)
 
@@ -694,7 +687,7 @@ class TestGuardsAndFailures:
             assert exc.level == (None if max(margins) < 0.99 else int(np.argmax(margins)))
         else:
             # a guard error: the controller raises it again from its stamp
-            again = raised(loop.evaluate, exc.t, exc.state.tolist())
+            again = outcome(loop.evaluate, exc.t, exc.state.tolist())
             assert type(again) is type(exc) and again.level == exc.level
             assert again.t == exc.t and np.array_equal(again.state, exc.state)
 
