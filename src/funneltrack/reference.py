@@ -170,7 +170,9 @@ class BoundedReference:
     spline (``_not_a_knot``, on the knots of ``_grid``).  Before that it decays
     analytically from the first knot value, or from -p2 yf if there is no
     grid.  Derivatives are recovered through the ODE relations, so the
-    first-derivative residual vanishes by construction.
+    first-derivative residual vanishes by construction.  The spline's tables
+    are ``knots``, their spacing ``gap`` (None without a grid) and ``coeffs``,
+    (c3, c2, c1, c0) in one column per interval.
     """
 
     def __init__(self, lin: LinData, ref: TransitionRef):
@@ -179,28 +181,28 @@ class BoundedReference:
         self.p2 = lin.p2
         self.final_value = -lin.p2 * ref.yf
         self.t_lo = max(0.0, ref.t0)
-        self._knots = ts = _grid(self.t_lo, ref.tf)
-        self._h, self._coeffs = None, np.empty((4, 0))  # no spline on an empty window
+        self.knots = ts = _grid(self.t_lo, ref.tf)
+        self.gap, self.coeffs = None, np.empty((4, 0))  # no spline on an empty window
         if len(ts):
             n = len(ts) - 1
-            self._h = ts[1] - ts[0]
+            self.gap = ts[1] - ts[0]
             gauss = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
             # a few hundred panels per array pass keep the temporaries small
             panels = np.concatenate([self._panels(ts[j:j + 257], *gauss)
                                      for j in range(0, n, 256)])
             panels = panels.tolist()
-            decay = math.exp(-self.lam2 * self._h)
+            decay = math.exp(-self.lam2 * self.gap)
             vals = np.empty(n + 1)
             vals[-1] = v = float(self.final_value)  # carried as a float, never read back
             for i in range(n - 1, -1, -1):
                 vals[i] = v = panels[i] + decay * v
-            self._coeffs = _not_a_knot(ts, vals)
+            self.coeffs = _not_a_knot(ts, vals)
 
     def _panels(self, ts: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
         """Convolution integral over each interval of ``ts`` by Gauss-Legendre
         quadrature with nodes ``gx`` and weights ``gw`` on [-1, 1].  Every
         node lies inside the transition window."""
-        ref, half = self.ref, 0.5 * self._h
+        ref, half = self.ref, 0.5 * self.gap
         sg = (0.5 * (ts[:-1] + ts[1:]))[:, None] + half * gx  # one row of nodes per interval
         tau = (sg - ref.t0) / (ref.tf - ref.t0)
         t5 = libm(pow, tau, 5)
@@ -223,15 +225,15 @@ class BoundedReference:
             if gridded.any():
                 out[gridded] = self.value(t[gridded])
             return out
-        i = np.minimum(len(self._knots) - 2, ((t - self.t_lo) / self._h).astype(int))
-        c3, c2, c1, c0 = self._coeffs[:, i]
-        dt = t - self._knots[i]
+        i = np.minimum(len(self.knots) - 2, ((t - self.t_lo) / self.gap).astype(int))
+        c3, c2, c1, c0 = self.coeffs[:, i]
+        dt = t - self.knots[i]
         return ((c3 * dt + c2) * dt + c1) * dt + c0
 
     def _before_grid(self, t):
         """``value`` at t < max(0, t0), where y_ref is y0: decay from the first
         knot value, or from -p2 yf without a grid (a negative exponent, so stable)."""
-        start = self._coeffs[3, 0].item() if self._coeffs.size else self.final_value
+        start = self.coeffs[3, 0].item() if self.coeffs.size else self.final_value
         decay = libm(math.exp, self.lam2 * (t - self.t_lo))
         return -self.p2 * self.ref.y0 * (1.0 - decay) + decay * start
 

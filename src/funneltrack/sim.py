@@ -246,10 +246,11 @@ class ClosedLoop:
         controller's input plus the disturbance and, in ``hg`` mode, the
         observer.  ``state`` is a float64 array, or the stage parts that
         ``rk45.solve(..., stage_parts=True)`` hands over for the state
-        ``rk45.formed`` makes of them.  The kernel bound at construction
-        computes it (``_bind_kernel``), forming parts per entry by that rule,
-        and the layer functions where the kernel returns None, on the formed
-        state, so that a controller error carries its bytes either way."""
+        ``rk45.formed`` makes of them.  The one kernel of both modes, bound
+        at construction (``_bind_kernel``), computes it, forming parts per
+        entry by that rule, and the layer functions where the kernel returns
+        None, on the formed state, so that a controller error carries its
+        bytes either way."""
         deriv = self._kernel(t, state)
         if deriv is not None:
             return deriv
@@ -266,8 +267,10 @@ class ClosedLoop:
 
     def _bind_kernel(self):
         """``rhs`` as one pass of float arithmetic over this scenario's
-        constants: a kernel for the mode, ``hg`` or ``lin``, that takes
-        ``rhs``'s arguments.
+        constants: one kernel for both modes, taking ``rhs``'s arguments, that
+        branches on the mode for the state it unpacks, for y_new's derivatives
+        (the observer's estimates in ``hg``, the ladder in ``lin``) and for the
+        observer's derivative it appends.
 
         From ``t_lo`` on and inside every funnel, it performs each operation of
         ``_rhs_layers`` -- ``psi``, the ladder or the observer's estimates,
@@ -298,12 +301,13 @@ class ClosedLoop:
         c5, c6, c7, c8, c9 = TRANSITION_COEFFS
         s5, s6, s7, s8, s9 = SLOPE_COEFFS
         bref = self.new_ref
-        t_lo, gap, final, last = bref.t_lo, bref._h, bref.final_value, len(bref._knots) - 2
-        knots, coeffs = bref._knots.tolist(), list(zip(*bref._coeffs.tolist()))
+        t_lo, gap, final, last = bref.t_lo, bref.gap, bref.final_value, len(bref.knots) - 2
+        knots, coeffs = bref.knots.tolist(), list(zip(*bref.coeffs.tolist()))
         l2m, nc, d = cfg.params.l2m, -cfg.params.c, cfg.params.d
         half_l2m = 0.5 * l2m
         amp1, freq1, amp2, freq2 = dataclasses.astuple(cfg.disturbance)
         g1, g2, g3 = cfg.observer_gains
+        observer = self.observer
         memo = (math.nan,)  # the last t and its terms, see terms_at
 
         def terms_at(t):
@@ -340,55 +344,16 @@ class ClosedLoop:
                     amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t))
             return memo
 
-        # the two kernels differ only in the state they take and in where
-        # y_new's derivatives come from: a shared body would branch on the
-        # mode or cost a call
-        def hg(t, state):
-            if type(state) is tuple:
-                increment, h, (b1, b2, b3, b4, b5, b6, b7) = state
-                q1, q2, q3, q4, q5, q6, q7 = increment.tolist()
-                x1, x2, x3, x4 = q1 * h + b1, q2 * h + b2, q3 * h + b3, q4 * h + b4
-                zeta1, y1, y2 = q5 * h + b5, q6 * h + b6, q7 * h + b7
-            else:
-                x1, x2, x3, x4, zeta1, y1, y2 = state.tolist()
-            cb = cos(x2)
-            if not cb > DOMAIN_COS_LIMIT:
-                return None
-            terms = terms_at(t)
-            if terms is None:
-                return None
-            _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
-            # y_new = psi(x), its derivatives the observer's estimates
-            y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * (x1 + 0.5 * x2)
-            # the cascade, each funnel tested before its gain squares
-            e0, e0_1, e0_2 = y_new - r0, y1 - r1, y2 - r2
-            pe = phi0 * e0
-            if not abs(pe) < 1.0:  # a NaN too
-                return None
-            k0 = 1.0 / (1.0 - pe ** 2)
-            k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
-            e1 = e0_1 + k0 * e0
-            pe = phi1 * e1
-            if not abs(pe) < 1.0:
-                return None
-            k1 = 1.0 / (1.0 - pe ** 2)
-            e2 = e0_2 + k0 * e0_1 + k0_1 * e0 + k1 * e1
-            pe = phi2 * e2
-            if not abs(pe) < 1.0:
-                return None
-            u = 1.0 / (1.0 - pe ** 2) * e2
-            # the plant under u + d(t)
-            sb = sin(x2)
-            t1 = half_l2m * x4 * (2.0 * x3 + x4) * sb + (u + dist)
-            f2 = nc * x2 - d * x4 - half_l2m * x3 * x3 * sb
-            k = 36.0 / (l2m * (16.0 - 9.0 * cb * cb))
-            a12 = -1.0 / 3.0 - 0.5 * cb
-            err = y_new - zeta1
-            return [x3, x4, k * (t1 / 3.0 + a12 * f2), k * (a12 * t1 + (5.0 / 3.0 + cb) * f2),
-                    g1 * err + y1, g2 * err + y2, g3 * err]
-
-        def lin(t, state):
-            if type(state) is tuple:
+        def kernel(t, state):
+            if observer:
+                if type(state) is tuple:
+                    increment, h, (b1, b2, b3, b4, b5, b6, b7) = state
+                    q1, q2, q3, q4, q5, q6, q7 = increment.tolist()
+                    x1, x2, x3, x4 = q1 * h + b1, q2 * h + b2, q3 * h + b3, q4 * h + b4
+                    zeta1, y1, y2 = q5 * h + b5, q6 * h + b6, q7 * h + b7
+                else:
+                    x1, x2, x3, x4, zeta1, y1, y2 = state.tolist()
+            elif type(state) is tuple:
                 increment, h, (b1, b2, b3, b4) = state
                 q1, q2, q3, q4 = increment.tolist()
                 x1, x2, x3, x4 = q1 * h + b1, q2 * h + b2, q3 * h + b3, q4 * h + b4
@@ -401,11 +366,12 @@ class ClosedLoop:
             if terms is None:
                 return None
             _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
-            # y_new = psi(x) and its derivatives from the ladder
+            # y_new = psi(x), its derivatives the observer's estimates or the ladder's
             y = x1 + 0.5 * x2
             y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * y
-            y1 = lam2 * y_new + lam2p2 * y
-            y2 = lam2 * y1 + lam2p2 * (x3 + 0.5 * x4)
+            if not observer:
+                y1 = lam2 * y_new + lam2p2 * y
+                y2 = lam2 * y1 + lam2p2 * (x3 + 0.5 * x4)
             # the cascade, each funnel tested before its gain squares
             e0, e0_1, e0_2 = y_new - r0, y1 - r1, y2 - r2
             pe = phi0 * e0
@@ -423,15 +389,19 @@ class ClosedLoop:
             if not abs(pe) < 1.0:
                 return None
             u = 1.0 / (1.0 - pe ** 2) * e2
-            # the plant under u + d(t)
+            # the plant under u + d(t), then the observer
             sb = sin(x2)
             t1 = half_l2m * x4 * (2.0 * x3 + x4) * sb + (u + dist)
             f2 = nc * x2 - d * x4 - half_l2m * x3 * x3 * sb
             k = 36.0 / (l2m * (16.0 - 9.0 * cb * cb))
             a12 = -1.0 / 3.0 - 0.5 * cb
-            return [x3, x4, k * (t1 / 3.0 + a12 * f2), k * (a12 * t1 + (5.0 / 3.0 + cb) * f2)]
+            v3, v4 = k * (t1 / 3.0 + a12 * f2), k * (a12 * t1 + (5.0 / 3.0 + cb) * f2)
+            if observer:
+                err = y_new - zeta1
+                return [x3, x4, v3, v4, g1 * err + y1, g2 * err + y2, g3 * err]
+            return [x3, x4, v3, v4]
 
-        return hg if self.observer else lin
+        return kernel
 
     def row(self, ts: np.ndarray, states: np.ndarray) -> np.ndarray:
         """The output samples at times ``ts`` of ``states`` (one state per row),

@@ -1,6 +1,7 @@
 """The package as a whole: its root imports nothing, each module and test
 file reads what it imports and every private name it defines, no module
-imports another's private name, and README's library example runs."""
+imports another's private name or reads another object's private attribute,
+and README's library example runs."""
 import ast
 import os
 import pathlib
@@ -113,6 +114,28 @@ def test_no_package_module_imports_a_private_name():
 def test_the_scan_finds_an_imported_private_name():
     source = "from os import _exit, path\nfrom .a import (_B,\n    __all__)\nimport _thread\n"
     assert private_imports(source) == ["_B (line 2)", "_exit (line 1)"]
+
+
+def private_attribute_reads(source: str) -> list:
+    """Private (``_name``, not dunder) attributes a module reads off another
+    object than ``self``; a namedtuple's ``_fields`` is public."""
+    tree = ast.parse(source)
+    return sorted(f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr.startswith("_") and not node.attr.startswith("__")
+                  and node.attr != "_fields"
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+
+def test_no_package_module_reads_another_objects_private_attribute():
+    assert [f"{p.name}: {name}" for p in PACKAGE
+            for name in private_attribute_reads(p.read_text())] == []
+
+
+def test_the_scan_finds_a_private_attribute_read_off_another_object():
+    source = ("class A:\n    def f(self, obj):\n        return self._x + obj._x + obj.__dict__\n"
+              "n = len(Row._fields) + A()._y\nself._z = 1\n")
+    assert private_attribute_reads(source) == ["A()._y (line 4)", "obj._x (line 3)"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -50,13 +50,13 @@ def quad_value(lin, r, t, epsabs=1e-10):
 
 def knot_values(b):
     """The spline's knot values: c0 of each interval, then -p2 yf at tf."""
-    return [*b._coeffs[3].tolist(), b.final_value]
+    return [*b.coeffs[3].tolist(), b.final_value]
 
 
 def assert_closed_form_without_window(b, ref):
     """A reference whose window has no part after 0 builds no spline: it is
     -p2 yf from tf on, and a pure decay from -p2 yf before a step at t0 > 0."""
-    assert b._coeffs.size == 0
+    assert b.coeffs.size == 0
     for t in (0.0, 0.5 * ref.t0, ref.t0, 1.0, ref.tf + 1.0):
         if t < 0.0:
             continue  # value is defined for t >= 0
@@ -175,7 +175,7 @@ class TestBoundedReference:
             assert_closed_form_without_window(b, ref)
             return
         lam2, p2 = LIN.lambda2, LIN.p2
-        ts = np.linspace(b.t_lo, ref.tf, len(b._knots))
+        ts = np.linspace(b.t_lo, ref.tf, len(b.knots))
         h = ts[1] - ts[0]
         gx, gw = np.polynomial.legendre.leggauss(10)
         vals = np.empty(len(ts))
@@ -200,7 +200,7 @@ class TestBoundedReference:
         if ref.tf <= max(0.0, ref.t0):
             assert_closed_form_without_window(b, ref)
             return
-        assert np.array_equal(b._coeffs, CubicSpline(b._knots, knot_values(b)).c)
+        assert np.array_equal(b.coeffs, CubicSpline(b.knots, knot_values(b)).c)
 
     @pytest.mark.parametrize("ref", [TransitionRef(0.0, 0.5, 0.0, 0.002),
                                      TransitionRef(0.0, 0.5, 0.0, 0.0064),
@@ -211,9 +211,9 @@ class TestBoundedReference:
         # halfway between knots, where the spline's interpolation error peaks;
         # windows under 1 s need the 1000-interval floor for this
         b = BoundedReference(LIN, ref)
-        assert len(b._knots) == 1001
+        assert len(b.knots) == 1001
         scale = LIN.p2 * max(abs(ref.y0), abs(ref.yf))
-        mids = 0.5 * (b._knots[:-1] + b._knots[1:])
+        mids = 0.5 * (b.knots[:-1] + b.knots[1:])
         for t in mids[::25].tolist():
             want = quad_value(LIN, ref, t, epsabs=1e-14)
             assert b.value(t) == pytest.approx(want, abs=1e-12 * scale), t
@@ -239,7 +239,7 @@ class TestBoundedReference:
         ref = TransitionRef(0.0, 0.5, 1.291323856929842, 2.8254626662376747)
         b = BoundedReference(LIN, ref)
         t = math.nextafter(ref.tf, -math.inf)
-        assert int((t - b.t_lo) / b._h) == len(b._knots) - 1
+        assert int((t - b.t_lo) / b.gap) == len(b.knots) - 1
         want = quad_value(LIN, ref, t, epsabs=1e-14)
         assert b.value(t) == pytest.approx(want, abs=1e-12 * LIN.p2 * 0.5)
 
@@ -272,4 +272,4 @@ def test_every_valid_window_builds_a_finite_spline(fields):
         assert str(exc).startswith("transition window [")
         return
     b = BoundedReference(LIN, ref)
-    assert (b._knots[:-1] < b._knots[1:]).all() and np.isfinite(b._coeffs).all()
+    assert (b.knots[:-1] < b.knots[1:]).all() and np.isfinite(b.coeffs).all()

@@ -174,34 +174,17 @@ class TestClosedLoopRhs:
                 assert np.array_equal(rows[i], want_row)
 
     def test_a_dropped_loop_is_freed_without_the_cycle_collector(self):
-        # the right-hand-side kernel holds no reference to its loop; a sweep
-        # builds a loop per point, each with its reference's spline tables
-        gc.disable()
-        try:
-            loop = ClosedLoop(case_study_config("hg"))
-            ref = weakref.ref(loop)
-            del loop
-            assert ref() is None
-        finally:
-            gc.enable()
+        assert_freed_without_the_cycle_collector("hg")
+
+    def test_a_dropped_lin_loop_is_freed_without_the_cycle_collector(self):
+        assert_freed_without_the_cycle_collector("lin")
 
     def test_kernel_calls_no_reference_code(self, monkeypatch):
-        # inside the funnels, in the window, at tf and after it, the kernel
-        # gives its bits with every reference evaluation raising
-        loop = ClosedLoop(ROW_CONFIGS[2])
-        tf = loop.cfg.ref.tf
-        points = [(t, placed_state(loop, t, 0.1, 0.05, 0.1, [0.3, -0.2, 0.4], 0.0))
-                  for t in (0.25, 0.5, 0.999, tf, tf + 1e-9, 1.2)]
-        want = [loop.rhs(t, state) for t, state in points]
+        assert_kernel_calls_no_reference_code(ClosedLoop(ROW_CONFIGS[2]), monkeypatch)
 
-        def no_reference(*args):
-            raise AssertionError("the kernel evaluated the reference")
-
-        for owner, name in ((sim.BoundedReference, "eval"), (sim.BoundedReference, "value"),
-                            (sim, "yref_eval"), (reference, "yref_eval")):
-            monkeypatch.setattr(owner, name, no_reference)
-        got = [loop.rhs(t, state) for t, state in points]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+    def test_hg_kernel_calls_no_reference_code(self, monkeypatch):
+        loop = ClosedLoop(dataclasses.replace(ROW_CONFIGS[2], mode="hg"))
+        assert_kernel_calls_no_reference_code(loop, monkeypatch)
 
     def test_row_computes_no_dynamics(self, case_lin, case_hg, monkeypatch):
         def no_dynamics(*args):
@@ -237,6 +220,38 @@ class TestClosedLoopRhs:
         assert type(want) in (DomainError, FunnelViolation) and want.t == t and want.level == level
         for got in (outcome(loop.rhs, t, state), outcome(loop.row, run.traj.t, states)):
             assert outcome_bits(got) == outcome_bits(want)
+
+
+def assert_freed_without_the_cycle_collector(mode):
+    """The right-hand-side kernel of a ``mode`` loop holds no reference to its
+    loop; a sweep builds a loop per point, each with its reference's spline
+    tables."""
+    gc.disable()
+    try:
+        loop = ClosedLoop(case_study_config(mode))
+        ref = weakref.ref(loop)
+        del loop
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def assert_kernel_calls_no_reference_code(loop, monkeypatch):
+    """Inside the funnels, in the window, at tf and after it, the kernel gives
+    its bits with every reference evaluation raising."""
+    tf = loop.cfg.ref.tf
+    points = [(t, placed_state(loop, t, 0.1, 0.05, 0.1, [0.3, -0.2, 0.4], 0.0))
+              for t in (0.25, 0.5, 0.999, tf, tf + 1e-9, 1.2)]
+    want = [loop.rhs(t, state) for t, state in points]
+
+    def no_reference(*args):
+        raise AssertionError("the kernel evaluated the reference")
+
+    for owner, name in ((sim.BoundedReference, "eval"), (sim.BoundedReference, "value"),
+                        (sim, "yref_eval"), (reference, "yref_eval")):
+        monkeypatch.setattr(owner, name, no_reference)
+    got = [loop.rhs(t, state) for t, state in points]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def outcome(fn, *args):
@@ -397,7 +412,7 @@ class TestKernelMatchesLayers:
         cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.5, 1.291323856929842, 2.8254626662376747),
                              funnels=(FunnelSpec(0.0, 1.0, 100.0),) * 3, mode=mode)
         loop, t = ClosedLoop(cfg), math.nextafter(cfg.ref.tf, -math.inf)
-        assert int((t - loop.new_ref.t_lo) / loop.new_ref._h) == len(loop.new_ref._knots) - 1
+        assert int((t - loop.new_ref.t_lo) / loop.new_ref.gap) == len(loop.new_ref.knots) - 1
         state = placed_state(loop, t, 0.2, 0.1, 0.3, [0.5, 0.5, 0.5], 0.0)
         assert_same_outcome(loop, t, state)
 
