@@ -12,9 +12,6 @@ entries appended can be passed as it is.  Each computes the ``cos(beta)``
 and ``sin(beta)`` it needs.  All functions are pure; the admissible region
 ``cos(beta) > 2/3`` (where the high-frequency gain keeps a fixed sign) is
 checked by ``bif._require_domain``, which ``psi`` reaches, not here.
-``plant_rhs``, the dynamics, returns a list: ``sim.ClosedLoop`` appends
-the observer's derivative to it where it composes the right-hand side from
-the layers.
 """
 import functools
 import itertools

@@ -138,7 +138,9 @@ def formed(state) -> np.ndarray:
     if type(state) is not tuple:
         return state
     increment, h, base = state
-    return increment * h + base
+    v = increment * h  # one temporary: the sum rounds in place
+    v += base
+    return v
 
 
 def _rms(z) -> float:

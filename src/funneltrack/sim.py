@@ -22,10 +22,9 @@ import numpy as np
 from . import rk45
 from .errors import (ConfigError, FunnelViolation, IntegrationError,
                      SimulationError, require_finite)
-from .funnel import (CascadeOutput, FunnelSpec, cascade, cascade_margins,
-                     observer_derivatives, observer_rhs)
+from .funnel import CascadeOutput, FunnelSpec, cascade, cascade_margins, observer_derivatives
 from .linid import LinData, eigensplit, psi, ynew_derivatives
-from .model import DOMAIN_COS_LIMIT, ManipulatorParams, PlantState, output, plant_rhs
+from .model import DOMAIN_COS_LIMIT, ManipulatorParams, PlantState, output
 from .reference import (SLOPE_COEFFS, TRANSITION_COEFFS, BoundedReference, TransitionRef,
                         yref_eval)
 
@@ -248,21 +247,12 @@ class ClosedLoop:
         ``rk45.solve(..., stage_parts=True)`` hands over for the state
         ``rk45.formed`` makes of them.  The one kernel of both modes, bound
         at construction (``_bind_kernel``), computes it, forming parts per
-        entry by that rule, and the layer functions where the kernel returns
-        None, on the formed state, so that a controller error carries its
-        bytes either way."""
+        entry by that rule.  Where the kernel returns None, ``evaluate`` hands
+        it the controller record of the formed state, or raises the stamped
+        controller error, so that the error carries that state's bytes."""
         deriv = self._kernel(t, state)
-        if deriv is not None:
-            return deriv
-        return self._rhs_layers(t, rk45.formed(state))
-
-    def _rhs_layers(self, t: float, state: np.ndarray) -> list:
-        """``rhs`` composed from the layer functions."""
-        cfg, xs = self.cfg, state.tolist()
-        out = self.evaluate(t, xs)
-        deriv = plant_rhs(cfg.params, xs, out.u + disturbance(cfg.disturbance, t))
-        if self.observer:
-            deriv.extend(observer_rhs(cfg.observer_gains, xs[4:], out.y_new))
+        if deriv is None:
+            deriv = self._kernel(t, state, self.evaluate(t, rk45.formed(state).tolist()))
         return deriv
 
     def _bind_kernel(self):
@@ -273,22 +263,24 @@ class ClosedLoop:
         observer's derivative it appends.
 
         From ``t_lo`` on and inside every funnel, it performs each operation of
-        ``_rhs_layers`` -- ``psi``, the ladder or the observer's estimates,
-        ``BoundedReference.eval`` (on a float copy of the spline before tf, its
-        constants from tf on), ``cascade``, ``disturbance``, ``plant_rhs`` and
-        ``observer_rhs`` -- on the same operands in the same order, and so
-        returns its bits without reference calls.  A stage's parts are formed
-        as ``q * h + b`` per entry, which rounds as ``rk45.formed`` does.
-        ``terms_at`` keeps the terms of t alone (the reference, the funnels'
-        phi and the disturbance) of the last t for the calls that keep it, as
-        a step's last two stages do; t = 0 is never reused, since -0.0 == 0.0.
-        Before ``t_lo``, where tau = (t - t0) / (tf - t0) is 0 before tf (at
-        t0 or just past it, where y_ref holds y0), and at the layers' guards
-        (``not cos(beta) > 2/3``, ``not phi_i |e_i| < 1`` at levels 0, 1 and
-        2, a NaN included), it returns None, and ``rhs`` calls
-        ``_rhs_layers``, which raises the stamped controller error at a guard.
-        The kernel holds no reference to the loop, so a loop is freed as soon
-        as it is dropped.
+        ``evaluate`` and of the dynamics under its input -- ``psi``, the ladder
+        or the observer's estimates, ``BoundedReference.eval`` (on a float copy
+        of the spline before tf, its constants from tf on), ``cascade``,
+        ``disturbance``, ``model.plant_rhs`` and ``funnel.observer_rhs`` -- on
+        the same operands in the same order, and so returns their bits without
+        reference calls.  A stage's parts are formed as ``q * h + b`` per
+        entry, which rounds as ``rk45.formed`` does.  ``terms_at`` keeps the
+        terms of t alone (the reference, the funnels' phi and the disturbance)
+        of the last t for the calls that keep it, as a step's last two stages
+        do; t = 0 is never reused, since -0.0 == 0.0.  Before ``t_lo``, where
+        tau = (t - t0) / (tf - t0) is 0 before tf (at t0 or just past it,
+        where y_ref holds y0), and at the layers' guards (``not cos(beta) >
+        2/3``, ``not phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included),
+        it returns None.  Given ``record``, ``evaluate``'s record at this t and
+        state, it skips the controller: it takes u and y_new from the record
+        and d(t) from ``disturbance``, and computes the dynamics alone.  The
+        kernel holds no reference to the loop, so a loop is freed as soon as
+        it is dropped.
         """
         cfg, ref = self.cfg, self.cfg.ref
         (a0, b0, eps0), (a1, b1, eps1), (a2, b2, eps2) = [(f.a, f.b, f.eps) for f in cfg.funnels]
@@ -344,7 +336,7 @@ class ClosedLoop:
                     amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t))
             return memo
 
-        def kernel(t, state):
+        def kernel(t, state, record=None):
             if observer:
                 if type(state) is tuple:
                     increment, h, (b1, b2, b3, b4, b5, b6, b7) = state
@@ -360,35 +352,38 @@ class ClosedLoop:
             else:
                 x1, x2, x3, x4 = state.tolist()
             cb = cos(x2)
-            if not cb > DOMAIN_COS_LIMIT:
-                return None
-            terms = terms_at(t)
-            if terms is None:
-                return None
-            _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
-            # y_new = psi(x), its derivatives the observer's estimates or the ladder's
-            y = x1 + 0.5 * x2
-            y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * y
-            if not observer:
-                y1 = lam2 * y_new + lam2p2 * y
-                y2 = lam2 * y1 + lam2p2 * (x3 + 0.5 * x4)
-            # the cascade, each funnel tested before its gain squares
-            e0, e0_1, e0_2 = y_new - r0, y1 - r1, y2 - r2
-            pe = phi0 * e0
-            if not abs(pe) < 1.0:  # a NaN too
-                return None
-            k0 = 1.0 / (1.0 - pe ** 2)
-            k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
-            e1 = e0_1 + k0 * e0
-            pe = phi1 * e1
-            if not abs(pe) < 1.0:
-                return None
-            k1 = 1.0 / (1.0 - pe ** 2)
-            e2 = e0_2 + k0 * e0_1 + k0_1 * e0 + k1 * e1
-            pe = phi2 * e2
-            if not abs(pe) < 1.0:
-                return None
-            u = 1.0 / (1.0 - pe ** 2) * e2
+            if record is None:
+                if not cb > DOMAIN_COS_LIMIT:
+                    return None
+                terms = terms_at(t)
+                if terms is None:
+                    return None
+                _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
+                # y_new = psi(x), its derivatives the observer's estimates or the ladder's
+                y = x1 + 0.5 * x2
+                y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * y
+                if not observer:
+                    y1 = lam2 * y_new + lam2p2 * y
+                    y2 = lam2 * y1 + lam2p2 * (x3 + 0.5 * x4)
+                # the cascade, each funnel tested before its gain squares
+                e0, e0_1, e0_2 = y_new - r0, y1 - r1, y2 - r2
+                pe = phi0 * e0
+                if not abs(pe) < 1.0:  # a NaN too
+                    return None
+                k0 = 1.0 / (1.0 - pe ** 2)
+                k0_1 = 2.0 * phi0 * e0 * k0 * k0 * (phi0_dot * e0 + phi0 * e0_1)
+                e1 = e0_1 + k0 * e0
+                pe = phi1 * e1
+                if not abs(pe) < 1.0:
+                    return None
+                k1 = 1.0 / (1.0 - pe ** 2)
+                e2 = e0_2 + k0 * e0_1 + k0_1 * e0 + k1 * e1
+                pe = phi2 * e2
+                if not abs(pe) < 1.0:
+                    return None
+                u = 1.0 / (1.0 - pe ** 2) * e2
+            else:  # the controller's record where the kernel returned None
+                u, y_new, dist = record.u, record.y_new, disturbance(cfg.disturbance, t)
             # the plant under u + d(t), then the observer
             sb = sin(x2)
             t1 = half_l2m * x4 * (2.0 * x3 + x4) * sb + (u + dist)

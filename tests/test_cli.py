@@ -293,6 +293,14 @@ def test_case_study_outputs(tmp_path, capsys):
     assert summary["lin"]["max_abs_beta"] < 0.8411
 
 
+def test_case_study_without_disturbance(tmp_path, case_lin_nodist, case_hg_nodist):
+    assert main(["case-study", "--out-dir", str(tmp_path), "--no-disturbance"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["disturbed"] is False
+    for mode, run in (("lin", case_lin_nodist), ("hg", case_hg_nodist)):
+        assert summary[mode]["y_final"] == float(run.traj["y"][-1]), mode
+
+
 def test_sweep_command(tmp_path, short_config):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--config", str(short_config),
