@@ -10,6 +10,7 @@ time and state.  The whole pipeline is deterministic: identical
 configurations produce bit-identical CSV files.
 """
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -187,22 +188,15 @@ class Trajectory:
                 fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-# the eigensplit and bounded reference of the last ClosedLoop built in this
-# process, under the repr of its params and ref, which tells every float
-# apart (-0.0 from 0.0 too) where == does not: a sweep's points that share
-# them build the reference once per process
-_reference = (None, None, None)
-
-
-def _split_and_reference(params: ManipulatorParams,
+@functools.lru_cache(maxsize=1)
+def _split_and_reference(key: str, params: ManipulatorParams,
                          ref: TransitionRef) -> tuple[LinData, BoundedReference]:
-    """(eigensplit(params), BoundedReference) of this pair, from the one-entry cache."""
-    global _reference
-    key = repr((params, ref))
-    if _reference[0] != key:
-        lin = eigensplit(params)
-        _reference = (key, lin, BoundedReference(lin, ref))
-    return _reference[1:]
+    """(eigensplit(params), BoundedReference) of this pair, from a one-entry
+    cache, so that a sweep's points that share them build the reference once
+    per process.  ``key`` is the repr of ``(params, ref)``, which tells every
+    float apart (-0.0 from 0.0 too) where == does not."""
+    lin = eigensplit(params)
+    return lin, BoundedReference(lin, ref)
 
 
 class ClosedLoop:
@@ -210,7 +204,8 @@ class ClosedLoop:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.lin, self.new_ref = _split_and_reference(cfg.params, cfg.ref)
+        self.lin, self.new_ref = _split_and_reference(repr((cfg.params, cfg.ref)),
+                                                      cfg.params, cfg.ref)
         self.observer = cfg.mode == "hg"
         # the one place the variants differ: where y_new's derivatives come from
         self.derivatives = observer_derivatives if self.observer else ynew_derivatives
@@ -269,14 +264,14 @@ class ClosedLoop:
         ``disturbance``, ``model.plant_rhs`` and ``funnel.observer_rhs`` -- on
         the same operands in the same order, and so returns their bits without
         reference calls.  A stage's parts are formed as ``q * h + b`` per
-        entry, which rounds as ``rk45.formed`` does.  ``terms_at`` keeps the
+        entry, which rounds as ``rk45.formed`` does.  The kernel keeps the
         terms of t alone (the reference, the funnels' phi and the disturbance)
-        of the last t for the calls that keep it, as a step's last two stages
-        do; t = 0 is never reused, since -0.0 == 0.0.  Before ``t_lo``, where
-        tau = (t - t0) / (tf - t0) is 0 before tf (at t0 or just past it,
-        where y_ref holds y0), and at the layers' guards (``not cos(beta) >
-        2/3``, ``not phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included),
-        it returns None.  Given ``record``, ``evaluate``'s record at this t and
+        of the last t in its one-entry memo for the calls that keep it, as a
+        step's last two stages do; t = 0 is never reused, since -0.0 == 0.0.
+        Before ``t_lo``, where tau = (t - t0) / (tf - t0) is 0 before tf (at
+        t0 or just past it, where y_ref holds y0), and at the layers' guards
+        (``not cos(beta) > 2/3``, ``not phi_i |e_i| < 1`` at levels 0, 1 and
+        2, a NaN included), it returns None.  Given ``record``, ``evaluate``'s record at this t and
         state, it skips the controller: it takes u and y_new from the record
         and d(t) from ``disturbance``, and computes the dynamics alone.  The
         kernel holds no reference to the loop, so a loop is freed as soon as
@@ -300,43 +295,10 @@ class ClosedLoop:
         amp1, freq1, amp2, freq2 = dataclasses.astuple(cfg.disturbance)
         g1, g2, g3 = cfg.observer_gains
         observer = self.observer
-        memo = (math.nan,)  # the last t and its terms, see terms_at
-
-        def terms_at(t):
-            """(t, r0, r1, r2, phi0, phi0_dot, phi1, phi2, d(t)): the bounded
-            reference's ladder, the funnels and the disturbance at t, or None
-            where the layers take over; the last tuple again at its own t."""
-            nonlocal memo
-            if t == memo[0] and t:
-                return memo
-            if not t >= t_lo:
-                return None
-            if t < tf:  # the bounded reference's spline, and y_ref rising through the ladder
-                i = int((t - t_lo) / gap)
-                if i > last:
-                    i = last
-                q3, q2, q1, q0 = coeffs[i]
-                dt = t - knots[i]
-                r0 = ((q3 * dt + q2) * dt + q1) * dt + q0
-                tau = (t - t0) / span
-                if tau == 0.0:
-                    return None
-                t5 = tau ** 5
-                y_ref = y0 + t5 * ((((c9 * tau + c8) * tau + c7) * tau + c6) * tau + c5) * dy
-                y_ref_dot = (t5 / tau * ((((s9 * tau + s8) * tau + s7) * tau + s6) * tau + s5)
-                             * dy / span)
-                r1 = lam2 * r0 + lam2p2 * y_ref
-                r2 = lam2 * r1 + lam2p2 * y_ref_dot
-            else:  # BoundedReference.eval's values from tf on
-                r0, r1, r2 = final, 0.0, 0.0
-            decay = a0 * exp(nb0 * t)
-            phi0 = 1.0 / (decay + eps0)
-            memo = (t, r0, r1, r2, phi0, b0 * decay * phi0 * phi0,
-                    1.0 / (a1 * exp(nb1 * t) + eps1), 1.0 / (a2 * exp(nb2 * t) + eps2),
-                    amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t))
-            return memo
+        memo = (math.nan,)  # the last t and its terms
 
         def kernel(t, state, record=None):
+            nonlocal memo
             if observer:
                 if type(state) is tuple:
                     increment, h, (b1, b2, b3, b4, b5, b6, b7) = state
@@ -355,10 +317,34 @@ class ClosedLoop:
             if record is None:
                 if not cb > DOMAIN_COS_LIMIT:
                     return None
-                terms = terms_at(t)
-                if terms is None:
-                    return None
-                _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = terms
+                if t != memo[0] or not t:  # the terms of t alone, once per t
+                    if not t >= t_lo:
+                        return None
+                    if t < tf:  # the bounded reference's spline; y_ref rising through the ladder
+                        i = int((t - t_lo) / gap)
+                        if i > last:
+                            i = last
+                        q3, q2, q1, q0 = coeffs[i]
+                        dt = t - knots[i]
+                        r0 = ((q3 * dt + q2) * dt + q1) * dt + q0
+                        tau = (t - t0) / span
+                        if tau == 0.0:
+                            return None
+                        t5 = tau ** 5
+                        y_ref = y0 + t5 * ((((c9 * tau + c8) * tau + c7) * tau + c6) * tau
+                                           + c5) * dy
+                        y_ref_dot = (t5 / tau * ((((s9 * tau + s8) * tau + s7) * tau + s6) * tau
+                                                 + s5) * dy / span)
+                        r1 = lam2 * r0 + lam2p2 * y_ref
+                        r2 = lam2 * r1 + lam2p2 * y_ref_dot
+                    else:  # BoundedReference.eval's values from tf on
+                        r0, r1, r2 = final, 0.0, 0.0
+                    decay = a0 * exp(nb0 * t)
+                    phi0 = 1.0 / (decay + eps0)
+                    memo = (t, r0, r1, r2, phi0, b0 * decay * phi0 * phi0,
+                            1.0 / (a1 * exp(nb1 * t) + eps1), 1.0 / (a2 * exp(nb2 * t) + eps2),
+                            amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t))
+                _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = memo
                 # y_new = psi(x), its derivatives the observer's estimates or the ladder's
                 y = x1 + 0.5 * x2
                 y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * y

@@ -415,6 +415,11 @@ BITWISE_PROBLEMS = [
     pytest.param(lambda: (lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0),
                           np.array([1.0, 0.0]), dict(rel_tol=1e-12, abs_tol=1e-14)),
                  False, id="no-sample-step"),
+    # the summed step ends fall just short of grid times such as 0.1 and 2.1,
+    # so (t_emit - t) / h rounds past 1 and min(1.0, theta) sets those samples
+    pytest.param(lambda: (lambda t, y: -y, (0.0, 3.0), np.array([1.0]),
+                          dict(rel_tol=1e-6, abs_tol=1e-9, max_step=0.01, sample_step=0.1)),
+                 False, id="theta-rounds-past-one"),
     *(pytest.param(lambda t_span=t_span, step=step: (
         lambda t, y: np.array([y[1], -y[0]]), t_span, np.array([1.0, 0.0]),
         dict(rel_tol=1e-9, abs_tol=1e-12, sample_step=step)),
