@@ -103,16 +103,15 @@ def main(argv=None) -> int:
             dump_json(summary, summary_json)
             print(json.dumps(summary, indent=2))
             return 0
-        if args.command == "sweep":
-            cfg = ScenarioConfig.from_json_file(args.config)
-            field, start, stop, n = _parse_vary(args.vary)
-            _check_writable(args.out)
-            results = run_sweep(cfg, field, start, stop, n, parallel=not args.serial)
-            dump_json(results, args.out)
-            for row in results:
-                print(f"{field} = {row['value']:.6g}: {row['status']}")
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        # sweep: the parser rejects any command it does not list
+        cfg = ScenarioConfig.from_json_file(args.config)
+        field, start, stop, n = _parse_vary(args.vary)
+        _check_writable(args.out)
+        results = run_sweep(cfg, field, start, stop, n, parallel=not args.serial)
+        dump_json(results, args.out)
+        for row in results:
+            print(f"{field} = {row['value']:.6g}: {row['status']}")
+        return 0
     except tuple(FAILURES) as exc:
         code, label = next(FAILURES[c] for c in type(exc).__mro__ if c in FAILURES)
         where = "" if getattr(exc, "t", None) is None else f" at t = {exc.t:.6f}"

@@ -162,6 +162,8 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * span or span, max_step)
+    if not h0 > 0:  # an infinite or NaN f0: solve raises at t0
+        return h0
     try:
         f1 = np.asarray(f(t0 + h0, formed((f0, h0, y0))))
     except guards:
@@ -174,6 +176,9 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
     return min(100 * h0, h1, max_step, span)
 
 
+# an overflow in a stage sum or the error estimate gives a non-finite norm,
+# which rejects the step: numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore")
 def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
           min_step=MIN_STEP, sample_step=None, guards=(), stage_parts=False) -> SolveResult:
     """Integrate y' = f(t, y) over a finite ``t_span`` with t0 < t_end, with dense sampling.
@@ -202,7 +207,7 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     the last one, cut short to end at ``t_end``; a step size that falls
     below it anywhere else (the first, or after a rejected or an accepted
     step) raises IntegrationError, and so does an initial step size that
-    is not finite and > 0 (say, from an f that returns NaN).
+    is not finite and > 0 (say, from an f that returns NaN or inf).
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end) and t0 < t_end):

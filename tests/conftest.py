@@ -1,11 +1,12 @@
 """Shared fixtures: the case-study runs and the checks are expensive, so run them once."""
+import math
 import time
 
 import pytest
 
 from funneltrack import checks
 from funneltrack.funnel import cascade_margins
-from funneltrack.sim import case_study_config, integrate
+from funneltrack.sim import ClosedLoop, case_study_config, integrate
 
 
 class CaseStudyRun:
@@ -52,3 +53,17 @@ class CheckResults(dict):
 @pytest.fixture(scope="session")
 def check_results():
     return CheckResults()
+
+
+@pytest.fixture
+def one_non_finite_sample(monkeypatch):
+    """``ClosedLoop.row`` gives one sample a NaN, as a diverging ``hg``
+    observer's ungated ``zeta1`` can while every gated entry stays finite."""
+    row = ClosedLoop.row
+
+    def one_nan(self, ts, states):
+        data = row(self, ts, states)
+        data[len(ts) // 2, -1] = math.nan
+        return data
+
+    monkeypatch.setattr(ClosedLoop, "row", one_nan)

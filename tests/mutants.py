@@ -24,19 +24,15 @@ import tempfile
 import time
 import typing
 
+from expected_failures import EXPECTED_FAILURES
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")  # what the tests read
 SIM, RK45 = "src/funneltrack/sim.py", "src/funneltrack/rk45.py"
 
 KERNEL = ("tests/test_sim.py::TestKernelMatchesLayers",)
-# tier 1 less the three acceptance assertions that fail by design (README.md)
-TIER1 = ("tests",
-         "--deselect", "tests/test_acceptance.py::TestCriterion3Tracking"
-                       "::test_final_tracking_and_mode_agreement",
-         "--deselect", "tests/test_acceptance.py::TestCriterion4ControllerAgreement"
-                       "::test_input_agreement_after_transient",
-         "--deselect", "tests/test_acceptance.py::TestCriterion10Robustness"
-                       "::test_disturbed_and_undisturbed")
+# tier 1 less the three acceptance assertions that fail by design
+TIER1 = ("tests", *(arg for node in EXPECTED_FAILURES for arg in ("--deselect", node)))
 SELECTION_NAMES = {KERNEL: "TestKernelMatchesLayers", TIER1: "tier 1"}
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import pytest
@@ -158,8 +159,39 @@ def test_nan_error_is_a_funnel_violation(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+# an unstable observer: a stage sum of rk45.solve overflows, the step is
+# rejected and the run stops at a funnel wall; numpy's RuntimeWarning must
+# neither reach stderr nor, under -W error, escape main
+def test_overflowing_stage_sum_is_exit_2_without_a_warning(tmp_path, capsys):
+    cfg = tmp_path / "unstable-observer.json"
+    cfg.write_text(json.dumps({"mode": "hg", "observer_gains": [-200.0, 0.0, 0.0],
+                               "t_end": 3.7, "x0": {"alpha": 0.01}}))
+    out = tmp_path / "never.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("funnel violation at t = ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.usefixtures("one_non_finite_sample")
+def test_non_finite_sample_is_exit_2(tmp_path, short_config, capsys):
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(short_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("funnel violation at t = 1.000000: "
+                                       "non-finite values in sampled trajectory\n")
+    assert not out.exists()
+
+
 def test_usage_error_is_exit_1():
     assert main(["simulate"]) == 1  # --config missing
+
+
+def test_unknown_command_is_exit_1(capsys):
+    assert main(["bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: argument command: invalid choice") and err.count("\n") == 1
 
 
 def test_funnel_violation_is_exit_2(tmp_path):

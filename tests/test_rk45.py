@@ -128,6 +128,8 @@ def test_empty_or_reversed_span_is_rejected(t_span):
 @pytest.mark.parametrize("call, raised", [
     pytest.param("rk45.solve(lambda t, y: np.array([np.nan]), (0.0, 1.0), np.array([1.0]))",
                  "IntegrationError t=0.0 state=[1.0]", id="nan-field"),
+    pytest.param("rk45.solve(lambda t, y: np.array([np.inf]), (0.0, 1.0), np.array([1.0]))",
+                 "IntegrationError t=0.0 state=[1.0]", id="inf-field"),
     pytest.param("rk45.solve(lambda t, y: np.array([0.0, 1.0]), (0.0, 1.0), np.zeros(2),"
                  " abs_tol=0.0)", "ValueError", id="zero-abs-tol"),
     pytest.param("rk45.solve(lambda t, y: np.array([0.0, 1.0]), (0.0, 1.0), np.zeros(2),"
@@ -160,15 +162,21 @@ def test_degenerate_solve_raises_instead_of_looping(call, raised):
 
 
 # the smallest accepted abs_tol: the starting-step norms of the case study
-# stay finite, so the solve stops on a too-short step, with no overflow
+# stay finite, so the solve stops on a too-short step, with no overflow;
+# solve turns numpy's overflow warnings off, so the starting step is also
+# taken on its own, where an overflow outside _rms's rescaling raises
 @pytest.mark.parametrize("abs_tol", [rk45.MIN_ABS_TOL, 1e-154])
 def test_smallest_abs_tol_underflows_without_overflow(abs_tol):
     loop = ClosedLoop(case_study_config("lin"))
+    y0 = loop.initial_state()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="step size underflow"):
-            rk45.solve(loop.rhs, (0.0, 3.0), loop.initial_state(), abs_tol=abs_tol,
-                       max_step=0.05)
+            rk45.solve(loop.rhs, (0.0, 3.0), y0, abs_tol=abs_tol, max_step=0.05)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        h = rk45._initial_step(loop.rhs, 0.0, y0, np.array(loop.rhs(0.0, y0)), 3.0, 1e-9,
+                               abs_tol, 0.05, ())
+    assert 0 < h < math.inf
 
 
 @pytest.mark.parametrize("t_end, max_step, h", [(1.0, math.inf, 1e-6), (1.0, 1e-9, 1e-9),

@@ -675,6 +675,14 @@ def stopped(name):
 
 
 class TestGuardsAndFailures:
+    @pytest.mark.usefixtures("one_non_finite_sample")
+    def test_non_finite_sample_is_a_violation_at_t_end(self):
+        cfg = dataclasses.replace(case_study_config("lin"), t_end=0.5)
+        with pytest.raises(FunnelViolation) as exc:
+            integrate(cfg)
+        assert str(exc.value) == "non-finite values in sampled trajectory"
+        assert exc.value.t == cfg.t_end and exc.value.level is None
+
     def test_forced_funnel_violation_is_clean(self):
         # the one tier-1 run through integrate in which a guard exception
         # reaches min_step mid-run, after about 123 000 RHS calls;
