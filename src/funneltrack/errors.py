@@ -13,13 +13,19 @@ class ConfigError(ValueError):
 
 def require_finite(cfg) -> None:
     """Raise ConfigError unless each ``float`` field of ``cfg``, and each entry
-    of a ``tuple[float, ...]`` field, is a finite int or float (not a bool)."""
+    of a ``tuple[float, ...]`` field, is a finite int or float (not a bool);
+    an int outside the float range is not finite."""
     for f in dataclasses.fields(cfg):
         if f.type not in (float, tuple[float, ...]):
             continue
         value = getattr(cfg, f.name)
         for v in (value,) if f.type is float else value:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            try:
+                finite = (not isinstance(v, bool) and isinstance(v, (int, float))
+                          and math.isfinite(v))
+            except OverflowError:  # an int outside the float range
+                finite = False
+            if not finite:
                 raise ConfigError(
                     f"{type(cfg).__name__}.{f.name} must be a finite number, got {value!r}")
 

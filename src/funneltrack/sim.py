@@ -125,11 +125,14 @@ class ScenarioConfig:
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # ValueError: a JSONDecodeError, bytes that are not UTF-8 or an int
+        # past int()'s digit limit; RecursionError: nesting past the
+        # interpreter's limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
@@ -509,8 +512,11 @@ def run_sweep(cfg: ScenarioConfig, dotted_field: str, start: float, stop: float,
         raise ConfigError("sweep needs at least one point")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"sweep range must be finite, got {start}:{stop}")
-    jobs = [(float(v), _replace_field(cfg, dotted_field, float(v)))
-            for v in np.linspace(start, stop, n)]
+    try:
+        grid = np.linspace(start, stop, n)
+    except (ValueError, MemoryError, IndexError) as exc:  # a grid numpy cannot build
+        raise ConfigError(f"cannot sweep {n} points: {exc}") from exc
+    jobs = [(float(v), _replace_field(cfg, dotted_field, float(v))) for v in grid]
     if parallel and n > 1:
         # imported here, so that a single run does not load multiprocessing;
         # under fork the pool starts all its workers at the first submit, so

@@ -1,5 +1,10 @@
-"""Shared fixtures: the case-study runs and the checks are expensive, so run them once."""
+"""Shared fixtures: the case-study runs and the checks are expensive, so run
+them once; and the one way the tests start a fresh interpreter."""
 import math
+import os
+import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -42,17 +47,33 @@ def case_hg_nodist():
     return CaseStudyRun(case_study_config("hg", disturbed=False))
 
 
-class CheckResults(dict):
-    """name -> (ok, detail) of a check of ``funneltrack.checks``, run on first use."""
+# pyproject.toml's faulthandler_timeout: a child that hangs fails its test
+CHILD_TIMEOUT = 120
 
-    def __missing__(self, name):
-        self[name] = result = dict(checks.ALL_CHECKS)[name]()
-        return result
+
+def run_python(*args, **env):
+    """``python *args`` in a fresh interpreter that imports what this one
+    does, with ``env`` added to the environment; text output captured."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=CHILD_TIMEOUT)
 
 
 @pytest.fixture(scope="session")
 def check_results():
-    return CheckResults()
+    """name -> (ok, detail) of each check of ``funneltrack.checks``, read off
+    one ``funneltrack check`` run in a fresh interpreter under ``-X dev -W
+    error`` that cannot import scipy: the package needs numpy only."""
+    run = run_python("-X", "dev", "-W", "error", "-c",
+                     "import sys; sys.modules['scipy'] = None  # importing scipy raises\n"
+                     "from funneltrack.cli import main; sys.exit(main(['check']))")
+    lines = [re.fullmatch(r"\[(PASS|FAIL)\] ([a-z-]+): (.*)", line)
+             for line in run.stdout.splitlines()]
+    assert [line and line[2] for line in lines] == [name for name, _ in checks.ALL_CHECKS], (
+        run.stdout + run.stderr)
+    results = {line[2]: (line[1] == "PASS", line[3]) for line in lines}
+    assert run.returncode == (0 if all(ok for ok, _ in results.values()) else 1), run.stderr
+    return results
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Every independent-route check of ``funneltrack.checks``, one test each."""
+"""Every independent-route check of ``funneltrack.checks``, one test each,
+read off the one ``funneltrack check`` run of ``conftest.check_results``."""
 import re
 from pathlib import Path
 

@@ -2,14 +2,12 @@
 import dataclasses
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import warnings
 from unittest import mock
 
 import pytest
 
+from conftest import run_python
 from funneltrack.cli import main
 from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
 from funneltrack.funnel import FunnelSpec
@@ -68,10 +66,38 @@ def test_missing_config_is_exit_1(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+def test_missing_config_is_exit_1_across_a_process_boundary(tmp_path):
+    # the console script is sys.exit(main()), as cli.py's __main__ block is
+    out = tmp_path / "never.csv"
+    run = run_python("-m", "funneltrack.cli", "simulate",
+                     "--config", str(tmp_path / "missing.json"), "--out", str(out))
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_invalid_json_is_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["simulate", "--config", str(bad)]) == 1
+
+
+# a config file is UTF-8 JSON: other bytes raise UnicodeDecodeError, nesting
+# past the recursion limit RecursionError, and an integer of more digits than
+# int() converts a ValueError, not JSONDecodeError
+@pytest.mark.parametrize("content", [
+    pytest.param(b'\xff\xfe{"t_end": 1.0}', id="not-utf-8"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-past-the-recursion-limit"),
+    pytest.param(b'{"t_end": ' + b"1" * 5000 + b"}", id="integer-past-the-digit-limit"),
+])
+def test_undecodable_config_is_exit_1(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid JSON in {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_non_object_json_is_exit_1(tmp_path):
@@ -347,6 +373,19 @@ def test_sweep_bad_spec_is_exit_1(short_config):
     assert main(["sweep", "--config", str(short_config), "--vary", "oops"]) == 1
 
 
+# linspace raises MemoryError (6.94 EiB, nothing allocated), IndexError and
+# ValueError for these
+@pytest.mark.parametrize("n", [10**18, 2**63, 10**20])
+def test_sweep_grid_numpy_cannot_build_is_exit_1(tmp_path, short_config, capsys, n):
+    out = tmp_path / "never.json"
+    with mock.patch("funneltrack.sim.integrate") as runs:
+        assert main(["sweep", "--config", str(short_config), "--vary", f"t_end=1:2:{n}",
+                     "--out", str(out), "--serial"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot sweep {n} points: ") and err.count("\n") == 1
+    assert runs.call_count == 0 and not out.exists()
+
+
 @pytest.mark.parametrize("vary", ["funnels.3.a=0:1:2", "funnels.x.a=0:1:2",
                                   "params.bogus=0:1:2", "t_end=1:-1:3",
                                   "disturbance.amp1=0:1:0", "ref.tf=0.5:5e-324:2"])
@@ -390,8 +429,7 @@ def test_check_command_exit_code(monkeypatch, capsys, stubs, code, line):
 
 def test_checks_load_lazily():
     code = "import sys, funneltrack.cli; sys.exit('funneltrack.checks' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run_python("-c", code).returncode == 0
 
 
 def test_run_path_never_loads_scipy(tmp_path, short_config):
@@ -407,6 +445,5 @@ def test_run_path_never_loads_scipy(tmp_path, short_config):
         "assert sys.modules['scipy'] is None, 'scipy was loaded'",
         "assert 'numpy.polynomial' not in sys.modules, 'simulate loaded numpy.polynomial'",
     ])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr

@@ -138,9 +138,11 @@ def assert_exit_1_before_any_run(path, bad):
             _replace_field(BASE, path, bad)
 
 
-# 33 leaves times 3 values: all 99 cases run
-@settings(PROPERTY, max_examples=100)
-@given(st.sampled_from(LEAVES), st.sampled_from((math.nan, math.inf, -math.inf)))
+# 33 leaves times 5 values: all 165 cases run; an int outside the float
+# range is not finite either
+@settings(PROPERTY, max_examples=170)
+@given(st.sampled_from(LEAVES),
+       st.sampled_from((math.nan, math.inf, -math.inf, 10**400, -10**400)))
 def test_non_finite_leaf_is_exit_1_before_any_run(path, bad):
     assert_exit_1_before_any_run(path, bad)
 

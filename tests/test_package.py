@@ -3,11 +3,9 @@ file reads what it imports and every private name it defines, no module
 imports another's private name or reads another object's private attribute,
 and README's library example runs."""
 import ast
-import os
 import pathlib
-import subprocess
-import sys
 
+from conftest import run_python
 import funneltrack
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -19,8 +17,7 @@ def test_importing_the_root_loads_no_layer_and_no_numpy():
     code = ("import sys, funneltrack\n"
             "loaded = [m for m in sys.modules if m.startswith('funneltrack.') or m == 'numpy']\n"
             "assert not loaded, loaded")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
 
 
@@ -31,8 +28,7 @@ def test_a_single_run_loads_no_process_pool():
             "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process')\n"
             "          if m in sys.modules]\n"
             "assert not loaded, loaded")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
 
 

@@ -7,14 +7,12 @@ small cross-platform floating-point drift.
 """
 import json
 import math
-import os
 import platform
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from conftest import run_python
 from funneltrack.linid import eigensplit
 from funneltrack.model import ManipulatorParams
 from funneltrack.reference import BoundedReference, TransitionRef
@@ -83,9 +81,8 @@ def test_case_study_on_a_blas_kernel_without_fma(tmp_path, case_lin, case_hg):
     # the same and the outputs stay within these bounds (measured 1.1e-14 in y
     # and 1.4e-10 in u); where numpy's BLAS is not OpenBLAS the variable does
     # nothing, the outputs are equal and this passes trivially
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_CORETYPE": "Prescott"}
-    run = subprocess.run([sys.executable, "-m", "funneltrack.cli", "case-study",
-                          "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True)
+    run = run_python("-m", "funneltrack.cli", "case-study", "--out-dir", str(tmp_path),
+                     OPENBLAS_CORETYPE="Prescott")
     assert run.returncode == 0, run.stderr
     summary = json.loads((tmp_path / "summary.json").read_text())
     for mode, case in (("lin", case_lin), ("hg", case_hg)):

@@ -1,15 +1,13 @@
 """Adaptive Runge-Kutta pair: accuracy, dense output, guards."""
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import run_python
 from funneltrack import rk45
 from funneltrack.errors import ConfigError, DomainError, FunnelViolation, IntegrationError
 from funneltrack.sim import SAMPLE_STEP, ClosedLoop, IntegratorConfig, case_study_config
@@ -154,9 +152,7 @@ def test_degenerate_solve_raises_instead_of_looping(call, raised):
             "    print(f'IntegrationError t={exc.t} state={exc.state.tolist()}')\n"
             "except ValueError:\n"
             "    print('ValueError')\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == raised
 

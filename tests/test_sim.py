@@ -814,10 +814,14 @@ class TestSweep:
         assert all(r["solver"]["naccept"] > 0 for r in rows)
 
     def test_parallel_matches_serial(self):
-        # more points than workers: a worker reuses its reference
-        cfg = ScenarioConfig(ref=TransitionRef(0.0, 0.2, 0.0, 1.0), t_end=0.5)
-        serial = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 4, parallel=False)
-        parallel = run_sweep(cfg, "disturbance.amp1", 0.0, 0.1, 4, parallel=True)
+        # the disturbed hg case study, whose larger amplitudes stop at a
+        # funnel wall; more points than workers: a worker reuses its
+        # reference for its ok and its failed points
+        cfg = dataclasses.replace(case_study_config("hg"), t_end=1.2)
+        serial = run_sweep(cfg, "disturbance.amp1", 0.0, 3.0, 4, parallel=False)
+        parallel = run_sweep(cfg, "disturbance.amp1", 0.0, 3.0, 4, parallel=True)
+        assert [row["status"] for row in serial] == ["ok", "ok"] + ["FunnelViolation"] * 2
+        assert [round(row["t"], 4) for row in serial[2:]] == [1.1010, 1.0585]
         assert json.dumps(serial) == json.dumps(parallel)
 
     # the CPUs this process may run on (None: a platform without
