@@ -175,6 +175,9 @@ class BoundedReference:
     (c3, c2, c1, c0) in one column per interval.
     """
 
+    # endpoints near the float limit overflow the quadrature and the spline's
+    # solve; the NaN reference then stops the run at t = 0, so numpy need not warn
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def __init__(self, lin: LinData, ref: TransitionRef):
         self.ref = ref
         self.lam2 = lin.lambda2

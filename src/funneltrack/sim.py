@@ -99,6 +99,11 @@ class ScenarioConfig:
             raise ConfigError(f"mode must be 'lin' or 'hg', got {self.mode!r}")
         if self.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        # sin and cos take freq * t up to t_end + 1 ulp, where t + (t_end - t) may round
+        t_max = math.nextafter(self.t_end, math.inf)
+        for name in ("freq1", "freq2"):
+            if not math.isfinite(getattr(self.disturbance, name) * t_max):
+                raise ConfigError(f"disturbance phase {name} * t overflows by t_end = {self.t_end}")
         if len(self.funnels) != 3:
             raise ConfigError("exactly three funnel functions are required")
         if len(self.observer_gains) != 3:
@@ -267,18 +272,15 @@ class ClosedLoop:
         ``disturbance``, ``model.plant_rhs`` and ``funnel.observer_rhs`` -- on
         the same operands in the same order, and so returns their bits without
         reference calls.  A stage's parts are formed as ``q * h + b`` per
-        entry, which rounds as ``rk45.formed`` does.  The kernel keeps the
-        terms of t alone (the reference, the funnels' phi and the disturbance)
-        of the last t in its one-entry memo for the calls that keep it, as a
-        step's last two stages do; t = 0 is never reused, since -0.0 == 0.0.
-        Before ``t_lo``, where tau = (t - t0) / (tf - t0) is 0 before tf (at
-        t0 or just past it, where y_ref holds y0), and at the layers' guards
-        (``not cos(beta) > 2/3``, ``not phi_i |e_i| < 1`` at levels 0, 1 and
-        2, a NaN included), it returns None.  Given ``record``, ``evaluate``'s record at this t and
+        entry, which rounds as ``rk45.formed`` does.  Before ``t_lo``, where
+        tau = (t - t0) / (tf - t0) is 0 before tf (at t0 or just past it,
+        where y_ref holds y0), and at the layers' guards (``not cos(beta) >
+        2/3``, ``not phi_i |e_i| < 1`` at levels 0, 1 and 2, a NaN included),
+        it returns None.  Given ``record``, ``evaluate``'s record at this t and
         state, it skips the controller: it takes u and y_new from the record
-        and d(t) from ``disturbance``, and computes the dynamics alone.  The
-        kernel holds no reference to the loop, so a loop is freed as soon as
-        it is dropped.
+        and computes the dynamics alone, d(t) on the line that both routes
+        share.  The kernel is a pure function of its arguments and holds no
+        reference to the loop, so a loop is freed as soon as it is dropped.
         """
         cfg, ref = self.cfg, self.cfg.ref
         (a0, b0, eps0), (a1, b1, eps1), (a2, b2, eps2) = [(f.a, f.b, f.eps) for f in cfg.funnels]
@@ -298,10 +300,8 @@ class ClosedLoop:
         amp1, freq1, amp2, freq2 = dataclasses.astuple(cfg.disturbance)
         g1, g2, g3 = cfg.observer_gains
         observer = self.observer
-        memo = (math.nan,)  # the last t and its terms
 
         def kernel(t, state, record=None):
-            nonlocal memo
             if observer:
                 if type(state) is tuple:
                     increment, h, (b1, b2, b3, b4, b5, b6, b7) = state
@@ -318,36 +318,31 @@ class ClosedLoop:
                 x1, x2, x3, x4 = state.tolist()
             cb = cos(x2)
             if record is None:
-                if not cb > DOMAIN_COS_LIMIT:
+                if not cb > DOMAIN_COS_LIMIT or not t >= t_lo:
                     return None
-                if t != memo[0] or not t:  # the terms of t alone, once per t
-                    if not t >= t_lo:
+                if t < tf:  # the bounded reference's spline; y_ref rising through the ladder
+                    i = int((t - t_lo) / gap)
+                    if i > last:
+                        i = last
+                    q3, q2, q1, q0 = coeffs[i]
+                    dt = t - knots[i]
+                    r0 = ((q3 * dt + q2) * dt + q1) * dt + q0
+                    tau = (t - t0) / span
+                    if tau == 0.0:
                         return None
-                    if t < tf:  # the bounded reference's spline; y_ref rising through the ladder
-                        i = int((t - t_lo) / gap)
-                        if i > last:
-                            i = last
-                        q3, q2, q1, q0 = coeffs[i]
-                        dt = t - knots[i]
-                        r0 = ((q3 * dt + q2) * dt + q1) * dt + q0
-                        tau = (t - t0) / span
-                        if tau == 0.0:
-                            return None
-                        t5 = tau ** 5
-                        y_ref = y0 + t5 * ((((c9 * tau + c8) * tau + c7) * tau + c6) * tau
-                                           + c5) * dy
-                        y_ref_dot = (t5 / tau * ((((s9 * tau + s8) * tau + s7) * tau + s6) * tau
-                                                 + s5) * dy / span)
-                        r1 = lam2 * r0 + lam2p2 * y_ref
-                        r2 = lam2 * r1 + lam2p2 * y_ref_dot
-                    else:  # BoundedReference.eval's values from tf on
-                        r0, r1, r2 = final, 0.0, 0.0
-                    decay = a0 * exp(nb0 * t)
-                    phi0 = 1.0 / (decay + eps0)
-                    memo = (t, r0, r1, r2, phi0, b0 * decay * phi0 * phi0,
-                            1.0 / (a1 * exp(nb1 * t) + eps1), 1.0 / (a2 * exp(nb2 * t) + eps2),
-                            amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t))
-                _, r0, r1, r2, phi0, phi0_dot, phi1, phi2, dist = memo
+                    t5 = tau ** 5
+                    y_ref = y0 + t5 * ((((c9 * tau + c8) * tau + c7) * tau + c6) * tau
+                                       + c5) * dy
+                    y_ref_dot = (t5 / tau * ((((s9 * tau + s8) * tau + s7) * tau + s6) * tau
+                                             + s5) * dy / span)
+                    r1 = lam2 * r0 + lam2p2 * y_ref
+                    r2 = lam2 * r1 + lam2p2 * y_ref_dot
+                else:  # BoundedReference.eval's values from tf on
+                    r0, r1, r2 = final, 0.0, 0.0
+                decay = a0 * exp(nb0 * t)
+                phi0 = 1.0 / (decay + eps0)
+                phi0_dot = b0 * decay * phi0 * phi0
+                phi1, phi2 = 1.0 / (a1 * exp(nb1 * t) + eps1), 1.0 / (a2 * exp(nb2 * t) + eps2)
                 # y_new = psi(x), its derivatives the observer's estimates or the ladder's
                 y = x1 + 0.5 * x2
                 y_new = w0 * x2 + w1 * ((1.0 / 3.0 + 0.5 * cb) * x3 + x4 / 3.0) - p2 * y
@@ -372,8 +367,9 @@ class ClosedLoop:
                     return None
                 u = 1.0 / (1.0 - pe ** 2) * e2
             else:  # the controller's record where the kernel returned None
-                u, y_new, dist = record.u, record.y_new, disturbance(cfg.disturbance, t)
+                u, y_new = record.u, record.y_new
             # the plant under u + d(t), then the observer
+            dist = amp1 * sin(freq1 * t) + amp2 * cos(freq2 * t)
             sb = sin(x2)
             t1 = half_l2m * x4 * (2.0 * x3 + x4) * sb + (u + dist)
             f2 = nc * x2 - d * x4 - half_l2m * x3 * x3 * sb

@@ -201,6 +201,72 @@ def test_overflowing_stage_sum_is_exit_2_without_a_warning(tmp_path, capsys):
     assert not out.exists()
 
 
+def fast_disturbance_config(path, t_end):
+    """The lin case study to ``t_end`` with amp1 = 0 and freq1 = 1e308, whose
+    phase freq1 * t overflows past t = 1.8 s, written to ``path``."""
+    data = case_study_config("lin").to_dict()
+    data["disturbance"].update(amp1=0.0, freq1=1e308)
+    path.write_text(json.dumps({**data, "t_end": t_end}))
+    return path
+
+
+# past 1.8 s the phase is inf, whose sin raises ValueError (math domain
+# error) in the kernel; the config is rejected before any run instead
+@pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["plain", "W_error"])
+def test_overflowing_disturbance_phase_is_exit_1(tmp_path, flags):
+    cfg = fast_disturbance_config(tmp_path / "fast-disturbance.json", 3.0)
+    out = tmp_path / "never.csv"
+    run = run_python(*flags, "-m", "funneltrack.cli", "simulate", "--config", str(cfg),
+                     "--out", str(out))
+    assert run.returncode == 1
+    assert run.stderr.count("\n") == 1
+    assert run.stderr.startswith("config error: disturbance phase freq1 * t overflows")
+    assert not out.exists()
+
+
+def test_t_end_override_that_overflows_the_disturbance_phase_is_exit_1(tmp_path, capsys):
+    cfg = fast_disturbance_config(tmp_path / "fast-disturbance.json", 1.0)
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(cfg), "--t-end", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: disturbance phase freq1")
+    assert not out.exists()
+
+
+def test_sweep_whose_last_point_overflows_the_disturbance_phase_is_exit_1_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    from funneltrack import sim
+
+    calls = []
+    monkeypatch.setattr(sim, "integrate", calls.append)
+    cfg = fast_disturbance_config(tmp_path / "fast-disturbance.json", 1.0)
+    out = tmp_path / "never.json"
+    assert main(["sweep", "--config", str(cfg), "--vary", "t_end=0.5:2:4",
+                 "--out", str(out), "--serial"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: disturbance phase freq1") and err.count("\n") == 1
+    assert calls == [] and not out.exists()
+
+
+# endpoints from about 4e307 up overflow the bounded reference's quadrature
+# and spline solve, whose numpy warnings reached stderr, and under -W error
+# ended in a traceback; the NaN or huge reference stops the run at t = 0
+@pytest.mark.parametrize("endpoint, value", [("y0", 4.2e307), ("yf", 7.3e307),
+                                             ("yf", 1.7e308)])
+def test_reference_endpoint_near_the_float_limit_is_exit_2_without_a_warning(
+        tmp_path, endpoint, value):
+    data = case_study_config("lin").to_dict()
+    data["ref"][endpoint] = value
+    cfg = tmp_path / "huge-endpoint.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "never.csv"
+    run = run_python("-X", "dev", "-W", "error", "-m", "funneltrack.cli", "simulate",
+                     "--config", str(cfg), "--out", str(out))
+    assert run.returncode == 2
+    assert run.stderr.startswith("funnel violation at t = 0.000000: ")
+    assert run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.usefixtures("one_non_finite_sample")
 def test_non_finite_sample_is_exit_2(tmp_path, short_config, capsys):
     out = tmp_path / "never.csv"

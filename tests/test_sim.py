@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import os
+import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +70,15 @@ class TestConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json_file(tmp_path / "absent.json")
+
+    # the solver may hand the right-hand side t_end + 1 ulp, where freq * t
+    # can overflow though freq * t_end does not
+    def test_disturbance_phase_must_stay_finite_one_ulp_past_t_end(self):
+        freq = sys.float_info.max / 2.0
+        assert math.isfinite(freq * 2.0)
+        with pytest.raises(ConfigError, match="disturbance phase freq2"):
+            ScenarioConfig(disturbance=DisturbanceSpec(freq2=freq), t_end=2.0)
+        ScenarioConfig(disturbance=DisturbanceSpec(freq2=freq), t_end=math.nextafter(2.0, 0.0))
 
     def test_case_study_defaults(self):
         cfg = case_study_config("lin")
@@ -488,34 +498,33 @@ class TestKernelMatchesLayers:
         for t, state in calls:
             assert_same_outcome(loop, t, state)
 
-    # the kernel keeps the terms of the last t it saw: a call reuses them at
-    # that t only, with any state and either form of it
-    @pytest.mark.parametrize("mode", ["lin", "hg"])
-    def test_terms_of_t_hold_for_that_t_alone(self, mode):
-        loop = ClosedLoop(case_study_config(mode))
-        t1, t2 = 1.0, 1.0 + 2.0 ** -40
-        s1 = placed_state(loop, t1, 0.2, 0.1, 0.3, [0.5, -0.4, 0.3], 0.0)
-        s2 = placed_state(loop, t2, -0.1, 0.05, -0.2, [-0.3, 0.2, 0.6], 0.01)
-        h = 1e-3
-        parts = ((s2 - s1) / h, h, s1.tolist())
-        calls = [(t1, s1), (t2, s2), (t1, s2), (t2, s1), (t1, s1),  # alternating
-                 (t1, s2), (t1, s1),  # t repeated, the state new
-                 (t2, parts), (t2, s1), (t1, parts), (t1, s2)]  # stage parts between
-        for t, state in calls:
-            got = outcome(loop.rhs, t, state)
-            assert not isinstance(got, Exception)
-            assert outcome_bits(got) == outcome_bits(outcome(ClosedLoop(loop.cfg).rhs, t, state))
-
-    def test_terms_of_either_zero_time_are_its_own(self):
-        # -0.0 == 0.0, but past tf, with amp2 = -0.0, the disturbance is a
-        # zero of t's sign, and alpha'' carries it where u = -0.0
-        cfg = ScenarioConfig(ref=TransitionRef(0.0, -0.0, -1.0, -0.5), mode="hg",
-                             disturbance=DisturbanceSpec(1.0, 1.0, -0.0, 0.0))
-        state = np.array([0.0, -0.0, 0.0, 0.0, 0.0, -0.0, -0.0])
-        loop = ClosedLoop(cfg)
-        got = [outcome_bits(loop.rhs(t, state)) for t in (0.0, -0.0, 0.0)]
-        assert got == [outcome_bits(ClosedLoop(cfg).rhs(t, state)) for t in (0.0, -0.0, 0.0)]
-        assert got[0] != got[1]
+    # the kernel is a pure function of (t, state): calls in any order, with
+    # any state and either form of it, give a fresh loop's bits
+    @pytest.mark.parametrize("case", ["lin", "hg", "either_zero_time"])
+    def test_calls_in_any_order_give_a_fresh_loops_bits(self, case):
+        if case == "either_zero_time":
+            # -0.0 == 0.0, but past tf, with amp2 = -0.0, the disturbance is a
+            # zero of t's sign, and alpha'' carries it where u = -0.0
+            loop = ClosedLoop(ScenarioConfig(ref=TransitionRef(0.0, -0.0, -1.0, -0.5), mode="hg",
+                                             disturbance=DisturbanceSpec(1.0, 1.0, -0.0, 0.0)))
+            state = np.array([0.0, -0.0, 0.0, 0.0, 0.0, -0.0, -0.0])
+            calls = [(0.0, state), (-0.0, state), (0.0, state)]
+        else:
+            loop = ClosedLoop(case_study_config(case))
+            t1, t2 = 1.0, 1.0 + 2.0 ** -40
+            s1 = placed_state(loop, t1, 0.2, 0.1, 0.3, [0.5, -0.4, 0.3], 0.0)
+            s2 = placed_state(loop, t2, -0.1, 0.05, -0.2, [-0.3, 0.2, 0.6], 0.01)
+            h = 1e-3
+            parts = ((s2 - s1) / h, h, s1.tolist())
+            calls = [(t1, s1), (t2, s2), (t1, s2), (t2, s1), (t1, s1),  # alternating
+                     (t1, s2), (t1, s1),  # t repeated, the state new
+                     (t2, parts), (t2, s1), (t1, parts), (t1, s2)]  # stage parts between
+        got = [outcome(loop.rhs, t, state) for t, state in calls]
+        assert not any(isinstance(g, Exception) for g in got)
+        bits = [outcome_bits(g) for g in got]
+        assert bits == [outcome_bits(outcome(ClosedLoop(loop.cfg).rhs, t, state))
+                        for t, state in calls]
+        assert bits[0] != bits[1]  # so an answer kept from the first call would show
 
 
 class TestReferenceCache:
