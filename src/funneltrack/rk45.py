@@ -22,7 +22,8 @@ linear in the stages, so batching moves no bit.
 Guards: exceptions listed in ``guards`` raised by the right-hand side
 (funnel or domain violations) reject the trial step and bisect it; if the
 step underflows ``min_step`` the guard exception propagates as raised,
-with whatever time and state ``f`` attached to it.
+with whatever time and state ``f`` attached to it.  Otherwise one rule
+refuses a step (see ``solve``), and ``nfev`` counts every call of ``f``.
 """
 import math
 from dataclasses import dataclass
@@ -154,26 +155,24 @@ def _rms(z) -> float:
 
 
 def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, max_step, guards):
-    """Hairer-style starting step; a guarded probe hands its step to solve's bisection.
-    On a span whose tenth underflows to 0 the probe's cap is the span itself."""
+    """Hairer-style starting step and the scaled derivative norm it rests on; a guarded
+    probe hands its step to solve's bisection.  On a span whose tenth underflows to 0
+    the probe's cap is the span itself."""
     span = t_end - t0
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * span or span, max_step)
-    if not h0 > 0:  # an infinite or NaN f0: solve raises at t0
-        return h0
+    if not h0 > 0:  # an infinite or NaN f0: solve refuses the step at t0
+        return h0, d1
     try:
         f1 = np.asarray(f(t0 + h0, formed((f0, h0, y0))))
     except guards:
-        return h0
-    d2 = _rms((f1 - f0) / scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step, span)
+        return h0, d1
+    d = max(d1, _rms((f1 - f0) / scale) / h0)
+    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.2
+    return min(100 * h0, h1, max_step, span), d
 
 
 # an overflow in a stage sum or the error estimate gives a non-finite norm,
@@ -203,11 +202,12 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     span that ends past the last grid time, however briefly, appends t_end
     with the last accepted state.  ``guards`` is a tuple of exception types
     treated as state-constraint violations (see module docstring); their
-    bisection stops below ``min_step``.  No step is shorter than ``min_step`` except
-    the last one, cut short to end at ``t_end``; a step size that falls
-    below it anywhere else (the first, or after a rejected or an accepted
-    step) raises IntegrationError, and so does an initial step size that
-    is not finite and > 0 (say, from an f that returns NaN or inf).
+    bisection stops below ``min_step``.  One rule refuses a step, the first
+    included: a step size below ``min_step``, or NaN (from an f that is NaN
+    or inf at t0, say), raises IntegrationError at the step's start unless
+    the step ends the span; before the first accepted step the message names
+    the scaled derivative norm that the starting step rests on.  ``nfev``
+    counts every call of ``f``, those of a trial that a guard stops too.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end) and t0 < t_end):
@@ -223,10 +223,7 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
 
     K = np.empty((7, y.size))
     K[0] = f(t0, y)  # guard violation at the initial point propagates
-    h = _initial_step(f, t0, y, K[0], t_end, rel_tol, abs_tol, max_step, guards)
-    # later updates only scale or cap h by finite numbers > 0, so one check suffices
-    if not 0 < h < math.inf:  # h = 0 would never advance t
-        raise IntegrationError(f"initial step size {h} outside (0, inf)", t=t0, state=y.copy())
+    h, norm = _initial_step(f, t0, y, K[0], t_end, rel_tol, abs_tol, max_step, guards)
     nfev, naccept, nreject, nguard = 2, 0, 0, 0
     # per stage: node, tableau row, the stages it combines, the stage it fills
     stages = [(float(_C[i + 1]), a_row, K[: i + 1], K[i + 1]) for i, a_row in enumerate(_A)]
@@ -237,9 +234,10 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
     err_prev = 1e-4
     while t < t_end:
         h = min(h, max_step, t_end - t)
-        if h < min_step and h < t_end - t:  # only the last step may be that short
-            raise IntegrationError(f"step size underflow ({h:.3e} < {min_step:.3e})",
-                                   t=t, state=y.copy())
+        if not (h >= min_step or h >= t_end - t):  # only the last may be shorter; NaN fails
+            first = f" on the first step, from a scaled derivative norm of {norm:.3e}"
+            raise IntegrationError(f"step size underflow ({h:.3e} < {min_step:.3e})"
+                                   + (first if naccept == 0 else ""), t=t, state=y.copy())
         # K[0] holds f(t, y): set from the last stage of an accepted step only,
         # so a retry after a rejection starts from the same first stage (FSAL)
         h_arr = np.array(h)  # a 0-d operand skips numpy's scalar discovery
@@ -248,12 +246,13 @@ def solve(f, t_span, y0, *, rel_tol=1e-9, abs_tol=1e-12, max_step=math.inf,
             for c, a_row, K_prev, K_next in stages:
                 q = a_row.dot(K_prev)
                 K_next[...] = f(t + c * h, (q, h, ys) if stage_parts else formed((q, h_arr, y)))
+            K_prev = K6  # len(K_prev): this trial's calls of f, the one running included
             y_new = _B.dot(K6)
             y_new *= h_arr
             y_new += y
             K_last[...] = f(t + h, y_new)
         except guards:
-            nfev += 1  # at least the failing evaluation
+            nfev += len(K_prev)
             nguard += 1
             h *= 0.5
             if h < min_step:

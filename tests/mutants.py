@@ -88,6 +88,11 @@ MUTANTS = [
            "                    return None\n"),
     Mutant("u read from e2", SIM,
            "u, y_new = record.u,", "u, y_new = record.e2,"),
+    Mutant("the NaN-blind step-size check", RK45,
+           "if not (h >= min_step or h >= t_end - t):", "if h < min_step and h < t_end - t:",
+           (TIER1,)),
+    Mutant("one call counted per guarded trial", RK45,
+           "nfev += len(K_prev)", "nfev += 1", (TIER1,)),
 ]
 
 

@@ -343,6 +343,24 @@ def test_underflow_at_the_start_is_exit_4_at_t_0(tmp_path, capsys):
     assert not out.exists()
 
 
+# a disturbance of 1e300 overflows the starting-step probe's scaled norm, so
+# the start is 0 s long: the step-size rule refuses it before any stage runs
+# and names the norm the start rests on
+def test_start_whose_probe_norm_overflows_is_exit_4_naming_the_norm(tmp_path):
+    data = case_study_config("hg").to_dict()
+    data["disturbance"]["amp1"] = 1e300
+    cfg = tmp_path / "huge-disturbance.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "never.csv"
+    run = run_python("-X", "dev", "-W", "error", "-m", "funneltrack.cli", "simulate",
+                     "--config", str(cfg), "--out", str(out))
+    assert run.returncode == 4
+    assert run.stderr.startswith("integrator failure at t = 0.000000: "
+                                 "step size underflow (0.000e+00 < 1.000e-08)")
+    assert run.stderr.count("\n") == 1 and "norm of inf" in run.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc, code, label", [
     (ConfigError("bad field"), 1, "config error"),
     (FunnelViolation("boundary", t=0.1, level=2), 2, "funnel violation"),
